@@ -55,10 +55,9 @@ def reference_digest(program, facts) -> str:
 def engine_gauges(inner) -> dict:
     """Engine state-size gauges; Laddder adds its timeline breakdown."""
     gauges = {"state_size": inner.state_size()}
-    states = getattr(inner, "_states", None)
-    if states and hasattr(inner, "timeline"):  # Laddder
+    if hasattr(inner, "timeline"):  # Laddder
         entries = tuples = longest = 0
-        for state in states:
+        for state in inner._states:
             for relation in state.relations.values():
                 for timeline in relation.timelines.values():
                     n = len(timeline)

@@ -1,4 +1,4 @@
-"""The common solver interface.
+"""The common solver interface and the one update pipeline.
 
 All four engines (naive, semi-naive, DRedL, Laddder) are drop-in
 replacements behind this interface, mirroring how Laddder replaced DRedL
@@ -17,6 +17,15 @@ Lifecycle::
 ``relation`` returns the *exported* view: aggregated predicates are pruned
 to the final aggregate per group; intermediate inflationary results and
 timestamps are never visible (paper Section 4.1, postprocessing).
+
+:meth:`Solver.solve` and :meth:`Solver.update` are written once, here.  An
+epoch is: normalise and stage the EDB diff, derive its static footprint,
+walk the strata bottom-up (impact skip, budget, self-check), fold each
+stratum's exported diff into the pending diff its downstream strata read,
+extern and publish :class:`UpdateStats`.  An engine is a *per-stratum
+strategy* plugged into that driver: :meth:`Solver._solve_stratum` and
+:meth:`Solver._update_stratum`, plus a ``STATE`` declaration of what it
+mutates (DESIGN.md, "One update pipeline").
 """
 
 from __future__ import annotations
@@ -25,21 +34,29 @@ import os
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
+from ..datalog.ast import Literal, Rule
 from ..datalog.errors import BudgetExceededError, SolverError, ValidationError
 from ..datalog.impact import Footprint
 from ..datalog.normalize import normalize
+from ..datalog.planning import delta_occurrences
 from ..datalog.program import Program
 from ..datalog.stratify import Component
 from ..metrics import SolverMetrics
+from ..robustness.guard import ASSIGNED, JOURNALED, PLAIN, declared_state
 from ..robustness.watchdog import Budget
+from .aggspec import AggSpec, compile_agg_specs
 from .compile import KernelCache
 from .intern import InternTable, intern_program, program_hash
 from .prepare import prepare
-from .relation import resolve_backend
+from .relation import RelationStore, resolve_backend
 
 FactChanges = Mapping[str, Iterable[tuple]]
+
+#: One stratum's exported diff: pred -> (added rows, removed rows), in the
+#: engine's internal row space.
+StratumDiff = dict[str, tuple[set[tuple], set[tuple]]]
 
 
 @dataclass
@@ -61,8 +78,88 @@ class UpdateStats:
         )
 
 
+class ComponentState:
+    """Compiled plans plus live state for one dependency component of an
+    engine that maintains its strata in place (DRedL, Laddder).
+
+    Subclasses add the engine's relation container and aggregation state
+    (``reset``/``rel``/``state_size``) and extend ``STATE``.
+    """
+
+    STATE = {"relations": JOURNALED}
+
+    def __init__(
+        self, component: Component, program: Program, arities: dict, backend: str
+    ):
+        self.component = component
+        self.arities = arities
+        self.backend = backend
+        #: Probe-counting collector for relations created from here on;
+        #: refreshed, like the stored state itself, by ``Solver._reset``.
+        self.metrics: SolverMetrics | None = None
+        self.specs: dict[str, AggSpec] = compile_agg_specs(component.rules, program)
+        self.specs_by_collecting: dict[str, list[AggSpec]] = {}
+        for spec in self.specs.values():
+            self.specs_by_collecting.setdefault(spec.collecting_pred, []).append(spec)
+        self.plain_rules = [r for r in component.rules if not r.is_aggregation]
+        #: pred -> [(rule, pinned literal, occurrence index)] for every body
+        #: occurrence; kernels are resolved per epoch (the engine's
+        #: ``_bind_kernels``) so join orders can follow live cardinalities.
+        self.occurrences: dict[str, list[tuple[Rule, Literal, int]]] = {}
+        for rule in self.plain_rules:
+            for occ, literal in delta_occurrences(rule, include_negated=True):
+                self.occurrences.setdefault(literal.pred, []).append(
+                    (rule, literal, occ)
+                )
+        #: Rules with no relational body atom fire once, during solve().
+        self.static_rules = [
+            rule for rule in self.plain_rules if not rule.body_literals()
+        ]
+        #: Kernel tables (filled by the engine's ``_bind_kernels``; rebuilt
+        #: only when the cache evicts a stale plan).
+        self.occ_kernels: dict[str, list[tuple]] = {}
+        self.extractors: dict[str, object] = {}
+        self.kernels_bound = False
+        #: pred -> safe size interval (KernelCache.replan_guard); while all
+        #: watched sizes stay inside, refresh cannot evict and is skipped.
+        self.replan_guard: dict[str, tuple[float, float]] | None = None
+        self.reads = {
+            literal.pred
+            for rule in component.rules
+            for literal in rule.body_literals()
+        }
+        self.upstream_reads = frozenset(self.reads - component.predicates)
+        #: Undo log installed by UpdateGuard for the duration of a guarded
+        #: update; newly created relations inherit it and their creation is
+        #: itself journaled.
+        self.journal: list | None = None
+
+    def reset(self) -> None:
+        """Drop every stored tuple and aggregate (before a fresh solve)."""
+        raise NotImplementedError
+
+    def rel(self, pred: str):
+        """The component-local relation for ``pred``, created on demand."""
+        raise NotImplementedError
+
+    def adopt(self, entry: Mapping[str, object]) -> None:
+        """Take over checkpoint-restored ``STATE`` values."""
+        for name, value in entry.items():
+            setattr(self, name, value)
+
+
 class Solver(ABC):
-    """Base class: program compilation, fact management, exported views."""
+    """Base class: program compilation, fact management, exported views,
+    and the solve/update pipeline the engines plug their strategies into."""
+
+    #: Data state, declared once per engine: checkpoints persist exactly
+    #: these attributes and UpdateGuard protects exactly these (per kind).
+    #: ``_facts`` is journaled by :meth:`_normalize_changes` itself.
+    STATE = {"_facts": PLAIN, "_exported": JOURNALED, "_solved": PLAIN}
+
+    #: The :class:`ComponentState` subclass of an engine that maintains its
+    #: strata in place; None for engines that re-solve them.
+    COMPONENT_STATE: type[ComponentState] | None = None
 
     #: Fixpoint guard: iterations per component before declaring divergence.
     MAX_ITERATIONS = 100_000
@@ -108,7 +205,7 @@ class Solver(ABC):
         #: (docs/PERFORMANCE.md): "object" keeps raw-value rows, "columnar"
         #: interns every constant to a dense int handle and stores packed
         #: relations.  Exported views are bit-equal either way.
-        self.backend = resolve_backend(self.arities)
+        self.backend = resolve_backend()
         #: Backend-independent fingerprint of the (pruned) program, captured
         #: before interning rewrites the private copy — checkpoints compare
         #: against this, never against the handle-space rule text.
@@ -122,6 +219,18 @@ class Solver(ABC):
             intern_program(self.program, self.components, self.intern)
         self._facts: dict[str, set[tuple]] = {}
         self._solved = False
+        #: The timeless exported store every engine publishes into and every
+        #: stratum reads its upstream from.
+        self._exported = RelationStore(self.arities, backend=self.backend)
+        #: One state object per component (empty without COMPONENT_STATE).
+        self._states: list[ComponentState] = []
+        if self.COMPONENT_STATE is not None:
+            self._states = [
+                self.COMPONENT_STATE(c, self.program, self.arities, self.backend)
+                for c in self.components
+            ]
+        #: What the most recent update() returned.
+        self.last_stats: UpdateStats | None = None
         #: Shared compiled-kernel cache: one specialized enumeration pipeline
         #: per (rule, pinned occurrence, bound set, emit mode) — see
         #: repro.engines.compile.  ``REPRO_INTERPRET=1`` swaps in run_plan-
@@ -161,6 +270,8 @@ class Solver(ABC):
             from ..provenance.store import ProvenanceStore
 
             self.provenance = ProvenanceStore(self.program, metrics=self.metrics)
+        # Engine state starts out as an empty from-scratch solve would.
+        self._reset()
 
     def _store_metrics(self) -> SolverMetrics | None:
         """The metrics object relation stores should count probes into, or
@@ -303,23 +414,169 @@ class Solver(ABC):
         self.last_footprint = footprint
         return footprint
 
-    # -- solving -------------------------------------------------------------
+    # -- the pipeline --------------------------------------------------------
 
-    @abstractmethod
     def solve(self) -> None:
         """Run the initial from-scratch analysis over the staged facts."""
+        active = self.metrics.active
+        started = time.perf_counter() if active else 0.0
+        self.budget.begin()
+        self._exported = RelationStore(
+            self.arities, metrics=self._store_metrics(), backend=self.backend
+        )
+        self._reset()
+        if self.provenance is not None:
+            self.provenance.clear_all()
+        for pred, rows in self._fact_items():
+            relation = self._exported.get(pred)
+            for row in rows:
+                relation.add(row)
+        for index in range(len(self.components)):
+            self._solve_stratum(index)
+            self._run_self_check(index)
+        self._solved = True
+        if active:
+            self.metrics.solve_seconds += time.perf_counter() - started
+        self._epoch_metrics(update=False)
 
-    @abstractmethod
     def update(
         self,
         insertions: FactChanges | None = None,
         deletions: FactChanges | None = None,
     ) -> UpdateStats:
-        """Process one epoch of input changes; returns the exported diff."""
+        """Process one epoch of input changes; returns the exported diff.
+
+        ``inserted``/``deleted`` are exactly the set difference of
+        :meth:`relations` before and after, exported EDB predicates
+        included, whichever engine ran the epoch.
+        """
+        self._require_solved()
+        active = self.metrics.active
+        started = time.perf_counter() if active else 0.0
+        self.budget.begin()
+        ins, dels = self._normalize_changes(insertions, deletions)
+        footprint = self._impact_footprint(ins, dels)
+        #: pred -> (added, removed) so far this epoch: the EDB diff, then
+        #: every visited stratum's exported diff — what downstream strata
+        #: seed from and what is published at the end.
+        pending: StratumDiff = {}
+        for pred, rows in ins.items():
+            pending.setdefault(pred, (set(), set()))[0].update(rows)
+            relation = self._exported.get(pred)
+            for row in rows:
+                relation.add(row)
+        for pred, rows in dels.items():
+            pending.setdefault(pred, (set(), set()))[1].update(rows)
+            relation = self._exported.get(pred)
+            for row in rows:
+                relation.discard(row)
+
+        stats = UpdateStats()
+        for index in range(len(self.components)):
+            if footprint is not None and index not in footprint.strata:
+                # Statically outside the batch's impact set: no delta can
+                # reach this stratum (footprints are component-closed), so
+                # its retained fixpoint is what a full solve would recompute.
+                self.metrics.strata_skipped += 1
+                continue
+            outcome = self._update_stratum(index, pending)
+            if outcome is None:
+                continue
+            diff, work = outcome
+            self._run_self_check(index)
+            stats.work += work
+            for pred, (added, removed) in diff.items():
+                bucket = pending.setdefault(pred, (set(), set()))
+                for row in added:
+                    bucket[1].discard(row)
+                    bucket[0].add(row)
+                for row in removed:
+                    bucket[0].discard(row)
+                    bucket[1].add(row)
+
+        exports = self.program.exported_predicates()
+        for pred, (added, removed) in pending.items():
+            if pred not in exports:
+                continue
+            if added:
+                stats.inserted[pred] = {self._extern_row(row) for row in added}
+            if removed:
+                stats.deleted[pred] = {self._extern_row(row) for row in removed}
+        self.last_stats = stats
+        if active:
+            self.metrics.update_seconds += time.perf_counter() - started
+        self._epoch_metrics(update=True)
+        return stats
+
+    # -- what an engine supplies ---------------------------------------------
+
+    def _reset(self) -> None:
+        """Forget every derived result (start of a from-scratch solve)."""
+        for state in self._states:
+            state.metrics = self._store_metrics()
+            state.reset()
 
     @abstractmethod
+    def _solve_stratum(self, index: int) -> None:
+        """Compute component ``index`` from scratch against the current
+        upstream exported state (the engine's own state for it is empty)
+        and publish its exported view into ``self._exported``."""
+
+    @abstractmethod
+    def _update_stratum(
+        self, index: int, pending: StratumDiff
+    ) -> tuple[StratumDiff, int] | None:
+        """Bring component ``index`` up to date given the epoch's upstream
+        diff so far and publish into ``self._exported``; returns the
+        component's exported diff and a work count, or None when nothing
+        it reads changed."""
+
+    def _epoch_metrics(self, update: bool) -> None:
+        """Engine-specific gauges after a solve or update epoch."""
+
+    def _static_heads(self, state: ComponentState) -> Iterator[tuple[str, tuple]]:
+        """``(pred, row)`` heads of the component's body-less rules — part
+        of every from-scratch seed — hinted for provenance."""
+        prov = self.provenance
+        for rule in state.static_rules:
+            pred = rule.head.pred
+            for head_row in self.kernels.kernel(rule).fn(state.rel):
+                if prov is not None:
+                    prov.hint(pred, head_row, rule)
+                yield pred, head_row
+
+    def _stale_kernels(self, state: ComponentState) -> Callable[[str], int] | None:
+        """The shared kernel-binding preamble, run once per component visit
+        (between strata, never inside a fixpoint).
+
+        ``refresh`` evicts kernels whose body cardinalities shifted beyond
+        the re-plan factor.  Returns the live cardinality oracle when the
+        engine must (re)build ``state``'s kernel tables against it, or None
+        when the previous visit's tables are still valid — typical updates
+        touch a few tuples, so that path must stay cheap.
+        """
+        guard = state.replan_guard
+        if state.kernels_bound and guard is not None:
+            rel = state.rel
+            if all(lo < len(rel(p)) < hi for p, (lo, hi) in guard.items()):
+                return None  # no watched cardinality left its safe interval
+
+        def oracle(pred: str) -> int:
+            return len(state.rel(pred))
+
+        evicted = self.kernels.refresh(state.component.rules, oracle)
+        if state.kernels_bound and not evicted:
+            state.replan_guard = self.kernels.replan_guard(state.component.rules)
+            return None
+        state.kernels_bound = True
+        return oracle
+
+    # -- exported views ------------------------------------------------------
+
     def relation(self, pred: str) -> frozenset[tuple]:
         """The exported (pruned, timeless) content of a predicate."""
+        self._require_solved()
+        return self._export_rows(self._exported.get(pred).tuples)
 
     def relations(self) -> dict[str, frozenset[tuple]]:
         """All exported predicates."""
@@ -329,7 +586,9 @@ class Solver(ABC):
 
     def state_size(self) -> int:
         """Engine-specific count of stored entries, for memory comparisons."""
-        return 0
+        return self._exported.state_size() + sum(
+            state.state_size() for state in self._states
+        )
 
     def storage_profile(self) -> dict:
         """Bytes-per-tuple accounting of the exported stores (Section 7.2).
@@ -340,10 +599,7 @@ class Solver(ABC):
         Engine-internal state (timelines, aggregation trees) is excluded;
         the memory benchmark deep-sizes the whole solver for that.
         """
-        exported = getattr(self, "_exported", None)
-        relations = (
-            list(exported.relations.values()) if exported is not None else []
-        )
+        relations = list(self._exported.relations.values())
         tuples = sum(len(rel) for rel in relations)
         total = sum(rel.storage_bytes() for rel in relations)
         profile = {
@@ -429,4 +685,16 @@ class Solver(ABC):
         return stats
 
 
-__all__ = ["FactChanges", "Solver", "SolverError", "UpdateStats", "ValidationError"]
+__all__ = [
+    "ASSIGNED",
+    "ComponentState",
+    "FactChanges",
+    "JOURNALED",
+    "PLAIN",
+    "Solver",
+    "SolverError",
+    "StratumDiff",
+    "UpdateStats",
+    "ValidationError",
+    "declared_state",
+]

@@ -39,7 +39,7 @@ from typing import Type
 
 from ..datalog.errors import CheckpointError
 from ..robustness import faults as _faults
-from .base import Solver
+from .base import Solver, declared_state
 from .intern import program_hash
 
 __all__ = ["save_checkpoint", "load_checkpoint", "program_hash"]
@@ -58,31 +58,6 @@ VERSION = 4
 READ_VERSIONS = frozenset({3, VERSION})
 _HEADER = struct.Struct(f">{len(MAGIC)}sH32s")
 
-#: Attributes captured per solver class (data only — no compiled plans,
-#: no registered callables).
-_STATE_ATTRS = {
-    "LaddderSolver": ["_facts", "_exported", "_solved"],
-    "DRedLSolver": ["_facts", "_exported", "_solved"],
-    "SemiNaiveSolver": ["_facts", "_exported", "_raw", "_totals", "_solved"],
-    "NaiveSolver": ["_facts", "_exported", "_raw", "_solved"],
-}
-
-
-def _component_state(solver) -> list | None:
-    states = getattr(solver, "_states", None)
-    if states is None:
-        return None
-    captured = []
-    for state in states:
-        entry = {"relations": state.relations}
-        if hasattr(state, "groups"):
-            entry["groups"] = state.groups
-        if hasattr(state, "totals"):
-            entry["totals"] = state.totals
-        captured.append(entry)
-    return captured
-
-
 def save_checkpoint(solver: Solver, path: str | Path) -> int:
     """Serialize a solved solver's state; returns the byte size written.
 
@@ -91,18 +66,17 @@ def save_checkpoint(solver: Solver, path: str | Path) -> int:
     """
     if not solver._solved:
         raise CheckpointError("cannot checkpoint an unsolved solver")
-    cls_name = type(solver).__name__
-    if cls_name not in _STATE_ATTRS:
-        raise CheckpointError(f"checkpointing not supported for {cls_name}")
     payload = {
-        "solver": cls_name,
+        "solver": type(solver).__name__,
         # The pre-interning hash captured at construction: handle-space
         # rule text differs per backend, the source program does not.
         "program": solver._program_hash,
         "backend": solver.backend,
         "intern": solver.intern.dump() if solver.intern is not None else None,
-        "attrs": {name: getattr(solver, name) for name in _STATE_ATTRS[cls_name]},
-        "components": _component_state(solver),
+        # Data only — no compiled plans, no registered callables: exactly
+        # what the engine and its component states declare in ``STATE``.
+        "attrs": declared_state(solver),
+        "components": [declared_state(state) for state in solver._states] or None,
         "provenance": (
             solver.provenance.dump() if solver.provenance is not None else None
         ),
@@ -211,28 +185,11 @@ def load_checkpoint(
             for row in rows:
                 solver.arities[pred] = len(row)
                 break
-    components = payload["components"]
-    if components is not None:
-        states = solver._states
-        if len(states) != len(components):
-            raise CheckpointError("checkpoint component count mismatch")
-        for state, entry in zip(states, components):
-            adopt = getattr(state, "adopt_relations", None)
-            if adopt is not None:
-                adopt(entry["relations"])  # rewrap into the live container
-            else:
-                state.relations = entry["relations"]
-            if "groups" in entry:
-                state.groups = entry["groups"]
-                # Group state pickles without its combine callable (it may
-                # close over another solver's intern table); rebind to this
-                # solver's live aggregator registry.
-                for pred, per_pred in state.groups.items():
-                    combine = state.specs[pred].aggregator.combine
-                    for group in per_pred.values():
-                        group.rebind(combine)
-            if "totals" in entry:
-                state.totals = entry["totals"]
+    components = payload["components"] or []
+    if len(solver._states) != len(components):
+        raise CheckpointError("checkpoint component count mismatch")
+    for state, entry in zip(solver._states, components):
+        state.adopt(entry)
     annotations = payload.get("provenance")
     if annotations is not None:
         # A provenance-enabled checkpoint restores its annotations even if

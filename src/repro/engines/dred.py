@@ -39,87 +39,38 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from ..datalog.ast import Constant, Literal, Rule, Variable
+from ..datalog.ast import Constant, Rule, Variable
 from ..datalog.errors import SolverError
-from ..datalog.planning import delta_occurrences
 from ..datalog.program import Program
-from ..datalog.stratify import Component
 from ..metrics import SolverMetrics
 from ..robustness import faults as _faults
-from .aggspec import AggSpec, compile_agg_specs
-from .base import FactChanges, Solver, UpdateStats
+from .aggspec import AggSpec
+from .base import ASSIGNED, ComponentState, Solver, StratumDiff
 from .grounding import bind_pinned
-from .relation import IndexedRelation, RelationStore, make_relation
+from .relation import IndexedRelation, make_relation
 
 _MISSING = object()
 
 
-class _DredComponent:
+class _DredComponent(ComponentState):
     """Compiled plans and live state for one component under DRedL."""
 
-    def __init__(
-        self,
-        component: Component,
-        program: Program,
-        arities: dict,
-        metrics: "SolverMetrics | None" = None,
-        backend: str = "object",
-    ):
-        self.component = component
-        self.program = program
-        self.arities = arities
-        self.metrics = metrics
-        self.backend = backend
-        self.specs: dict[str, AggSpec] = compile_agg_specs(component.rules, program)
-        self.specs_by_collecting: dict[str, list[AggSpec]] = {}
-        for spec in self.specs.values():
-            self.specs_by_collecting.setdefault(spec.collecting_pred, []).append(spec)
-        plain_rules = [r for r in component.rules if not r.is_aggregation]
-        self.plain_rules = plain_rules
-        #: pred -> [(rule, pinned literal, occurrence index)] — kernels are
-        #: resolved per epoch (see DRedLSolver._bind_kernels) so join orders
-        #: can follow live cardinalities.
-        self.occurrences: dict[str, list[tuple[Rule, Literal, int]]] = {}
-        for rule in plain_rules:
-            for occ, literal in delta_occurrences(rule, include_negated=True):
-                self.occurrences.setdefault(literal.pred, []).append(
-                    (rule, literal, occ)
-                )
-        self.static_rules = [
-            rule for rule in plain_rules if not rule.body_literals()
-        ]
+    #: ``totals`` is mutated by plain dict assignment in the sweeps.
+    STATE = {**ComponentState.STATE, "totals": ASSIGNED}
+
+    def __init__(self, component, program, arities, backend):
+        super().__init__(component, program, arities, backend)
         #: head pred -> [(rule, head-bound variable names)] for re-derivation.
         self.rederive_rules: dict[str, list[tuple[Rule, frozenset[str]]]] = {}
-        for rule in plain_rules:
+        for rule in self.plain_rules:
             bound = frozenset(v.name for v in rule.head_variables())
             self.rederive_rules.setdefault(rule.head.pred, []).append((rule, bound))
-        #: Kernel tables (filled by DRedLSolver._bind_kernels; rebuilt only
-        #: when the cache evicts a stale plan).
-        self.occ_kernels: dict[str, list[tuple[Rule, Literal, object]]] = {}
         self.rederive_kernels: dict[str, list[tuple[Rule, object]]] = {}
         self.recompute_kernels: dict[str, object] = {}
-        self.extractors: dict[str, object] = {}
-        self.kernels_bound = False
-        #: pred -> safe size interval (KernelCache.replan_guard); while all
-        #: watched sizes stay inside, refresh cannot evict and is skipped.
-        self.replan_guard: dict[str, tuple[float, float]] | None = None
-        reads: set[str] = set()
-        for rule in component.rules:
-            for literal in rule.body_literals():
-                reads.add(literal.pred)
-        self.reads = reads
-        self.upstream_reads = frozenset(reads - component.predicates)
-        self.relations: dict[str, IndexedRelation] = {}
-        self.totals: dict[str, dict[tuple, object]] = {p: {} for p in self.specs}
-        #: Undo log installed by UpdateGuard for the duration of a guarded
-        #: update; newly created relations inherit it and their creation is
-        #: itself journaled.  (``totals`` is snapshot-restored by the guard
-        #: instead — it is mutated by plain dict assignment in the sweeps.)
-        self.journal: list | None = None
 
     def reset(self) -> None:
-        self.relations = {}
-        self.totals = {p: {} for p in self.specs}
+        self.relations: dict[str, IndexedRelation] = {}
+        self.totals: dict[str, dict[tuple, object]] = {p: {} for p in self.specs}
 
     def rel(self, pred: str) -> IndexedRelation:
         relation = self.relations.get(pred)
@@ -150,6 +101,8 @@ class DRedLSolver(Solver):
     #: solver declares the analysis incompatible (non-per-rule-monotone).
     MAX_ROUNDS = 10_000
 
+    COMPONENT_STATE = _DredComponent
+
     def __init__(
         self,
         program: Program,
@@ -175,122 +128,29 @@ class DRedLSolver(Solver):
         if aggregation not in ("inflationary", "rosssagiv"):
             raise ValueError(f"unknown aggregation mode {aggregation!r}")
         self.inflationary = aggregation == "inflationary"
-        self._states = [
-            _DredComponent(
-                c, self.program, self.arities, self._store_metrics(),
-                backend=self.backend,
-            )
-            for c in self.components
-        ]
-        self._exported = RelationStore(self.arities, backend=self.backend)
-        self.last_stats: UpdateStats | None = None
 
-    # -- public API ----------------------------------------------------------
+    # -- the per-stratum strategy ---------------------------------------------
 
-    def solve(self) -> None:
-        active = self.metrics.active
-        started = perf_counter() if active else 0.0
-        self.budget.begin()
-        self._exported = RelationStore(
-            self.arities, metrics=self._store_metrics(), backend=self.backend
-        )
-        for state in self._states:
-            state.metrics = self._store_metrics()
-            state.reset()
-        prov = self.provenance
-        if prov is not None:
-            prov.clear_all()
-        for pred, rows in self._fact_items():
-            relation = self._exported.get(pred)
-            for row in rows:
-                relation.add(row)
-        for index, state in enumerate(self._states):
-            insertions = set()
-            for pred in state.upstream_reads:
-                for row in self._exported.get(pred).tuples:
-                    insertions.add((pred, row))
-            for rule in state.static_rules:
-                for head_row in self.kernels.kernel(rule).fn(state.rel):
-                    insertions.add((rule.head.pred, head_row))
-                    if prov is not None:
-                        prov.hint(rule.head.pred, head_row, rule)
-            self._run_component(state, insertions, set(), index)
-            self._run_self_check(index)
-        self._solved = True
-        if active:
-            self.metrics.solve_seconds += perf_counter() - started
+    def _solve_stratum(self, index: int) -> None:
+        state = self._states[index]
+        insertions = set()
+        for pred in state.upstream_reads:
+            for row in self._exported.get(pred).tuples:
+                insertions.add((pred, row))
+        insertions.update(self._static_heads(state))
+        self._run_component(state, insertions, set(), index)
 
-    def update(
-        self,
-        insertions: FactChanges | None = None,
-        deletions: FactChanges | None = None,
-    ) -> UpdateStats:
-        self._require_solved()
-        active = self.metrics.active
-        started = perf_counter() if active else 0.0
-        self.budget.begin()
-        ins, dels = self._normalize_changes(insertions, deletions)
-        footprint = self._impact_footprint(ins, dels)
-        pending: dict[str, tuple[set[tuple], set[tuple]]] = {}
-        for pred, rows in ins.items():
-            pending.setdefault(pred, (set(), set()))[0].update(rows)
-            relation = self._exported.get(pred)
-            for row in rows:
-                relation.add(row)
-        for pred, rows in dels.items():
-            pending.setdefault(pred, (set(), set()))[1].update(rows)
-            relation = self._exported.get(pred)
-            for row in rows:
-                relation.discard(row)
-
-        stats = UpdateStats()
-        for index, state in enumerate(self._states):
-            if footprint is not None and index not in footprint.strata:
-                # Statically outside the batch's impact set: no delta can
-                # have reached this stratum (footprints are component-
-                # closed), so skip even the seed-intersection work.
-                self.metrics.strata_skipped += 1
-                continue
-            seeds_ins: set[tuple[str, tuple]] = set()
-            seeds_del: set[tuple[str, tuple]] = set()
-            for pred in state.upstream_reads & pending.keys():
-                added, removed = pending[pred]
-                seeds_ins.update((pred, row) for row in added)
-                seeds_del.update((pred, row) for row in removed)
-            if not seeds_ins and not seeds_del:
-                continue
-            diff, work = self._run_component(state, seeds_ins, seeds_del, index)
-            self._run_self_check(index)
-            stats.work += work
-            for pred, (added, removed) in diff.items():
-                bucket = pending.setdefault(pred, (set(), set()))
-                for row in added:
-                    bucket[1].discard(row)
-                    bucket[0].add(row)
-                for row in removed:
-                    bucket[0].discard(row)
-                    bucket[1].add(row)
-        exports = self.program.exported_predicates()
-        for pred, (added, removed) in pending.items():
-            if pred not in exports or pred in self.edb:
-                continue
-            if added:
-                stats.inserted[pred] = {self._extern_row(row) for row in added}
-            if removed:
-                stats.deleted[pred] = {self._extern_row(row) for row in removed}
-        self.last_stats = stats
-        if active:
-            self.metrics.update_seconds += perf_counter() - started
-        return stats
-
-    def relation(self, pred: str) -> frozenset[tuple]:
-        self._require_solved()
-        return self._export_rows(self._exported.get(pred).tuples)
-
-    def state_size(self) -> int:
-        return self._exported.state_size() + sum(
-            state.state_size() for state in self._states
-        )
+    def _update_stratum(self, index: int, pending: StratumDiff):
+        state = self._states[index]
+        seeds_ins: set[tuple[str, tuple]] = set()
+        seeds_del: set[tuple[str, tuple]] = set()
+        for pred in state.upstream_reads & pending.keys():
+            added, removed = pending[pred]
+            seeds_ins.update((pred, row) for row in added)
+            seeds_del.update((pred, row) for row in removed)
+        if not seeds_ins and not seeds_del:
+            return None
+        return self._run_component(state, seeds_ins, seeds_del, index)
 
     # -- the DRed delete/re-derive/insert loop -------------------------------
     #
@@ -317,30 +177,12 @@ class DRedLSolver(Solver):
     #      internal state and exports are pruned per group instead.
 
     def _bind_kernels(self, state: _DredComponent) -> None:
-        """Resolve the epoch's kernel tables from the shared cache.
-
-        Runs once per component visit — between strata, never inside the
-        sweeps.  ``refresh`` first evicts kernels whose body cardinalities
-        shifted beyond the re-plan factor, so evicted entries are re-planned
-        here against the live relation sizes; when nothing was evicted the
-        previous visit's tables are still valid and are kept (typical
-        updates touch a few tuples, so this path must stay cheap).
-        """
-        kernels = self.kernels
-        guard = state.replan_guard
-        if state.kernels_bound and guard is not None:
-            rel = state.rel
-            if all(lo < len(rel(p)) < hi for p, (lo, hi) in guard.items()):
-                return  # no watched cardinality left its safe interval
-
-        def oracle(pred: str) -> int:
-            return len(state.rel(pred))
-
-        evicted = kernels.refresh(state.component.rules, oracle)
-        if state.kernels_bound and not evicted:
-            state.replan_guard = kernels.replan_guard(state.component.rules)
+        """Resolve the epoch's kernel tables from the shared cache, against
+        live relation sizes, when :meth:`_stale_kernels` says they are due."""
+        oracle = self._stale_kernels(state)
+        if oracle is None:
             return
-        state.kernels_bound = True
+        kernels = self.kernels
         impact = self.impact
         # Impact-guided kernel pruning: occurrences pinned on a forever-
         # empty predicate never see a delta, and re-derivation kernels for

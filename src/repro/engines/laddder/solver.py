@@ -41,20 +41,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from time import perf_counter
+from typing import Mapping
 
-from ...datalog.ast import Literal, Rule
 from ...datalog.errors import SolverError
-from ...datalog.planning import delta_occurrences
-from ...datalog.program import Program
-from ...datalog.stratify import Component
-from ...metrics import SolverMetrics
 from ...robustness import faults as _faults
-from ..aggspec import AggSpec, compile_agg_specs
-from ..base import FactChanges, Solver, UpdateStats
+from ..base import JOURNALED, ComponentState, Solver, StratumDiff
 from ..compile import RuleShape
-from ..relation import RelationStore
 from .groups import GroupState
 from .state import TimedRelation
 from .timeline import NEVER
@@ -98,7 +91,7 @@ class _ComponentRelations(dict):
         # Checkpoints capture relation maps; the ``state`` backref (plans,
         # kernels, registered callables) must not travel with them, so the
         # map pickles as a plain dict and the restorer rewraps it
-        # (:meth:`_ComponentState.adopt_relations`).
+        # (:meth:`_ComponentState.adopt`).
         return (dict, (), None, None, iter(self.items()))
 
     def __missing__(self, pred: str) -> TimedRelation:
@@ -119,58 +112,17 @@ class _ComponentRelations(dict):
         return relation
 
 
-class _ComponentState:
+class _ComponentState(ComponentState):
     """Compiled plans plus runtime state for one dependency component."""
 
-    def __init__(
-        self,
-        component: Component,
-        program: Program,
-        arities: dict,
-        metrics: "SolverMetrics | None" = None,
-        backend: str = "object",
-    ):
-        self.component = component
-        self.program = program
-        self.arities = arities
-        self.metrics = metrics
-        self.backend = backend
-        self.specs: dict[str, AggSpec] = compile_agg_specs(component.rules, program)
-        self.specs_by_collecting: dict[str, list[AggSpec]] = {}
-        for spec in self.specs.values():
-            self.specs_by_collecting.setdefault(spec.collecting_pred, []).append(spec)
+    STATE = {**ComponentState.STATE, "groups": JOURNALED}
 
-        plain_rules = [r for r in component.rules if not r.is_aggregation]
-        #: pred -> [(rule, pinned literal, occurrence index)] for every body
-        #: occurrence; kernels are resolved per epoch (LaddderSolver binds
-        #: them in ``_bind_kernels``) so join orders follow cardinalities.
-        self.occurrences: dict[str, list[tuple[Rule, Literal, int]]] = {}
-        for rule in plain_rules:
-            for occ, literal in delta_occurrences(rule, include_negated=True):
-                self.occurrences.setdefault(literal.pred, []).append(
-                    (rule, literal, occ)
-                )
-        #: Rules with no relational body atom fire once, during solve().
-        self.static_rules = [
-            rule for rule in plain_rules if not rule.body_literals()
-        ]
-        #: Kernel tables (filled by LaddderSolver._bind_kernels; rebuilt
-        #: only when the cache evicts a stale plan).
-        self.occ_kernels: dict[str, list[tuple[Rule, RuleShape, object]]] = {}
-        self.extractors: dict[str, object] = {}
-        self.kernels_bound = False
-        #: pred -> safe size interval (KernelCache.replan_guard); while all
-        #: watched sizes stay inside, refresh cannot evict and is skipped.
-        self.replan_guard: dict[str, tuple[float, float]] | None = None
-        reads: set[str] = set()
+    def __init__(self, component, program, arities, backend):
+        super().__init__(component, program, arities, backend)
         deps: dict[str, set[str]] = {}
         for rule in component.rules:
-            head = rule.head.pred
             for literal in rule.body_literals():
-                reads.add(literal.pred)
-                deps.setdefault(head, set()).add(literal.pred)
-        self.reads = reads
-        self.upstream_reads = frozenset(reads - component.predicates)
+                deps.setdefault(rule.head.pred, set()).add(literal.pred)
         #: Predicates whose tuples can never support themselves (no
         #: dependency cycle through them).  Only these are eligible for
         #: settled-timeline compaction: for a self-supporting predicate
@@ -189,23 +141,24 @@ class _ComponentState:
             if not _reaches(deps, pred, pred)
         )
 
-        self.relations: _ComponentRelations = _ComponentRelations(self)
-        self.groups: dict[str, dict[tuple, GroupState]] = {p: {} for p in self.specs}
-        #: Undo log installed by UpdateGuard for the duration of a guarded
-        #: update; newly created relations inherit it and their creation is
-        #: itself journaled.
-        self.journal: list | None = None
-
     def reset(self) -> None:
         self.relations = _ComponentRelations(self)
-        self.groups = {p: {} for p in self.specs}
+        self.groups: dict[str, dict[tuple, GroupState]] = {p: {} for p in self.specs}
 
-    def adopt_relations(self, mapping: dict) -> None:
-        """Rewrap a checkpoint-restored plain relation dict (pickled via
-        :meth:`_ComponentRelations.__reduce__`) into the live container."""
+    def adopt(self, entry: Mapping[str, object]) -> None:
+        super().adopt(entry)
+        # The relation map pickled as a plain dict (see
+        # :meth:`_ComponentRelations.__reduce__`): rewrap it into the live
+        # container.  Group state pickled without its combine callable (it
+        # may close over another solver's intern table): rebind to this
+        # solver's live aggregator registry.
         relations = _ComponentRelations(self)
-        relations.update(mapping)
+        relations.update(self.relations)
         self.relations = relations
+        for pred, per_pred in self.groups.items():
+            combine = self.specs[pred].aggregator.combine
+            for group in per_pred.values():
+                group.rebind(combine)
 
     def rel(self, pred: str) -> TimedRelation:
         return self.relations[pred]
@@ -231,150 +184,51 @@ class LaddderSolver(Solver):
     #: below this; exceeding it indicates divergence (see Section 4.3).
     MAX_TIMESTAMP = 100_000
 
-    def __init__(
-        self,
-        program: Program,
-        metrics: SolverMetrics | None = None,
-        provenance: bool | None = None,
-    ):
-        super().__init__(program, metrics=metrics, provenance=provenance)
-        self._states = [
-            _ComponentState(
-                c, self.program, self.arities, self._store_metrics(),
-                backend=self.backend,
+    #: Settled-timeline compaction after each update epoch, for predicates
+    #: with no dependency cycle through themselves — the sound residue of
+    #: the long-haul soak investigation (see repro.engines.laddder.timeline
+    #: and docs/SOAK.md): folding recursive histories is unsound, and
+    #: foldable timelines are born single-entry, so this is a backstop.
+    #: Tests turn it off to pin bit-equality with the uncompacted engine.
+    COMPACT = True
+
+    COMPONENT_STATE = _ComponentState
+
+    # -- the per-stratum strategy ---------------------------------------------
+
+    def _solve_stratum(self, index: int) -> None:
+        state = self._states[index]
+        deltas = []
+        for pred in sorted(state.upstream_reads):
+            for row in self._exported.get(pred).tuples:
+                deltas.append((pred, row, 0, 1))
+        for pred, head_row in self._static_heads(state):
+            deltas.append((pred, head_row, 0, 1))
+        # Never compacted: fresh state holds the full Figure 4/5 iteration
+        # trace, which ``trace()`` and the paper-fidelity tests read.
+        self._compensate(state, deltas, index)
+
+    def _update_stratum(self, index: int, pending: StratumDiff):
+        state = self._states[index]
+        deltas = []
+        for pred in sorted(state.upstream_reads & pending.keys()):
+            added, removed = pending[pred]
+            for row in added:
+                deltas.append((pred, row, 0, 1))
+            for row in removed:
+                deltas.append((pred, row, 0, -1))
+        if not deltas:
+            return None
+        return self._compensate(state, deltas, index, compact=self.COMPACT)
+
+    def _epoch_metrics(self, update: bool) -> None:
+        metrics = self.metrics
+        if update:
+            metrics.epochs += 1
+        if metrics.active:
+            metrics.timeline_entries = sum(
+                state.timeline_entries() for state in self._states
             )
-            for c in self.components
-        ]
-        self._exported = RelationStore(self.arities, backend=self.backend)
-        self.last_stats: UpdateStats | None = None
-        #: Settled-timeline compaction after each update epoch, for
-        #: predicates with no dependency cycle through themselves — the
-        #: sound residue of the long-haul soak investigation (see
-        #: repro.engines.laddder.timeline and docs/SOAK.md): folding
-        #: recursive histories is unsound, and foldable timelines are
-        #: born single-entry, so this is a backstop.  Opt out with
-        #: REPRO_NO_COMPACT=1 to keep behaviour bit-identical to the
-        #: pre-compaction engine.
-        self._compact = not os.environ.get("REPRO_NO_COMPACT")
-
-    # -- public API ----------------------------------------------------------
-
-    def solve(self) -> None:
-        active = self.metrics.active
-        started = perf_counter() if active else 0.0
-        self.budget.begin()
-        self._exported = RelationStore(
-            self.arities, metrics=self._store_metrics(), backend=self.backend
-        )
-        for state in self._states:
-            state.metrics = self._store_metrics()
-            state.reset()
-        prov = self.provenance
-        if prov is not None:
-            prov.clear_all()
-        for pred, rows in self._fact_items():
-            relation = self._exported.get(pred)
-            for row in rows:
-                relation.add(row)
-        for index, state in enumerate(self._states):
-            deltas = []
-            for pred in sorted(state.upstream_reads):
-                for row in self._exported.get(pred).tuples:
-                    deltas.append((pred, row, 0, 1))
-            for rule in state.static_rules:
-                for head_row in self.kernels.kernel(rule).fn(
-                    state.relations.__getitem__
-                ):
-                    deltas.append((rule.head.pred, head_row, 0, 1))
-                    if prov is not None:
-                        prov.hint(rule.head.pred, head_row, rule)
-            self._compensate(state, deltas, index)
-            self._run_self_check(index)
-        self._solved = True
-        if active:
-            self.metrics.solve_seconds += perf_counter() - started
-            self._refresh_gauges()
-
-    def update(
-        self,
-        insertions: FactChanges | None = None,
-        deletions: FactChanges | None = None,
-    ) -> UpdateStats:
-        self._require_solved()
-        active = self.metrics.active
-        started = perf_counter() if active else 0.0
-        self.budget.begin()
-        self.metrics.epochs += 1
-        ins, dels = self._normalize_changes(insertions, deletions)
-        footprint = self._impact_footprint(ins, dels)
-        pending: dict[str, tuple[set[tuple], set[tuple]]] = {}
-        for pred, rows in ins.items():
-            pending.setdefault(pred, (set(), set()))[0].update(rows)
-            relation = self._exported.get(pred)
-            for row in rows:
-                relation.add(row)
-        for pred, rows in dels.items():
-            pending.setdefault(pred, (set(), set()))[1].update(rows)
-            relation = self._exported.get(pred)
-            for row in rows:
-                relation.discard(row)
-
-        stats = UpdateStats()
-        for index, state in enumerate(self._states):
-            if footprint is not None and index not in footprint.strata:
-                # Statically outside the batch's impact set: no delta can
-                # have reached this stratum (footprints are component-
-                # closed), so skip even the seed-intersection work.
-                self.metrics.strata_skipped += 1
-                continue
-            deltas = []
-            for pred in sorted(state.upstream_reads & pending.keys()):
-                added, removed = pending[pred]
-                for row in added:
-                    deltas.append((pred, row, 0, 1))
-                for row in removed:
-                    deltas.append((pred, row, 0, -1))
-            if not deltas:
-                continue
-            diff, work = self._compensate(state, deltas, index, compact=self._compact)
-            self._run_self_check(index)
-            stats.work += work
-            for pred, (added, removed) in diff.items():
-                bucket = pending.setdefault(pred, (set(), set()))
-                for row in added:
-                    bucket[1].discard(row)
-                    bucket[0].add(row)
-                for row in removed:
-                    bucket[0].discard(row)
-                    bucket[1].add(row)
-        exports = self.program.exported_predicates()
-        for pred, (added, removed) in pending.items():
-            if pred not in exports or pred in self.edb:
-                continue
-            if added:
-                stats.inserted[pred] = {self._extern_row(row) for row in added}
-            if removed:
-                stats.deleted[pred] = {self._extern_row(row) for row in removed}
-        self.last_stats = stats
-        if active:
-            self.metrics.update_seconds += perf_counter() - started
-            self._refresh_gauges()
-        return stats
-
-    def _refresh_gauges(self) -> None:
-        """Recompute the post-epoch Laddder gauges (profiling only)."""
-        self.metrics.timeline_entries = sum(
-            state.timeline_entries() for state in self._states
-        )
-
-    def relation(self, pred: str) -> frozenset[tuple]:
-        self._require_solved()
-        return self._export_rows(self._exported.get(pred).tuples)
-
-    def state_size(self) -> int:
-        return self._exported.state_size() + sum(
-            state.state_size() for state in self._states
-        )
 
     # -- timelines introspection (tests, Figure 4/5 reproduction) -------------
 
@@ -416,34 +270,18 @@ class LaddderSolver(Solver):
     # -- compensation core -----------------------------------------------
 
     def _bind_kernels(self, state: _ComponentState) -> None:
-        """Resolve the epoch's kernel tables from the shared cache.
+        """Resolve the epoch's kernel tables from the shared cache, against
+        live relation sizes, when :meth:`_stale_kernels` says they are due.
 
-        Runs once per component visit, before the queue drains; ``refresh``
-        evicts kernels whose body cardinalities shifted beyond the re-plan
-        factor so they are re-planned here against live relation sizes.
-        When nothing was evicted the tables from the previous visit are
-        still valid and are kept as-is — typical updates touch a few tuples,
-        so this path must stay cheap.
         Propagation kernels emit canonical register tuples (``regs`` mode) —
         the positional analogue of the sorted-binding substitution — which
         the paired :class:`RuleShape` turns into head rows and firing-time
         groundings.
         """
-        kernels = self.kernels
-        guard = state.replan_guard
-        if state.kernels_bound and guard is not None:
-            rel = state.rel
-            if all(lo < len(rel(p)) < hi for p, (lo, hi) in guard.items()):
-                return  # no watched cardinality left its safe interval
-
-        def oracle(pred: str) -> int:
-            return len(state.rel(pred))
-
-        evicted = kernels.refresh(state.component.rules, oracle)
-        if state.kernels_bound and not evicted:
-            state.replan_guard = kernels.replan_guard(state.component.rules)
+        oracle = self._stale_kernels(state)
+        if oracle is None:
             return
-        state.kernels_bound = True
+        kernels = self.kernels
         impact = self.impact
         # Impact-guided kernel pruning: occurrences pinned on a forever-
         # empty predicate never see an existence change, and a rule joining
@@ -478,18 +316,16 @@ class LaddderSolver(Solver):
     ) -> tuple[dict[str, tuple[set[tuple], set[tuple]]], int]:
         """Drain one component's queue; returns (exported diff, work).
 
-        With ``compact`` (update epochs when ``REPRO_NO_COMPACT`` is
-        unset), timelines of *foldable* predicates — those that cannot
-        support themselves through a dependency cycle — are folded to
+        With ``compact`` (update epochs under :attr:`COMPACT`), timelines
+        of *foldable* predicates — those that cannot support themselves
+        through a dependency cycle — are folded to
         ``{first: total}`` once the queue drains, and their negative
         deltas cancel against the nearest folded support
         (:meth:`TimedRelation.add_delta` with ``redirect``).  Recursive
         predicates keep their full support histories: the positions are
         load-bearing for cyclic retraction (folding them absorbs the
         first-existence move that unwinds a cycle, leaving zombie
-        tuples).  ``solve()`` never compacts: fresh state holds the full
-        Figure 4/5 iteration trace, which ``trace()`` and the
-        paper-fidelity tests read.
+        tuples).
         """
         self._bind_kernels(state)
         metrics = self.metrics

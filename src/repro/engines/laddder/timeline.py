@@ -19,7 +19,7 @@ Settled existence being a single step means a settled timeline's entries
 beyond the first carry no *exported* information — they record at which
 later iterations additional derivations fired.  After an update epoch
 settles the solver :meth:`compact`\ s touched timelines into the single
-entry ``{first: total}`` (disable with ``REPRO_NO_COMPACT=1``), and
+entry ``{first: total}``, and
 :meth:`redirect_negative` re-pairs later ``-1`` corrections — whose
 firing-time targets may name a timestamp whose ``+1`` was folded into an
 earlier entry — by cancelling against the nearest positive entry at or

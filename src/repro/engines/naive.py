@@ -6,8 +6,9 @@ aggregated predicates to their final aggregate per group (``D_prune``) and
 export (``D_exp``).  No deltas, no timestamps: this engine is deliberately
 simple and serves as the correctness oracle for every other engine.
 
-``update`` re-solves from scratch (the Soufflé-style non-incremental
-behaviour the paper contrasts with) and reports the exported diff — exactly
+``update`` (the shared pipeline, :mod:`repro.engines.resolving`) re-solves
+every affected component from scratch — the Soufflé-style non-incremental
+behaviour the paper contrasts with — and reports the exported diff, exactly
 what the impact methodology of Section 3 measures.
 """
 
@@ -15,119 +16,15 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from ..datalog.program import Program
 from ..datalog.stratify import Component
-from ..metrics import SolverMetrics
 from ..robustness import faults as _faults
-from .aggspec import AggSpec, compile_agg_specs, prune_aggregated
-from .base import FactChanges, Solver, UpdateStats
+from .aggspec import AggSpec, compile_agg_specs
 from .relation import IndexedRelation, RelationStore
+from .resolving import ResolvingSolver
 
 
-class NaiveSolver(Solver):
+class NaiveSolver(ResolvingSolver):
     """Iterate ``T̂`` to fixpoint on full relations; prune; export."""
-
-    def __init__(
-        self,
-        program: Program,
-        metrics: SolverMetrics | None = None,
-        provenance: bool | None = None,
-    ):
-        super().__init__(program, metrics=metrics, provenance=provenance)
-        self._exported = RelationStore(self.arities, backend=self.backend)
-        self._raw = RelationStore(self.arities, backend=self.backend)
-
-    # -- public API ----------------------------------------------------------
-
-    def solve(self) -> None:
-        active = self.metrics.active
-        started = perf_counter() if active else 0.0
-        self.budget.begin()
-        self._exported = RelationStore(
-            self.arities, metrics=self._store_metrics(), backend=self.backend
-        )
-        self._raw = RelationStore(self.arities, backend=self.backend)
-        if self.provenance is not None:
-            self.provenance.clear_all()
-        for pred, rows in self._fact_items():
-            relation = self._exported.get(pred)
-            for row in rows:
-                relation.add(row)
-        for index, component in enumerate(self.components):
-            self._solve_component(component, index)
-            self._run_self_check(index)
-        self._solved = True
-        if active:
-            self.metrics.solve_seconds += perf_counter() - started
-
-    def update(
-        self,
-        insertions: FactChanges | None = None,
-        deletions: FactChanges | None = None,
-    ) -> UpdateStats:
-        self._require_solved()
-        active = self.metrics.active
-        started = perf_counter() if active else 0.0
-        before = {
-            pred: self.relation(pred) for pred in self.program.exported_predicates()
-        }
-        ins, dels = self._normalize_changes(insertions, deletions)
-        footprint = self._impact_footprint(ins, dels)
-        if footprint is None:
-            self.solve()
-        else:
-            self._partial_solve(ins, dels, footprint)
-        after = {
-            pred: self.relation(pred) for pred in self.program.exported_predicates()
-        }
-        if active:
-            self.metrics.update_seconds += perf_counter() - started
-        return self._exported_diff(before, after)
-
-    def _partial_solve(self, ins, dels, footprint) -> None:
-        """Re-solve only the strata inside the batch's static footprint.
-
-        Mirrors :meth:`SemiNaiveSolver._partial_solve`: the EDB diff lands
-        in the retained exported store, affected components are re-solved
-        from scratch against current upstream state, and components outside
-        the (component-closed) footprint keep their retained fixpoint —
-        which is exactly what a full solve() would recompute for them.
-        """
-        self.budget.begin()
-        for pred, rows in ins.items():
-            relation = self._exported.get(pred)
-            for row in rows:
-                relation.add(row)
-        for pred, rows in dels.items():
-            relation = self._exported.get(pred)
-            for row in rows:
-                relation.discard(row)
-        for index, component in enumerate(self.components):
-            if index not in footprint.strata:
-                self.metrics.strata_skipped += 1
-                continue
-            for pred in component.predicates:
-                self._raw.get(pred).clear()
-            if self.provenance is not None:
-                self.provenance.clear_preds(component.predicates)
-            self._solve_component(component, index)
-            self._run_self_check(index)
-
-    def relation(self, pred: str) -> frozenset[tuple]:
-        self._require_solved()
-        return self._export_rows(self._exported.get(pred).tuples)
-
-    def raw_relation(self, pred: str) -> frozenset[tuple]:
-        """The un-pruned inflationary fixpoint content (``D_raw``)."""
-        self._require_solved()
-        if pred in self.edb:
-            return self._export_rows(self._exported.get(pred).tuples)
-        return self._export_rows(self._raw.get(pred).tuples)
-
-    def state_size(self) -> int:
-        return self._exported.state_size() + self._raw.state_size()
-
-    # -- component evaluation --------------------------------------------
 
     def _solve_component(self, component: Component, index: int) -> None:
         metrics = self.metrics
@@ -248,19 +145,3 @@ class NaiveSolver(Solver):
                 if prov is not None:
                     prov.annotate(spec.pred, row, spec.rule)
         return advanced
-
-    def _export_component(
-        self, component: Component, local: RelationStore, specs: dict[str, AggSpec]
-    ) -> None:
-        for pred in component.predicates:
-            raw = self._raw.get(pred)
-            for row in local.get(pred).tuples:
-                raw.add(row)
-            exported = self._exported.get(pred)
-            exported.clear()
-            if pred in specs:
-                rows = prune_aggregated(local.get(pred).tuples, specs[pred])
-            else:
-                rows = local.get(pred).tuples
-            for row in rows:
-                exported.add(row)

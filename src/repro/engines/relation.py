@@ -64,25 +64,20 @@ _KEY_SHIFT = 32
 COLUMNAR_MAX_ARITY = 16
 
 
-def resolve_backend(arities: dict[str, int] | None = None) -> str:
+def resolve_backend() -> str:
     """The storage backend requested by ``REPRO_BACKEND``.
 
-    ``object`` (or unset) and ``columnar`` select directly; ``auto`` picks
-    columnar when every predicate fits the struct-of-arrays width.  Unknown
-    values raise — a typo silently falling back to the default would make
-    benchmark comparisons lie.
+    ``object`` (or unset) or ``columnar``.  Unknown values raise — a typo
+    silently falling back to the default would make benchmark comparisons
+    lie.
     """
     raw = os.environ.get("REPRO_BACKEND", "").strip().lower()
     if raw in ("", "object"):
         return "object"
     if raw == "columnar":
         return "columnar"
-    if raw == "auto":
-        if arities and max(arities.values()) > COLUMNAR_MAX_ARITY:
-            return "object"
-        return "columnar"
     raise SolverError(
-        f"unknown REPRO_BACKEND {raw!r} (expected 'object', 'columnar', or 'auto')"
+        f"unknown REPRO_BACKEND {raw!r} (expected 'object' or 'columnar')"
     )
 
 

@@ -21,13 +21,11 @@ from __future__ import annotations
 from time import perf_counter
 
 from ..datalog.planning import delta_occurrences
-from ..datalog.program import Program
 from ..datalog.stratify import Component
-from ..metrics import SolverMetrics
 from ..robustness import faults as _faults
-from .aggspec import AggSpec, compile_agg_specs, prune_aggregated
-from .base import FactChanges, Solver, UpdateStats
+from .aggspec import compile_agg_specs
 from .relation import IndexedRelation, RelationStore
+from .resolving import ResolvingSolver
 
 
 class _ResolvedRelations(dict):
@@ -55,117 +53,8 @@ class _ResolvedRelations(dict):
         return relation
 
 
-class SemiNaiveSolver(Solver):
+class SemiNaiveSolver(ResolvingSolver):
     """Delta-driven from-scratch evaluation with running aggregation totals."""
-
-    def __init__(
-        self,
-        program: Program,
-        metrics: SolverMetrics | None = None,
-        provenance: bool | None = None,
-    ):
-        super().__init__(program, metrics=metrics, provenance=provenance)
-        self._exported = RelationStore(self.arities, backend=self.backend)
-        self._raw = RelationStore(self.arities, backend=self.backend)
-        #: aggregated pred -> group key -> running total (valid per solve()).
-        self._totals: dict[str, dict[tuple, object]] = {}
-
-    # -- public API ----------------------------------------------------------
-
-    def solve(self) -> None:
-        active = self.metrics.active
-        started = perf_counter() if active else 0.0
-        self.budget.begin()
-        self._exported = RelationStore(
-            self.arities, metrics=self._store_metrics(), backend=self.backend
-        )
-        self._raw = RelationStore(self.arities, backend=self.backend)
-        self._totals = {}
-        if self.provenance is not None:
-            self.provenance.clear_all()
-        for pred, rows in self._fact_items():
-            relation = self._exported.get(pred)
-            for row in rows:
-                relation.add(row)
-        for index, component in enumerate(self.components):
-            self._solve_component(component, index)
-            self._run_self_check(index)
-        self._solved = True
-        if active:
-            self.metrics.solve_seconds += perf_counter() - started
-
-    def update(
-        self,
-        insertions: FactChanges | None = None,
-        deletions: FactChanges | None = None,
-    ) -> UpdateStats:
-        self._require_solved()
-        active = self.metrics.active
-        started = perf_counter() if active else 0.0
-        before = {
-            pred: self.relation(pred) for pred in self.program.exported_predicates()
-        }
-        ins, dels = self._normalize_changes(insertions, deletions)
-        footprint = self._impact_footprint(ins, dels)
-        if footprint is None:
-            self.solve()
-        else:
-            self._partial_solve(ins, dels, footprint)
-        after = {
-            pred: self.relation(pred) for pred in self.program.exported_predicates()
-        }
-        if active:
-            self.metrics.update_seconds += perf_counter() - started
-        return self._exported_diff(before, after)
-
-    def _partial_solve(self, ins, dels, footprint) -> None:
-        """Re-solve only the strata inside the batch's static footprint.
-
-        The EDB diff is applied to the retained exported store in place and
-        each affected component is re-solved from scratch against current
-        upstream state; components outside the footprint receive no upstream
-        change by construction (footprints are component-closed), so their
-        retained fixpoint is exactly what a full solve() would recompute.
-        """
-        self.budget.begin()
-        for pred, rows in ins.items():
-            relation = self._exported.get(pred)
-            for row in rows:
-                relation.add(row)
-        for pred, rows in dels.items():
-            relation = self._exported.get(pred)
-            for row in rows:
-                relation.discard(row)
-        for index, component in enumerate(self.components):
-            if index not in footprint.strata:
-                self.metrics.strata_skipped += 1
-                continue
-            # Forget the component's previous fixpoint — raw accretions and
-            # running totals are only valid for the inputs they were
-            # computed from — then recompute it against current upstream.
-            for pred in component.predicates:
-                self._raw.get(pred).clear()
-                self._totals.pop(pred, None)
-            if self.provenance is not None:
-                self.provenance.clear_preds(component.predicates)
-            self._solve_component(component, index)
-            self._run_self_check(index)
-
-    def relation(self, pred: str) -> frozenset[tuple]:
-        self._require_solved()
-        return self._export_rows(self._exported.get(pred).tuples)
-
-    def raw_relation(self, pred: str) -> frozenset[tuple]:
-        self._require_solved()
-        if pred in self.edb:
-            return self._export_rows(self._exported.get(pred).tuples)
-        return self._export_rows(self._raw.get(pred).tuples)
-
-    def state_size(self) -> int:
-        totals = sum(len(g) for g in self._totals.values())
-        return self._exported.state_size() + self._raw.state_size() + totals
-
-    # -- component evaluation --------------------------------------------
 
     def _solve_component(self, component: Component, index: int) -> None:
         metrics = self.metrics
@@ -341,19 +230,3 @@ class SemiNaiveSolver(Solver):
                 self._chain_advance(spec.pred, key)
         for key in touched:
             derive(spec.pred, spec.tuple_for(key, totals[key]), next_delta, spec.rule)
-
-    def _export_component(
-        self, component: Component, local: RelationStore, specs: dict[str, AggSpec]
-    ) -> None:
-        for pred in component.predicates:
-            raw = self._raw.get(pred)
-            for row in local.get(pred).tuples:
-                raw.add(row)
-            exported = self._exported.get(pred)
-            exported.clear()
-            if pred in specs:
-                rows = prune_aggregated(local.get(pred).tuples, specs[pred])
-            else:
-                rows = local.get(pred).tuples
-            for row in rows:
-                exported.add(row)

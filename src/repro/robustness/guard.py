@@ -28,17 +28,39 @@ import time
 from typing import TYPE_CHECKING
 
 from ..datalog.errors import BudgetExceededError, RollbackError
+from ..engines.relation import RelationStore
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..engines.base import FactChanges, Solver, UpdateStats
 
 
+# How a declared piece of engine state (``STATE``: attribute -> kind, on
+# every solver and component-state class) is mutated during an update —
+# all a transaction needs to know to protect it.  Checkpoints persist every
+# declared attribute regardless of kind.
+#: Rebound or journaled by its owner; restoring the reference suffices.
+PLAIN = "plain"
+#: Journaling containers (a RelationStore, or dicts nesting relations or
+#: aggregation groups): each records inverse mutations into an undo log.
+JOURNALED = "journaled"
+#: ``pred -> key -> value`` mutated by plain dict assignment: snapshot by
+#: value.
+ASSIGNED = "assigned"
+
+
+def declared_state(owner) -> dict[str, object]:
+    """``attribute -> live value`` for everything ``owner`` (a solver or a
+    component state) declares in its ``STATE``."""
+    return {name: getattr(owner, name) for name in owner.STATE}
+
+
 class UpdateGuard:
     """One transaction over a solver's mutable state.
 
-    ``install()`` threads a shared undo list through every journaling
-    container the solver owns (exported store, component relations,
-    timelines, aggregation groups, staged facts) and snapshots the few
+    ``install()`` reads the engine's ``STATE`` declaration
+    (:mod:`repro.engines.base`): it threads a shared undo list through every
+    journaling container declared there (exported store, component
+    relations, timelines, aggregation groups) and snapshots the few
     structures that are mutated by plain assignment instead (DRed group
     totals, semi-naive running totals, the arity map).  Exactly one of
     ``commit()`` / ``rollback()`` must follow.
@@ -60,65 +82,60 @@ class UpdateGuard:
         obj.journal = self.undo
         self._journaled.append(obj)
 
-    def _journal_store(self, store) -> None:
-        self._attach(store)
-        for relation in store.relations.values():
-            self._attach(relation)
+    def _attach_all(self, value) -> None:
+        """Thread the undo log through every journaling container inside a
+        ``JOURNALED`` piece of state: a store and its relations, or a dict
+        of relations, or a dict of ``key -> group`` dicts.  Laddder keeps a
+        group per aggregation key, so the leaves are attached in bulk."""
+        if isinstance(value, RelationStore):
+            self._attach(value)
+            value = value.relations
+        undo = self.undo
+        for inner in value.values():
+            if isinstance(inner, dict):
+                for group in inner.values():
+                    group.journal = undo
+                self._journaled.extend(inner.values())
+            else:
+                inner.journal = undo
+                self._journaled.append(inner)
+
+    def _protect(self, owner) -> None:
+        """Cover everything ``owner`` (the solver or one of its component
+        states) declares in ``STATE``, by the kind it declares."""
+        for name, value in declared_state(owner).items():
+            kind = owner.STATE[name]
+            if kind == ASSIGNED:
+                value = {pred: dict(group) for pred, group in value.items()}
+            elif kind == JOURNALED:
+                self._attach_all(value)
+            # Every kind also gets its reference restored, so a transaction
+            # that rebinds an attribute (a solve() under the guard replaces
+            # the stores) rolls back too.
+            self._attr_restores.append((owner, name, value))
 
     def install(self) -> "UpdateGuard":
         solver = self.solver
-        undo = self.undo
-        solver._undo = undo
+        solver._undo = self.undo
 
-        # Structures mutated by plain assignment: snapshot-and-restore.
-        # arities is shared by identity with every relation store, so it is
-        # restored in place; the dict itself only ever *gains* entries (a
-        # new fact predicate fixes its arity in _check_row).
+        # Base-class structures mutated by plain assignment: snapshot-and-
+        # restore.  arities is shared by identity with every relation store,
+        # so it is restored in place; the dict itself only ever *gains*
+        # entries (a new fact predicate fixes its arity in _check_row).
         self._dict_restores.append((solver.arities, dict(solver.arities)))
-        for attr in ("_exported", "_raw", "last_stats"):
-            if hasattr(solver, attr):
-                self._attr_restores.append((solver, attr, getattr(solver, attr)))
-        # Semi-naive running totals: a full solve() rebinds the dict (the
-        # attribute restore would suffice), but the impact-guided partial
-        # path pops entries from the live one — snapshot by value.
-        totals = getattr(solver, "_totals", None)
-        if totals is not None:
-            self._attr_restores.append(
-                (solver, "_totals", {pred: dict(g) for pred, g in totals.items()})
-            )
-
-        # The exported store is mutated in place by the incremental engines
-        # (and merely replaced — old object untouched — by the re-solving
-        # ones, for which the attribute restore above suffices).  The
-        # re-solving engines' raw store is likewise rebound by a full
-        # solve() but cleared per-predicate in place by the impact-guided
-        # partial path, so it journals too.
-        self._journal_store(solver._exported)
-        raw = getattr(solver, "_raw", None)
-        if raw is not None:
-            self._journal_store(raw)
-
+        self._attr_restores.append((solver, "last_stats", solver.last_stats))
         # Provenance annotations (docs/PROVENANCE.md) roll back alongside
         # the tuples they describe.
-        provenance = getattr(solver, "provenance", None)
-        if provenance is not None:
-            self._attach(provenance)
+        if solver.provenance is not None:
+            self._attach(solver.provenance)
 
-        # Per-component deep state of the incremental engines.
-        for comp in getattr(solver, "_states", ()):
+        # The engine's own state, as the engine declares it.  Component
+        # states also take the log themselves, so relations they create
+        # mid-update inherit it.
+        self._protect(solver)
+        for comp in solver._states:
             self._attach(comp)
-            for relation in comp.relations.values():
-                self._attach(relation)
-            groups = getattr(comp, "groups", None)
-            if groups is not None:  # Laddder aggregation state
-                for per_pred in groups.values():
-                    for group in per_pred.values():
-                        self._attach(group)
-            totals = getattr(comp, "totals", None)
-            if totals is not None:  # DRed group totals: assigned, not journaled
-                self._attr_restores.append(
-                    (comp, "totals", {pred: dict(g) for pred, g in totals.items()})
-                )
+            self._protect(comp)
         return self
 
     # -- resolution --------------------------------------------------------
@@ -218,16 +235,9 @@ class GuardedSolver:
                     f"update failed ({type(exc).__name__}: {exc}) and was "
                     f"rolled back to the pre-update state"
                 ) from exc
-            before = {
-                pred: solver.relation(pred)
-                for pred in solver.program.exported_predicates()
-            }
+            before = solver.relations()
             reference = self._adopt_reference(insertions, deletions)
-            after = {
-                pred: reference.relation(pred)
-                for pred in reference.program.exported_predicates()
-            }
-            return solver._exported_diff(before, after)
+            return solver._exported_diff(before, reference.relations())
         else:
             guard.commit()
             return stats

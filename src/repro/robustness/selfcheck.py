@@ -58,14 +58,13 @@ def check_component(solver, index: int) -> None:
     """Dispatch to the engine-specific invariant suite for one component."""
     from ..engines.dred import DRedLSolver
     from ..engines.laddder.solver import LaddderSolver
-    from ..engines.naive import NaiveSolver
-    from ..engines.seminaive import SemiNaiveSolver
+    from ..engines.resolving import ResolvingSolver
 
     if isinstance(solver, LaddderSolver):
         _check_laddder(solver, index)
     elif isinstance(solver, DRedLSolver):
         _check_dred(solver, index)
-    elif isinstance(solver, (NaiveSolver, SemiNaiveSolver)):
+    elif isinstance(solver, ResolvingSolver):
         _check_resolving(solver, index)
     # Unknown engine classes simply have no registered invariants.
 

@@ -10,6 +10,7 @@ step-60 checkpoint of the seed-7 constprop stream.
 import pytest
 
 from repro.changes.soak import soak
+from repro.engines import LaddderSolver
 
 
 def assert_soak_ok(record):
@@ -61,7 +62,7 @@ class TestBareSolverSoak:
         assert_soak_ok(record)
 
     def test_compaction_opt_out_stays_bit_equal(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COMPACT", "1")
+        monkeypatch.setattr(LaddderSolver, "COMPACT", False)
         record = soak(
             "minijavac", "constprop", engine="laddder",
             steps=40, seed=7, checkpoint_every=20,

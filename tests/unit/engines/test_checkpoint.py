@@ -210,11 +210,8 @@ class TestProvenancePayload:
 
         monkeypatch.delenv("REPRO_PROVENANCE", raising=False)
 
-        from repro.engines.checkpoint import (
-            _HEADER,
-            _STATE_ATTRS,
-            _component_state,
-        )
+        from repro.engines.base import declared_state
+        from repro.engines.checkpoint import _HEADER
 
         solver = load(LaddderSolver, tc_program(), tc_facts({(1, 2), (2, 3)}))
         payload = {
@@ -222,11 +219,8 @@ class TestProvenancePayload:
             "program": solver._program_hash,
             "backend": solver.backend,
             "intern": None if solver.intern is None else solver.intern.dump(),
-            "attrs": {
-                name: getattr(solver, name)
-                for name in _STATE_ATTRS["LaddderSolver"]
-            },
-            "components": _component_state(solver),
+            "attrs": declared_state(solver),
+            "components": [declared_state(state) for state in solver._states],
             # v3 payloads have no "provenance" key at all.
         }
         buffer = io.BytesIO()

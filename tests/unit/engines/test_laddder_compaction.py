@@ -94,7 +94,7 @@ class TestAcyclicCompaction:
         assert ("a", "c") not in solver.relation("out")
 
     def test_opt_out_is_bit_equal(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COMPACT", "1")
+        monkeypatch.setattr(LaddderSolver, "COMPACT", False)
         solver = load(LaddderSolver, diamond_program(), DIAMOND_FACTS)
         solver.update(insertions={"edge": {("a", "m"), ("m", "c")}})
         assert list(solver.timeline("out", ("a", "c")).entries()) == [(1, 2)]

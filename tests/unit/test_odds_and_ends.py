@@ -92,15 +92,6 @@ class TestDualLatticeInSolver:
 
 
 class TestUpdateStatsReporting:
-    def test_last_stats_retained(self):
-        p = parse("t(X) :- e(X).")
-        solver = LaddderSolver(p)
-        solver.add_facts("e", [(1,)])
-        solver.solve()
-        stats = solver.update(insertions={"e": {(2,)}})
-        assert solver.last_stats is stats
-        assert stats.inserted == {"t": {(2,)}}
-
     def test_work_counts_deltas(self):
         p = parse("t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z).")
         solver = LaddderSolver(p)
