@@ -13,7 +13,7 @@ re-attaches it to a freshly constructed solver for the same program — the
 caller rebuilds the program (cheap) and the checkpoint supplies the
 expensive fixpoint.
 
-File format (v2): a fixed binary envelope followed by the pickled payload.
+File format (v4): a fixed binary envelope followed by the pickled payload.
 
     MAGIC (9 bytes) | version (u16 BE) | sha256(payload) (32 bytes) | payload
 
@@ -29,10 +29,8 @@ at the destination path.
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import pickle
-import pickletools
 import struct
 from pathlib import Path
 from typing import Type
@@ -42,7 +40,13 @@ from ..robustness import faults as _faults
 from .base import Solver, declared_state
 from .intern import program_hash
 
-__all__ = ["save_checkpoint", "load_checkpoint", "program_hash"]
+__all__ = [
+    "save_checkpoint",
+    "dump_state",
+    "write_checkpoint",
+    "load_checkpoint",
+    "program_hash",
+]
 
 #: Envelope marker leading every checkpoint file.
 MAGIC = b"REPROCKPT"
@@ -58,11 +62,11 @@ VERSION = 4
 READ_VERSIONS = frozenset({3, VERSION})
 _HEADER = struct.Struct(f">{len(MAGIC)}sH32s")
 
-def save_checkpoint(solver: Solver, path: str | Path) -> int:
-    """Serialize a solved solver's state; returns the byte size written.
+def dump_state(solver: Solver) -> bytes:
+    """Pickle a solved solver's declared state.
 
-    The file is written to a sibling temp path and renamed into place, so
-    an interrupted save leaves any previous checkpoint at ``path`` intact.
+    This half reads the solver, so a caller that shares it with an updating
+    thread holds its lock here; :func:`write_checkpoint` needs none.
     """
     if not solver._solved:
         raise CheckpointError("cannot checkpoint an unsolved solver")
@@ -81,22 +85,36 @@ def save_checkpoint(solver: Solver, path: str | Path) -> int:
             solver.provenance.dump() if solver.provenance is not None else None
         ),
     }
-    buffer = io.BytesIO()
-    pickle.dump(payload, buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    body = pickletools.optimize(buffer.getvalue())
-    data = _HEADER.pack(MAGIC, VERSION, hashlib.sha256(body).digest()) + body
+    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
+
+def write_checkpoint(body: bytes, path: str | Path) -> int:
+    """Checksum ``body``, wrap it in the envelope and put it at ``path``;
+    returns the byte size written.
+
+    The file is written to a sibling temp path and renamed into place, so
+    an interrupted save leaves any previous checkpoint at ``path`` intact.
+    """
+    header = _HEADER.pack(MAGIC, VERSION, hashlib.sha256(body).digest())
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         if _faults.ACTIVE is not None:
             _faults.fire("checkpoint.write")
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as handle:
+            handle.write(header)
+            handle.write(body)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return len(data)
+    return len(header) + len(body)
+
+
+def save_checkpoint(solver: Solver, path: str | Path) -> int:
+    """Serialize a solved solver's state to ``path``; returns the byte size
+    written (:func:`dump_state` then :func:`write_checkpoint`)."""
+    return write_checkpoint(dump_state(solver), path)
 
 
 def _read_body(path: Path) -> bytes:

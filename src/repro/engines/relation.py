@@ -47,11 +47,6 @@ from ..datalog.errors import SolverError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from ..metrics import SolverMetrics
 
-try:  # pragma: no cover - exercised only where numpy is installed
-    import numpy as _np
-except ImportError:  # the pure-python path is mandatory, numpy opportunistic
-    _np = None
-
 #: Shared empty probe result — misses return one singleton, not fresh tuples.
 _EMPTY: tuple = ()
 
@@ -352,9 +347,16 @@ class ColumnarRelation(IndexedRelation):
         """Column ``i`` as a dense vector — a zero-copy numpy int64 view
         when numpy is importable, the backing ``array('q')`` otherwise."""
         backing = self._materialize()[i]
-        if _np is not None and len(backing):
-            return _np.frombuffer(backing, dtype=_np.int64)
-        return backing
+        if not len(backing):
+            return backing
+        # Imported here: this is numpy's only use, the default object
+        # backend never reaches it, and the import costs every server
+        # process ~12 MB resident.
+        try:
+            import numpy
+        except ImportError:  # the pure-python path is mandatory
+            return backing
+        return numpy.frombuffer(backing, dtype=numpy.int64)
 
     def column_bytes(self) -> int:
         """Exact bytes held by the struct-of-arrays representation."""

@@ -36,7 +36,7 @@ FAULT_SITES = frozenset(
         "kernel.emit",  # rule-kernel batch evaluation, every engine
         "aggregate.combine",  # aggregation feed/advance, every engine
         "timeline.append",  # Laddder compensation delta application
-        "checkpoint.write",  # save_checkpoint payload serialization
+        "checkpoint.write",  # write_checkpoint, before the temp file write
         "compile.build",  # KernelCache plan+compile of a rule body
         "cluster.dispatch",  # front-end request routing to a worker
         "worker.heartbeat",  # worker-side ping handling (liveness probe)

@@ -8,8 +8,15 @@ serves a cluster unchanged.  Behind that surface:
 * **Sharding.**  Session ids are consistent-hashed onto a fixed pool of
   worker *slots* (:class:`~repro.service.router.HashRing`); each slot is
   backed by one worker subprocess (``python -m repro.service.worker``)
-  speaking JSON lines over a pipe.  A crashed worker is replaced *in
-  place*, so a session never migrates between slots.
+  speaking tagged JSON lines over a pipe.  A crashed worker is replaced
+  *in place*, so a session never migrates between slots.
+
+* **Framing.**  A pipe line is ``TAG<tab>JSON``: the tag carries the
+  correlation id (and a journaled op's ``seq``), the JSON is the client's
+  request line or the worker's response line, verbatim.  The front end
+  parses a request once to route it, and parses a response only when it
+  needs a field of it (``update``, ``open``, ``close``, ``restore``);
+  every other session op crosses it as text.
 
 * **Supervision.**  A supervisor thread heartbeats every worker
   (``ping`` with a deadline).  ``heartbeat_misses`` consecutive misses,
@@ -18,7 +25,7 @@ serves a cluster unchanged.  Behind that surface:
 
 * **Recovery.**  Sessions checkpoint asynchronously every
   ``checkpoint_every`` applied batches into the spool directory
-  (atomic tmp+rename, v3 format, plus a ``.meta`` sidecar recording the
+  (atomic tmp+rename, v4 format, plus a ``.meta`` sidecar recording the
   highest op ``seq`` the checkpoint covers).  On recovery the
   replacement worker re-opens each lost session from its latest
   checkpoint and the front end replays the journal suffix
@@ -133,11 +140,11 @@ class _RequestTimeout(Exception):
 class WorkerClient:
     """One worker subprocess and the pipe protocol to it.
 
-    Thread-safe: any number of dispatchers may :meth:`call` concurrently.
-    Requests are stamped with an internal correlation id (``c<N>``) —
-    distinct from the client-visible ``id``, which is preserved in a
-    sibling field and restored on the way out — because worker lanes
-    answer **out of order** across sessions.
+    Thread-safe: any number of dispatchers may call concurrently.
+    Each request line is tagged with an internal correlation id (``c<N>``)
+    that the worker echoes in front of its response — distinct from the
+    client-visible ``id`` inside the JSON, which neither side touches —
+    because worker lanes answer **out of order** across sessions.
     """
 
     _counter = itertools.count(1)
@@ -161,13 +168,11 @@ class WorkerClient:
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
-            text=True,
-            bufsize=1,
             env=child_env,
         )
         self._write_lock = threading.Lock()
         self._pending_lock = threading.Lock()
-        #: correlation id -> (event, [response or exception])
+        #: correlation id -> [held lock, response line or exception]
         self._pending: dict[str, list] = {}
         self._dead = False
         self._reader = threading.Thread(
@@ -192,33 +197,32 @@ class WorkerClient:
 
     # -- request/response --------------------------------------------------
 
-    def call(self, request: dict, timeout: float) -> dict:
-        """Send one request, wait for its response.
+    def call_line(
+        self, payload: str, timeout: float, seq: int | None = None
+    ) -> str:
+        """Send one request line verbatim, wait for its response line.
 
         Raises :class:`WorkerCrashError` if the worker dies first and
         :class:`_RequestTimeout` past the deadline (the caller decides
         whether a timeout is fatal for this worker)."""
-        if not self.alive:
-            raise WorkerCrashError(
-                f"worker {self.slot!r} (pid {self.pid}) is not running"
-            )
         correlation = f"c{next(WorkerClient._counter)}"
-        wire = dict(request)
-        wire["_client_id"] = wire.get("id")
-        wire["id"] = correlation
-        event = threading.Event()
-        cell: list = [None]
+        tag = correlation if seq is None else f"{correlation} {seq}"
+        # A held lock that the reader releases: what an Event does, without
+        # building a condition variable per request.
+        answered = threading.Lock()
+        answered.acquire()
+        waiter: list = [answered, None]
         with self._pending_lock:
+            # A worker that died unnoticed fails the write or the wait.
             if self._dead:
                 raise WorkerCrashError(
                     f"worker {self.slot!r} (pid {self.pid}) is not running"
                 )
-            self._pending[correlation] = [event, cell]
+            self._pending[correlation] = waiter
         try:
-            line = json.dumps(wire, sort_keys=True)
             with self._write_lock:
                 assert self.process.stdin is not None
-                self.process.stdin.write(line + "\n")
+                self.process.stdin.write(f"{tag}\t{payload}\n".encode())
                 self.process.stdin.flush()
         except (OSError, ValueError) as exc:
             self._forget(correlation)
@@ -226,17 +230,19 @@ class WorkerClient:
             raise WorkerCrashError(
                 f"worker {self.slot!r} (pid {self.pid}) pipe broke mid-send"
             ) from exc
-        if not event.wait(timeout):
+        if not answered.acquire(timeout=timeout):
             self._forget(correlation)
             raise _RequestTimeout(
                 f"worker {self.slot!r} did not answer within {timeout}s"
             )
-        outcome = cell[0]
+        outcome = waiter[1]
         if isinstance(outcome, Exception):
             raise outcome
-        response = dict(outcome)
-        response["id"] = response.pop("_client_id", None)
-        return response
+        return outcome
+
+    def call(self, request: dict, timeout: float) -> dict:
+        """:meth:`call_line` for a request the front end builds itself."""
+        return json.loads(self.call_line(json.dumps(request), timeout))
 
     def _forget(self, correlation: str) -> None:
         with self._pending_lock:
@@ -247,20 +253,15 @@ class WorkerClient:
         assert stdout is not None
         try:
             for line in stdout:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    response = json.loads(line)
-                except ValueError:
-                    continue  # worker noise; correlation ids keep us safe
-                correlation = response.get("id")
+                # Anything that is not a tagged response matches no waiter.
+                correlation, _, response = (
+                    line.decode().rstrip("\n").partition("\t")
+                )
                 with self._pending_lock:
                     waiter = self._pending.pop(correlation, None)
                 if waiter is not None:
-                    event, cell = waiter
-                    cell[0] = response
-                    event.set()
+                    waiter[1] = response
+                    waiter[0].release()
         finally:
             self._mark_dead("stdout closed")
 
@@ -274,9 +275,9 @@ class WorkerClient:
         error = WorkerCrashError(
             f"worker {self.slot!r} (pid {self.pid}) died: {why}"
         )
-        for event, cell in pending:
-            cell[0] = error
-            event.set()
+        for waiter in pending:
+            waiter[1] = error
+            waiter[0].release()
 
     # -- teardown ----------------------------------------------------------
 
@@ -451,10 +452,12 @@ class ClusterService:
             # (covered, truncated_before) are unrecoverable.  Report the
             # gap loudly rather than replaying a sequence with a hole.
             self._bump("journal_truncations")
-        for seq, wire in entries:
+        for seq, payload in entries:
             if seq <= covered:
                 continue
-            outcome = client.call(wire, timeout=self.config.request_timeout)
+            outcome = client.call_line(
+                payload, timeout=self.config.request_timeout, seq=seq
+            )
             with record.journal_lock:
                 record.outcomes[seq] = outcome
                 record.replayed_through = max(record.replayed_through, seq)
@@ -548,9 +551,19 @@ class ClusterService:
             return json.dumps(
                 _error_response(None, "ParseError", f"bad JSON: {exc}")
             )
-        return json.dumps(self.handle(request), sort_keys=True)
+        response = self._handle(request, line)
+        if isinstance(response, str):
+            return response  # a worker's line, forwarded as it came
+        return json.dumps(response, sort_keys=True)
 
     def handle(self, request) -> dict:
+        response = self._handle(request, None)
+        return json.loads(response) if isinstance(response, str) else response
+
+    def _handle(self, request, line: str | None) -> dict | str:
+        """Answer one parsed request.  ``line`` is its source text when it
+        came off a transport; a worker then gets that text, not a
+        re-encoding of ``request``."""
         if not isinstance(request, dict):
             return _error_response(None, "ServiceError", "request must be an object")
         request_id = request.get("id")
@@ -570,21 +583,20 @@ class ClusterService:
                 return self._cluster_stats(request_id)
             if not isinstance(op, str):
                 raise ServiceError(f"unknown op {op!r}")
-            return self._route(request)
-        except (OverloadedError, WorkerCrashError, RetryExhaustedError) as exc:
-            return _error_response(request_id, type(exc).__name__, str(exc))
-        except ServiceError as exc:
-            return _error_response(request_id, type(exc).__name__, str(exc))
+            return self._route(request, line)
         except Exception as exc:  # noqa: BLE001 - see ServiceProtocol.handle
+            # Typed cluster errors (overload, crash, retries exhausted) and
+            # anything unforeseen alike become a structured response.
             return _error_response(request_id, type(exc).__name__, str(exc))
 
-    def _route(self, request: dict) -> dict:
+    def _route(self, request: dict, line: str | None = None) -> dict | str:
         session = request.get("session", "default")
         if not isinstance(session, str):
             raise ServiceError("'session' must be a string")
         op = request["op"]
         record = self.router.record(session)
         request_id = request.get("id")
+        payload = line if line is not None else json.dumps(request)
 
         if op in _MUTATING_OPS:
             with record.lock:
@@ -592,11 +604,7 @@ class ClusterService:
                 if cached is not None:
                     return dict(cached)
                 seq = record.next_seq()
-                wire = dict(request)
-                wire["session"] = session
-                wire["seq"] = seq
-                wire.pop("id", None)
-                record.journal_op(seq, wire)
+                record.journal_op(seq, payload)
                 # Reading the checkpoint meta costs a disk hit, so only
                 # consult it once the journal has grown enough for the
                 # covered prefix to matter; the bounded blind-drop in
@@ -605,39 +613,33 @@ class ClusterService:
                 if len(record.journal) > 32:
                     meta = self._read_checkpoint_meta(session)
                 record.prune_journal(meta.get("seq") if meta else None)
-                outcome = self._dispatch(record, wire, seq=seq, mutating=True)
-                response = dict(outcome)
+                response = json.loads(
+                    self._dispatch(record, payload, seq=seq, mutating=True)
+                )
                 response["id"] = request_id
                 response["seq"] = seq
                 record.cache_response(request_id, response)
                 return response
 
         if op == "open":
-            wire = dict(request)
-            wire["session"] = session
+            wire = dict(request, session=session)
             if self.config.checkpoint_every is not None:
                 wire.setdefault("checkpoint_every", self.config.checkpoint_every)
                 wire.setdefault(
                     "checkpoint_path", self._checkpoint_path(session)
                 )
-            outcome = self._dispatch(record, wire, mutating=False)
-            if outcome.get("ok"):
-                remember = dict(wire)
-                remember.pop("id", None)
+            response = json.loads(self._dispatch(record, json.dumps(wire)))
+            if response.get("ok"):
+                wire.pop("id", None)
                 with record.journal_lock:
-                    record.open_request = remember
-            response = dict(outcome)
-            response["id"] = request_id
+                    record.open_request = wire
             return response
 
         if op == "close":
-            wire = dict(request, session=session)
-            outcome = self._dispatch(record, wire, mutating=False)
-            if outcome.get("ok"):
+            response = json.loads(self._dispatch(record, payload))
+            if response.get("ok"):
                 self.router.drop(session)
                 self._drop_spool(session)
-            response = dict(outcome)
-            response["id"] = request_id
             return response
 
         if op == "restore":
@@ -645,29 +647,25 @@ class ClusterService:
             # before it is obsolete, and the spool must be refreshed so a
             # crash right after the restore recovers the restored state.
             with record.lock:
-                wire = dict(request, session=session)
-                outcome = self._dispatch(record, wire, mutating=False)
-                if outcome.get("ok"):
+                response = json.loads(self._dispatch(record, payload))
+                if response.get("ok"):
                     record.prune_journal(record.seq)
-                response = dict(outcome)
-                response["id"] = request_id
                 return response
 
-        wire = dict(request, session=session)
-        outcome = self._dispatch(record, wire, mutating=False)
-        response = dict(outcome)
-        response["id"] = request_id
-        return response
+        # Nothing here needs a field of the answer: the worker echoes the
+        # client's ``id`` itself, so its line goes back unparsed.
+        return self._dispatch(record, payload)
 
     def _dispatch(
         self,
         record: SessionRecord,
-        wire: dict,
+        payload: str,
         seq: int | None = None,
         mutating: bool = False,
-    ) -> dict:
-        """Send one wire request to the session's slot, with retry,
-        backoff, overload rejection, and crash-replay integration."""
+    ) -> str:
+        """Send one request line to the session's slot, with retry,
+        backoff, overload rejection, and crash-replay integration; returns
+        the worker's response line."""
         attempts = self.config.retries + 1
         last_exc: Exception | None = None
         for attempt in range(attempts):
@@ -686,7 +684,9 @@ class ClusterService:
                         outcome = record.outcomes.pop(seq, None)
                         if outcome is not None:
                             return outcome
-                        return {"ok": True, "replayed": True, "seq": seq}
+                        return json.dumps(
+                            {"ok": True, "replayed": True, "seq": seq}
+                        )
             deadline = time.monotonic() + self.config.request_timeout
             try:
                 client = self._client_for(record.slot, deadline)
@@ -703,7 +703,9 @@ class ClusterService:
             try:
                 if _faults.ACTIVE is not None:
                     _faults.fire("cluster.dispatch")
-                return client.call(wire, timeout=self.config.request_timeout)
+                return client.call_line(
+                    payload, timeout=self.config.request_timeout, seq=seq
+                )
             except _faults.FaultInjected as exc:
                 last_exc = exc  # injected dispatch failure: retryable
             except WorkerCrashError as exc:
@@ -719,8 +721,8 @@ class ClusterService:
                     self._request_recovery(record.slot, client)
                 # Read-only timeouts just burn an attempt.
         raise RetryExhaustedError(
-            f"request {wire.get('op')!r} for session "
-            f"{wire.get('session')!r} failed after {attempts} attempts"
+            f"a request for session {record.name!r} failed after "
+            f"{attempts} attempts"
         ) from last_exc
 
     # -- stats -------------------------------------------------------------

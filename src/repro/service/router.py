@@ -91,15 +91,15 @@ class SessionRecord:
         self.lock = threading.RLock()
         self.journal_lock = threading.Lock()
         self.journal_limit = journal_limit
-        #: (seq, wire request) for every journaled mutating op, oldest first.
-        self.journal: deque[tuple[int, dict]] = deque()
+        #: (seq, request line) for every journaled mutating op, oldest first.
+        self.journal: deque[tuple[int, str]] = deque()
         #: Seqs dropped from the journal head without checkpoint coverage
         #: are < this bound (0 = nothing dropped blind).
         self.truncated_before = 0
         #: Highest seq covered by the most recent recovery replay, and the
-        #: per-seq outcomes that replay recorded for waiting dispatchers.
+        #: per-seq response lines that replay recorded for waiting dispatchers.
         self.replayed_through = 0
-        self.outcomes: dict[int, dict] = {}
+        self.outcomes: dict[int, str] = {}
         #: Client request id -> response, for exactly-once retry semantics.
         self.dedup_limit = dedup_limit
         self.dedup: OrderedDict[object, dict] = OrderedDict()
@@ -112,11 +112,11 @@ class SessionRecord:
         self.seq += 1
         return self.seq
 
-    def journal_op(self, seq: int, wire: dict) -> None:
+    def journal_op(self, seq: int, payload: str) -> None:
         """Append one mutating op; the caller prunes afterwards (pruning
         may need the checkpoint meta, which the cluster owns)."""
         with self.journal_lock:
-            self.journal.append((seq, wire))
+            self.journal.append((seq, payload))
 
     def prune_journal(self, covered_seq: int | None) -> int:
         """Drop journal entries recovery can never need; returns the count.
@@ -143,7 +143,7 @@ class SessionRecord:
                 del self.outcomes[min(self.outcomes)]
         return dropped
 
-    def journal_snapshot(self) -> list[tuple[int, dict]]:
+    def journal_snapshot(self) -> list[tuple[int, str]]:
         with self.journal_lock:
             return list(self.journal)
 

@@ -21,8 +21,8 @@ Failure semantics (the contract the chaos tests pin down):
   batch — a poisoned batch trips the budget, rolls back, and is dropped
   like any other failure.
 
-``save``/``restore`` reuse the v2 checkpoint format
-(:mod:`repro.engines.checkpoint`): ``save`` flushes pending updates first
+``save``/``restore`` reuse the checkpoint format of
+:mod:`repro.engines.checkpoint` (v4): ``save`` flushes pending updates first
 so the file reflects everything enqueued; ``restore`` *discards* pending
 updates (they predate the state being restored) and publishes the restored
 state as a fresh snapshot version.
@@ -40,7 +40,7 @@ from ..analyses import ANALYSES
 from ..corpus import PRESETS, load_subject
 from ..datalog.errors import ServiceError
 from ..engines import DRedLSolver, LaddderSolver, NaiveSolver, SemiNaiveSolver
-from ..engines.checkpoint import load_checkpoint, save_checkpoint
+from ..engines.checkpoint import dump_state, load_checkpoint, write_checkpoint
 from ..metrics import SolverMetrics
 from ..robustness import GuardedSolver
 from .queue import CoalescingQueue, UpdateBatch
@@ -509,8 +509,8 @@ class Session:
         """Kick the async checkpointer every ``checkpoint_every`` applied
         batches (called from the worker loop after a successful apply).
 
-        The write happens on its own thread so the next batch is not
-        blocked behind serialization; the solver lock serializes the two.
+        The write happens on its own thread; the next batch waits only
+        while that thread pickles the state under the solver lock.
         If the previous checkpoint is still writing, this interval is
         skipped rather than queued — the next one catches up."""
         config = self.config
@@ -533,18 +533,25 @@ class Session:
     def checkpoint_meta_path(self) -> str:
         return f"{self.config.checkpoint_path}.meta"
 
+    def _checkpoint_to(self, path) -> tuple[int, int, int]:
+        """The one checkpoint write path; returns ``(seq, version, bytes)``.
+
+        The solver lock is held only while the state is pickled, and
+        ``seq``/``version`` are read with it, so they describe the bytes
+        written even if batches land while the file is being checksummed
+        and renamed into place."""
+        with self._solver_lock:
+            seq, version = self._applied_seq, self._snapshot.version
+            body = dump_state(self.solver.solver)
+        return seq, version, write_checkpoint(body, path)
+
     def _write_checkpoint(self) -> None:
         """One atomic checkpoint + sidecar write; errors are recorded, not
         raised (a failed periodic checkpoint must not kill the session —
         the previous checkpoint file stays intact and recovery just
         replays a longer journal tail)."""
         try:
-            with self._solver_lock:
-                seq = self._applied_seq
-                version = self._snapshot.version
-                size = save_checkpoint(
-                    self.solver.solver, self.config.checkpoint_path
-                )
+            seq, version, size = self._checkpoint_to(self.config.checkpoint_path)
             meta = {
                 "session": self.name,
                 "seq": seq,
@@ -562,12 +569,10 @@ class Session:
             self.last_checkpoint_error = f"{type(exc).__name__}: {exc}"
 
     def save(self, path) -> dict:
-        """Flush pending updates, then checkpoint the inner solver (v2
-        format, atomic write)."""
+        """Flush pending updates, then checkpoint the inner solver (atomic
+        write)."""
         self.flush()
-        with self._solver_lock:
-            size = save_checkpoint(self.solver.solver, path)
-            version = self._snapshot.version
+        _, version, size = self._checkpoint_to(path)
         return {"path": str(path), "bytes": size, "version": version}
 
     def restore(self, path) -> dict:

@@ -1,7 +1,13 @@
 """Cluster worker process: one supervised shard of the session table.
 
-Run as ``python -m repro.service.worker`` with JSON lines on stdin/stdout
-(the cluster front end owns the pipe; see :mod:`repro.service.cluster`).
+Run as ``python -m repro.service.worker`` with framed JSON lines on
+stdin/stdout (the cluster front end owns the pipe; see
+:mod:`repro.service.cluster`).  A request line is ``TAG<tab>JSON`` where
+``TAG`` is the front end's correlation id, followed for a journaled op by
+a space and its ``seq``; the response line is ``correlation id<tab>JSON``.
+The JSON on either side is exactly what a single-process client would send
+and receive — the client's own ``id`` included — so the front end can
+forward both without parsing them.
 Each worker hosts a :class:`~repro.service.protocol.ServiceProtocol` — the
 same dispatcher ``repro serve`` uses single-process — so the whole op set
 works unchanged; the cluster merely routes sessions here.
@@ -21,7 +27,7 @@ out to **per-session lanes** (one ordered dispatch thread per session):
 
 Responses are written whenever their lane finishes, serialized by a write
 lock — **out of order across sessions**.  The front end correlates by
-request id, never by position.
+the tag, never by position.
 
 Shutdown: stdin EOF (the front end closed the pipe), a ``shutdown``
 request, or SIGTERM/SIGINT all drain every session before the process
@@ -61,14 +67,15 @@ class _Lane:
         )
         self.thread.start()
 
-    def submit(self, request: dict) -> None:
-        self.queue.put(request)
+    def submit(self, correlation: str, request: dict) -> None:
+        self.queue.put((correlation, request))
 
     def _run(self) -> None:
         while True:
-            request = self.queue.get()
-            if request is None:
+            item = self.queue.get()
+            if item is None:
                 return
+            correlation, request = item
             try:
                 response = self.protocol.handle(request)
             except BaseException as exc:  # noqa: BLE001 - lane must survive
@@ -77,7 +84,7 @@ class _Lane:
                     "ok": False,
                     "error": {"type": type(exc).__name__, "message": str(exc)},
                 }
-            self.emit(json.dumps(response, sort_keys=True))
+            self.emit(correlation, json.dumps(response, sort_keys=True))
 
     def close(self, timeout: float = 60.0) -> None:
         self.queue.put(None)
@@ -85,33 +92,38 @@ class _Lane:
 
 
 def serve_worker(protocol: ServiceProtocol, stdin, stdout) -> int:
-    """The worker read loop; returns the number of requests accepted."""
+    """The worker read loop over binary streams (forwarded request lines
+    are the client's own text, so the pipe is UTF-8 whatever the locale
+    says); returns the number of requests accepted."""
     write_lock = threading.Lock()
 
-    def emit(text: str) -> None:
+    def emit(correlation: str, text: str) -> None:
         with write_lock:
-            stdout.write(text + "\n")
+            stdout.write(f"{correlation}\t{text}\n".encode())
             stdout.flush()
 
     lanes: dict[str, _Lane] = {}
     accepted = 0
     try:
         for line in stdin:
-            if len(line) > MAX_LINE_BYTES:
-                emit(protocol.handle_line(line))
-                continue
-            stripped = line.strip()
-            if not stripped:
+            tag, _, payload = line.decode().partition("\t")
+            payload = payload.strip()
+            if not payload:
                 continue
             accepted += 1
-            try:
-                request = json.loads(stripped)
-            except ValueError:
-                emit(protocol.handle_line(stripped))
-                continue
+            correlation, _, seq = tag.partition(" ")
+            request = None
+            if len(payload) <= MAX_LINE_BYTES:
+                try:
+                    request = json.loads(payload)
+                except ValueError:
+                    pass
             if not isinstance(request, dict):
-                emit(json.dumps(protocol.handle(request), sort_keys=True))
+                # The front end rejects these itself; answer the same way.
+                emit(correlation, protocol.handle_line(payload))
                 continue
+            if seq:
+                request["seq"] = int(seq)
             op = request.get("op")
             session = request.get("session", "default")
             inline = (
@@ -120,14 +132,15 @@ def serve_worker(protocol: ServiceProtocol, stdin, stdout) -> int:
                 or not isinstance(session, str)
             )
             if inline:
-                emit(json.dumps(protocol.handle(request), sort_keys=True))
+                response = protocol.handle(request)
+                emit(correlation, json.dumps(response, sort_keys=True))
                 if protocol.shutdown_requested:
                     break
                 continue
             lane = lanes.get(session)
             if lane is None:
                 lane = lanes[session] = _Lane(session, protocol, emit)
-            lane.submit(request)
+            lane.submit(correlation, request)
     except ShutdownRequested:
         pass
     finally:
@@ -151,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     restore = install_signal_handlers()
     protocol = ServiceProtocol()
     try:
-        serve_worker(protocol, sys.stdin, sys.stdout)
+        serve_worker(protocol, sys.stdin.buffer, sys.stdout.buffer)
     except ShutdownRequested:
         print(f"{args.label}: interrupted; sessions drained", file=sys.stderr)
     finally:

@@ -128,6 +128,104 @@ def test_kill9_mid_edit_stream_recovers_bit_equal(backend):
     )
 
 
+def _checkpoints_written(service, session: str, due: int) -> int:
+    """The session's checkpoint count, once the ``due`` checkpoints that its
+    applied batches have triggered are on disk."""
+    deadline = time.monotonic() + 30
+    while True:
+        written = service.handle({"op": "stats", "session": session})[
+            "checkpoint"
+        ]["written"]
+        if written >= due or time.monotonic() > deadline:
+            return written
+        time.sleep(0.02)
+
+
+def test_crash_between_checkpoint_and_sidecar_renames_recovers(tmp_path):
+    """A periodic checkpoint is two renames: the state file, then the
+    ``.meta`` sidecar naming the ``seq`` it covers.  A worker killed
+    between them leaves a *fresh* state file beside a *stale* sidecar, so
+    recovery restores the newer state and replays journal entries it
+    already contains.  Replay is of absolute set-edits, in order, so the
+    session must still end bit-equal to the from-scratch reference."""
+    program = copy.deepcopy(load_subject("minijavac"))
+    instance = constant_propagation(program)
+    facts = {pred: set(rows) for pred, rows in instance.facts.items()}
+    stream = EditStream(editor_for(program, "constprop"), seed=5)
+
+    config = ClusterConfig(
+        workers=1,
+        checkpoint_every=2,
+        heartbeat_interval=3600.0,  # recovery only when the test asks
+        spool=str(tmp_path),
+    )
+    with ClusterService(config) as service:
+        opened = service.handle(
+            {
+                "op": "open",
+                "session": "edits",
+                "analysis": "constprop",
+                "subject": "minijavac",
+                "engine": "laddder",
+            }
+        )
+        assert opened["ok"], opened
+        meta_path = Path(service._checkpoint_path("edits") + ".meta")
+
+        sent = 0
+
+        def edit() -> dict:
+            nonlocal sent
+            step = stream.step()
+            step.change.apply_to(facts)
+            response = service.handle(
+                {
+                    "op": "update",
+                    "session": "edits",
+                    "insert": wire_rows(step.change.insertions),
+                    "delete": wire_rows(step.change.deletions),
+                    "flush": True,
+                    "id": f"u{sent}",
+                }
+            )
+            sent += 1
+            assert response["ok"] and response["flush"]["ok"], response
+            return service.handle({"op": "stats", "session": "edits"})
+
+        def edit_until_checkpoint(number: int) -> dict:
+            """Edit until the ``number``-th checkpoint has landed (an edit
+            the queue cancels applies no batch, so count batches)."""
+            for _ in range(12):
+                applied = edit()["metrics"]["service"]["batches_applied"]
+                if _checkpoints_written(service, "edits", applied // 2) >= number:
+                    return json.loads(meta_path.read_text())
+            raise AssertionError(f"checkpoint {number} never landed")
+
+        stale = edit_until_checkpoint(1)
+        fresh = edit_until_checkpoint(2)
+        assert 0 < stale["seq"] < fresh["seq"] == sent
+
+        # The crash window, reproduced on disk: state file of the second
+        # checkpoint, sidecar of the first.
+        worker = service._slots["w0"].client.process
+        worker.kill()
+        worker.wait(timeout=30)  # no supervisor round will reap it for us
+        meta_path.write_text(json.dumps(stale))
+
+        edit()  # finds the worker dead: restore, replay, then apply
+        snap = service.handle({"op": "snapshot", "session": "edits"})
+        assert snap["ok"], snap
+        counters = service.handle({"op": "stats"})["cluster"]["counters"]
+        assert counters["sessions_recovered"] == 1
+        # Everything after the stale seq was replayed, the entries the
+        # restored state already covers included.
+        assert counters["replayed_ops"] == sent - stale["seq"]
+        restored = service.handle({"op": "stats", "session": "edits"})
+        assert restored["restored_from"] == service._checkpoint_path("edits")
+
+    assert snap["digest"] == reference_digest(instance.program, facts)
+
+
 def test_fault_injected_dispatch_is_absorbed_by_retries():
     # cluster.dispatch fires in the *front-end* process, so the in-process
     # inject() harness reaches it; two injected failures must be absorbed

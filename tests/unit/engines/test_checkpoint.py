@@ -237,6 +237,37 @@ class TestProvenancePayload:
         restored.update(insertions={"edge": {(3, 4)}})
         assert (1, 4) in restored.relation("tc")
 
+    def test_optimized_pickle_file_still_reads(self, tmp_path):
+        """Files written before ``pickletools.optimize`` was dropped carry
+        the same v4 envelope around an optimised pickle; they must load
+        to the same state, and the plain pickle must not cost much size."""
+        import hashlib
+        import pickletools
+
+        from repro.analyses import constant_propagation
+        from repro.corpus import load_subject
+        from repro.engines.checkpoint import _HEADER, VERSION, dump_state
+        from repro.service import take_snapshot
+
+        instance = constant_propagation(load_subject("minijavac"))
+        solver = instance.make_solver(LaddderSolver)
+        plain = dump_state(solver)
+        body = pickletools.optimize(plain)
+        assert body != plain
+        assert len(plain) <= 1.1 * len(body)
+        old = tmp_path / "optimized.ckpt"
+        old.write_bytes(
+            _HEADER.pack(MAGIC, VERSION, hashlib.sha256(body).digest()) + body
+        )
+        new = tmp_path / "plain.ckpt"
+        assert save_checkpoint(solver, new) == _HEADER.size + len(plain)
+
+        live = take_snapshot(solver, 1).digest()
+        fresh = constant_propagation(load_subject("minijavac")).program
+        for path in (old, new):
+            restored = load_checkpoint(LaddderSolver, fresh, path)
+            assert take_snapshot(restored, 1).digest() == live
+
     def test_provenance_enabled_restore_continues_capture(self, tmp_path):
         donor = LaddderSolver(tc_program(), provenance=True)
         donor.add_facts("edge", {(1, 2)})

@@ -1,5 +1,7 @@
 """Unit tests for indexed relations and the grounding machinery."""
 
+import os
+
 import pytest
 
 from repro.datalog import SolverError, parse
@@ -10,7 +12,11 @@ from repro.engines.grounding import (
     run_plan,
     unify_tuple,
 )
-from repro.engines.relation import IndexedRelation, RelationStore
+from repro.engines.relation import (
+    ColumnarRelation,
+    IndexedRelation,
+    RelationStore,
+)
 
 
 class TestIndexedRelation:
@@ -71,6 +77,34 @@ class TestIndexedRelation:
         base = rel.state_size()
         list(rel.matching((1, None)))  # build an index
         assert rel.state_size() > base
+
+
+class TestLazyNumpy:
+    def test_importing_the_service_does_not_import_numpy(self):
+        """numpy costs every server process ~12 MB resident and the default
+        object backend never uses it; only ``ColumnarRelation.column`` does."""
+        import subprocess
+        import sys
+
+        code = "import sys, repro.service; print('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "False", out.stderr
+
+    def test_column_is_a_zero_copy_view(self):
+        numpy = pytest.importorskip("numpy")
+        relation = ColumnarRelation(2)
+        assert len(relation.column(0)) == 0  # empty: the backing array
+        relation.add((1, 10))
+        relation.add((2, 20))
+        column = relation.column(1)
+        assert isinstance(column, numpy.ndarray) and column.dtype == numpy.int64
+        assert sorted(column.tolist()) == [10, 20]
+        assert numpy.shares_memory(
+            column, numpy.frombuffer(relation._materialize()[1], dtype=numpy.int64)
+        )
 
 
 class TestRelationStore:

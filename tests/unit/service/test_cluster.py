@@ -125,15 +125,20 @@ class _StubClient:
         self.generation = 1
         self.pid = 4242
         self.calls = []
+        self.lines = []
 
-    def call(self, request, timeout):
-        self.calls.append(dict(request))
+    def call_line(self, payload, timeout, seq=None):
+        request = json.loads(payload)
+        self.calls.append(dict(request, _seq=seq))
+        self.lines.append(payload)
         if self.script:
             action = self.script.pop(0)
             if isinstance(action, Exception):
                 raise action
-            return action
-        return {"ok": True, "echo": request.get("op")}
+            return action if isinstance(action, str) else json.dumps(action)
+        return json.dumps(
+            {"id": request.get("id"), "ok": True, "echo": request.get("op")}
+        )
 
     def kill(self):
         self.alive = False
@@ -235,8 +240,8 @@ class TestDispatchPolicies:
         assert response["ok"] and response["seq"] == 1
         entries = record.journal_snapshot()
         assert [seq for seq, _ in entries] == [1]
-        assert entries[0][1]["seq"] == 1
-        assert client.calls[-1]["seq"] == 1
+        assert json.loads(entries[0][1])["id"] == "u1"  # the request line
+        assert client.calls[-1]["_seq"] == 1  # seq rides in the pipe tag
 
     def test_duplicate_request_id_returns_cached_response(self):
         client = _StubClient()
@@ -255,12 +260,11 @@ class TestDispatchPolicies:
         service = stub_cluster(client)
         record = service.router.record("s")
         record.replayed_through = 1
-        record.outcomes[1] = {"ok": True, "replayed_by_recovery": True}
+        record.outcomes[1] = '{"ok": true, "replayed_by_recovery": true}'
         outcome = service._dispatch(
-            record, {"op": "update", "session": "s", "seq": 1}, seq=1,
-            mutating=True,
+            record, '{"op": "update", "session": "s"}', seq=1, mutating=True
         )
-        assert outcome["replayed_by_recovery"] is True
+        assert json.loads(outcome)["replayed_by_recovery"] is True
         assert client.calls == []
 
     def test_backoff_delays_are_capped_exponential(self):
@@ -297,6 +301,21 @@ class TestFrontendOps:
         assert service.handle_line("   \n") is None
         bad = json.loads(service.handle_line('{"op":'))
         assert bad["error"]["type"] == "ParseError"
+
+    def test_session_reads_cross_the_front_end_as_text(self):
+        # Lines no ``json.dumps`` here would produce, in either direction:
+        # what arrives is what was sent, so nothing was transcoded.
+        answer = '{"rows":[ ["é"] ],"ok":true ,  "id":"mine"}'
+        for op in ("query", "snapshot", "stats", "explain", "whynot"):
+            ask = '{ "id":"mine","session":"s" ,"op":"%s", "row":["é"]}' % op
+            client = _StubClient(script=[answer])
+            service = stub_cluster(client)
+            assert service.handle_line(ask + "\n") == answer
+            assert client.lines == [ask]
+            assert client.calls[0]["_seq"] is None
+        # The dict entry point parses the same line for its caller.
+        service = stub_cluster(_StubClient(script=[answer]))
+        assert service.handle({"op": "query", "session": "s"})["rows"] == [["é"]]
 
     def test_malformed_requests_get_structured_errors(self):
         service = stub_cluster(_StubClient())
@@ -364,3 +383,257 @@ class TestRealWorkerSmoke:
                 time.sleep(0.1)
             assert service.counters["worker_restarts"] >= 1
             assert service.counters["heartbeat_misses"] >= 2
+
+
+class _BlockingProtocol:
+    """A ServiceProtocol double whose ``slow`` session blocks on an event."""
+
+    shutdown_requested = False
+
+    def __init__(self):
+        self.release = threading.Event()
+
+    def handle(self, request):
+        if request.get("session") == "slow":
+            assert self.release.wait(timeout=30)
+        return {"id": request.get("id"), "ok": True, "seq": request.get("seq")}
+
+    def close(self):
+        pass
+
+
+class TestWorkerFraming:
+    def test_lanes_answer_out_of_order_under_their_own_tags(self):
+        import os
+
+        from repro.service.worker import serve_worker
+
+        protocol = _BlockingProtocol()
+        to_worker, from_front = os.pipe()
+        to_front, from_worker = os.pipe()
+        stdin = os.fdopen(to_worker, "rb")
+        stdout = os.fdopen(from_worker, "wb")
+        front_out = os.fdopen(from_front, "w", encoding="utf-8")
+        front_in = os.fdopen(to_front, "r", encoding="utf-8")
+        served = threading.Thread(
+            target=serve_worker, args=(protocol, stdin, stdout), daemon=True
+        )
+        served.start()
+        try:
+            front_out.write('c1 7\t{"op": "update", "session": "slow", "id": "a"}\n')
+            front_out.write('c2\t{"op": "query", "session": "fast", "id": "a"}\n')
+            front_out.write("stray line without a tag\n")
+            front_out.flush()
+            # The later request overtakes the blocked one; each answer
+            # carries its own tag and the client's id, untouched.
+            tag, _, body = front_in.readline().rstrip("\n").partition("\t")
+            assert tag == "c2"
+            assert json.loads(body) == {"id": "a", "ok": True, "seq": None}
+            protocol.release.set()
+            tag, _, body = front_in.readline().rstrip("\n").partition("\t")
+            assert tag == "c1"  # the seq rode in the tag, not in the JSON
+            assert json.loads(body) == {"id": "a", "ok": True, "seq": 7}
+        finally:
+            protocol.release.set()
+            front_out.close()
+            served.join(timeout=30)
+            assert not served.is_alive()
+            for handle in (stdin, stdout, front_in):
+                handle.close()
+
+
+OPEN = {"op": "open", "analysis": "constprop", "subject": "minijavac", "seed": 3}
+
+
+#: ``explain`` and ``rollback`` pick among equal derivations in set order, so
+#: the two sides of the comparison must hash strings alike.
+_ONE_HASH_SEED = {"PYTHONHASHSEED": "0", "PYTHONUTF8": "1"}
+
+
+class _StdioServer:
+    """``python -m repro serve`` on a pipe: ``ServiceProtocol.handle_line``
+    and nothing else, in a process of its own like the cluster's worker."""
+
+    def __init__(self):
+        import os
+        import subprocess
+        import sys
+
+        self.process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            encoding="utf-8",
+            env={
+                **os.environ,
+                **_ONE_HASH_SEED,
+                "PYTHONPATH": os.pathsep.join(sys.path),
+            },
+        )
+        self.lock = threading.Lock()
+
+    def handle_line(self, line: str) -> str:
+        with self.lock:
+            self.process.stdin.write(line + "\n")
+            self.process.stdin.flush()
+            return self.process.stdout.readline().rstrip("\n")
+
+    def close(self) -> None:
+        self.process.stdin.close()
+        self.process.wait(timeout=60)
+        self.process.stdout.close()
+
+
+def _scrub(value):
+    """Drop what the two sides cannot share: their own clocks' readings,
+    and the ``seq`` numbers only a router assigns."""
+    if isinstance(value, dict):
+        return {
+            key: _scrub(item)
+            for key, item in value.items()
+            if "seconds" not in key and not key.endswith("seq")
+        }
+    if isinstance(value, list):
+        return [_scrub(item) for item in value]
+    return value
+
+
+@pytest.mark.slow
+class TestHopEquivalence:
+    """What a client reads through the router hop is what the
+    single-process protocol would have written: byte for byte where the
+    front end forwards the worker's line, and up to ``seq`` and wall-clock
+    fields where it parses it."""
+
+    @pytest.fixture(scope="class")
+    def pair(self, tmp_path_factory):
+        single = _StdioServer()
+        config = ClusterConfig(
+            workers=1,
+            checkpoint_every=None,
+            heartbeat_interval=3600.0,
+            spool=str(tmp_path_factory.mktemp("spool")),
+            worker_env=_ONE_HASH_SEED,
+        )
+        try:
+            with ClusterService(config) as cluster:
+                for name in ("a", "b"):
+                    line = json.dumps(dict(OPEN, session=name, id=f"open-{name}"))
+                    ours = json.loads(cluster.handle_line(line))
+                    assert ours["ok"], ours
+                    assert _scrub(ours) == _scrub(json.loads(single.handle_line(line)))
+                yield single, cluster
+        finally:
+            single.close()
+
+    def both(self, pair, line):
+        single, cluster = pair
+        return cluster.handle_line(line), single.handle_line(line)
+
+    @pytest.mark.parametrize(
+        "request_id", [7, "seven", None, "absent", [1, "x"], "naïve-ключ"]
+    )
+    def test_read_only_ops_are_byte_equal_for_every_id_shape(
+        self, pair, request_id
+    ):
+        ours, _ = self.both(
+            pair, '{"op": "query", "session": "a", "predicate": "val", "limit": 1}'
+        )
+        row = json.loads(ours)["rows"][0]
+        requests = [
+            {"op": "query", "session": "a", "predicate": "val", "limit": 5},
+            {"op": "query", "session": "a", "predicate": "val", "flush": True},
+            {"op": "snapshot", "session": "b"},
+            {"op": "snapshot", "session": "b", "views": True},
+            {"op": "explain", "session": "a", "predicate": "val", "row": row},
+            {"op": "whynot", "session": "a", "predicate": "val",
+             "row": ["ghost", "ghost", 1]},
+            {"op": "rollback", "session": "a", "predicate": "val", "row": row},
+            {"op": "query", "session": "nobody", "predicate": "val"},
+            {"op": "query", "session": "a", "predicate": 9},
+            {"op": "frobnicate", "session": "a"},
+        ]
+        for request in requests:
+            if request_id != "absent":
+                request["id"] = request_id
+            # Not sort_keys, and non-ASCII left raw: a client's own text.
+            line = json.dumps(request, ensure_ascii=False)
+            ours, theirs = self.both(pair, line)
+            assert ours == theirs, request
+
+    def test_stats_is_forwarded_in_canonical_form(self, pair):
+        ours, theirs = self.both(pair, '{"op": "stats", "session": "a", "id": 1}')
+        assert ours == json.dumps(json.loads(ours), sort_keys=True)
+        assert _scrub(json.loads(ours)) == _scrub(json.loads(theirs))
+
+    def test_mutating_ops_are_equal_up_to_seq(self, pair):
+        lines = [
+            # Non-ASCII constants, written raw and as escapes.
+            '{"op": "update", "session": "a", "id": "u1", "flush": true, '
+            '"insert": {"assign_lit": [["größe→x", "m", 1], ["\\u00e9", "m", 2]]}}',
+            '{"op": "update", "session": "a", '
+            '"delete": {"assign_lit": [["größe→x", "m", 1]]}}',
+            '{"op": "flush", "session": "a", "id": null}',
+            '{"op": "update", "session": "a", "id": 3, "insert": {"p": "notalist"}}',
+        ]
+        for line in lines:
+            ours, theirs = (json.loads(out) for out in self.both(pair, line))
+            if json.loads(line)["op"] == "update":
+                assert isinstance(ours.pop("seq"), int)
+            assert _scrub(ours) == _scrub(theirs), line
+        # A read that echoes the non-ASCII text back, escaped by the worker.
+        ours, theirs = self.both(
+            pair,
+            '{"op": "whynot", "session": "a", "predicate": "val", '
+            '"row": ["größe→x", "m", 1]}',
+        )
+        assert ours == theirs and "gr\\u00f6\\u00dfe\\u2192x" in ours
+
+    def test_malformed_lines_get_the_single_process_answer(self, pair):
+        from repro.service import ServiceProtocol
+        from repro.service.protocol import MAX_LINE_BYTES
+
+        # No session is involved, and a blank line has no answer to wait
+        # for on a pipe: compare with the protocol object itself.
+        pair = (ServiceProtocol(), pair[1])
+        lines = [
+            '{"op": "stats"', "[1, 2", "[1, 2, 3]", "42", "null", "", "  \n",
+            '{"op": 7, "id": 1}',
+            '{"op": "stats", "pad": "' + "x" * MAX_LINE_BYTES + '"}',
+        ]
+        for line in lines:
+            ours, theirs = self.both(pair, line)
+            if ours is None or theirs is None:
+                assert ours is theirs
+                continue
+            ours, theirs = json.loads(ours), json.loads(theirs)
+            assert ours["ok"] is False
+            assert ours["id"] == theirs["id"]
+            assert ours["error"]["type"] == theirs["error"]["type"], line
+
+    def test_two_sessions_answer_out_of_order(self, pair):
+        single, cluster = pair
+        plans = {
+            # Slow answers (every view rendered) against fast ones.
+            "a": '{"op": "snapshot", "session": "a", "views": true, "id": "%d"}',
+            "b": '{"op": "query", "session": "b", "predicate": "val", '
+                 '"limit": 1, "id": "%d"}',
+        }
+        failures: list = []
+
+        def client(template: str) -> None:
+            for number in range(25):
+                line = template % number
+                if cluster.handle_line(line) != single.handle_line(line):
+                    failures.append(line)
+
+        threads = [
+            threading.Thread(target=client, args=(template,), daemon=True)
+            for template in plans.values()
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert failures == []

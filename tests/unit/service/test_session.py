@@ -336,6 +336,80 @@ class TestSaveRestore:
             close(session)
 
 
+class TestCheckpointLockScope:
+    """A periodic checkpoint holds the solver lock while it pickles the
+    state and not while it writes the file (it used to hold it for both,
+    stalling every eighth batch by hundreds of milliseconds)."""
+
+    def test_updates_publish_while_the_file_write_is_blocked(
+        self, tmp_path, changes, monkeypatch
+    ):
+        import json
+
+        import repro.service.session as session_mod
+
+        entered, release = threading.Event(), threading.Event()
+        real_write = session_mod.write_checkpoint
+
+        def gated_write(body, path):
+            entered.set()
+            assert release.wait(timeout=30)
+            return real_write(body, path)
+
+        monkeypatch.setattr(session_mod, "write_checkpoint", gated_write)
+        path = tmp_path / "periodic.ckpt"
+        session = make_session(checkpoint_every=1, checkpoint_path=str(path))
+        try:
+            first, second = changes[0], changes[1]
+            session.update(
+                insertions=first.insertions, deletions=first.deletions, seq=1
+            )
+            assert session.flush()["version"] == 2
+            digest_at_seq_1 = session.snapshot.digest()
+            assert entered.wait(timeout=30)  # serialised, now stuck writing
+
+            # The write half is blocked; the solver must not be.
+            done = threading.Event()
+            seen = {}
+
+            def client():
+                session.update(
+                    insertions=second.insertions,
+                    deletions=second.deletions,
+                    seq=2,
+                )
+                seen["flush"] = session.flush()
+                seen["query"] = session.query("val", limit=1)
+                done.set()
+
+            worker = threading.Thread(target=client, daemon=True)
+            worker.start()
+            assert done.wait(timeout=30), "update blocked behind the file write"
+            assert seen["flush"]["ok"] and seen["flush"]["version"] == 3
+            assert seen["query"]["version"] == 3
+            assert session.stats()["applied_seq"] == 2
+            assert not path.exists()
+
+            release.set()
+            session._checkpoint_thread.join(timeout=30)
+            assert not session._checkpoint_thread.is_alive()
+            assert session.checkpoints_written == 1
+            # The sidecar describes the bytes that were pickled, not the
+            # state the solver has moved on to since.
+            meta = json.loads((tmp_path / "periodic.ckpt.meta").read_text())
+            assert (meta["seq"], meta["version"]) == (1, 2)
+            assert meta["bytes"] == path.stat().st_size
+            restored = make_session(restore_from=str(path))
+            try:
+                assert restored.snapshot.digest() == digest_at_seq_1
+                assert restored.snapshot.digest() != session.snapshot.digest()
+            finally:
+                close(restored)
+        finally:
+            release.set()
+            close(session)
+
+
 class TestStats:
     def test_stats_shape_and_counters(self, changes):
         session = make_session()
