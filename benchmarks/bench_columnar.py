@@ -6,15 +6,15 @@ twice per engine and subject: once with the default ``object`` backend and
 once with ``REPRO_BACKEND=columnar`` (interned handles + packed index keys
 + struct-of-arrays columns — pure Python, no numpy required).
 
-The storage backend pays off where storage dominates the epoch: join
-probing, index maintenance, and row dedup.  That is the from-scratch
-engine (:class:`SemiNaiveSolver` re-solves affected components every
-epoch) and every engine's initialization, which is where the headline
-``>= 1.8x`` gate is asserted.  The incremental engines spend most of each
-epoch in backend-agnostic delta machinery — timelines, firing-time heaps,
-aggregation trees — so their storage-side gains are diluted; their curves
-are recorded alongside and floor-asserted so a columnar *regression*
-still fails this benchmark.
+Both backends run the same compiled lowering (hoisted index, inline key,
+batched tail: ``repro.engines.compile``); what differs is the row
+representation — raw values with tuple index keys against interned int
+handles with packed int keys.  An earlier ``>= 1.8x`` gate on the
+from-scratch engine measured a *lowering* fork (the object backend probed
+through ``matching()``), not the storage; with one lowering the gap is the
+storage's own, and it is recorded here, not gated.  What stays asserted is
+the floor: the columnar backend must not cost any engine more than
+measurement noise.
 
 Results land in ``results/bench_columnar.txt`` (table) and
 ``results/BENCH_columnar.json`` (per-engine/subject curves + speedups).
@@ -28,17 +28,11 @@ from repro.engines import DRedLSolver, LaddderSolver, SemiNaiveSolver
 
 from common import ANALYSIS_SERIES, SUBJECTS, make_changes, report, report_json, subject
 
-#: The storage-bound configuration must show at least this median-epoch
-#: speedup on every subject (observed: 2.1x-2.4x).
-GATE_SPEEDUP = 1.8
-#: ... and at least this initialization speedup (observed: 2.2x-2.7x).
-GATE_INIT_SPEEDUP = 1.5
-#: Incremental engines are compensation-bound, not storage-bound; columnar
-#: must at minimum not regress them beyond measurement noise.
+#: Columnar must at minimum not regress any engine's median update epoch
+#: beyond measurement noise.
 FLOOR_SPEEDUP = 0.8
 
 ENGINES = (SemiNaiveSolver, DRedLSolver, LaddderSolver)
-GATE_ENGINE = SemiNaiveSolver
 
 
 def _measure(engine_cls, instance_builder, generator, subject_name, backend):
@@ -107,48 +101,20 @@ def test_columnar_speedup(benchmark):
         title="Columnar vs object backend — constprop, Section 7.1 epochs",
     )
     report("bench_columnar", table)
-    gate = engines[GATE_ENGINE.__name__]
     report_json(
         "columnar",
         {
             "analysis": "constprop",
             "backend_pair": ["object", "columnar"],
-            "gate": {
-                "engine": GATE_ENGINE.__name__,
-                "metric": "update_median_speedup",
-                "threshold": GATE_SPEEDUP,
-                "init_threshold": GATE_INIT_SPEEDUP,
-                "observed": {
-                    name: entry["speedup"]["update_median"]
-                    for name, entry in gate.items()
-                },
-            },
             "floor": {
-                "engines": [
-                    e.__name__ for e in ENGINES if e is not GATE_ENGINE
-                ],
+                "engines": [e.__name__ for e in ENGINES],
                 "metric": "update_median_speedup",
                 "threshold": FLOOR_SPEEDUP,
             },
             "engines": engines,
         },
     )
-    # The headline claim: where storage dominates the epoch, the interned
-    # columnar backend is at least 1.8x faster — on every subject.
-    for name, entry in gate.items():
-        assert entry["speedup"]["update_median"] >= GATE_SPEEDUP, (
-            f"{GATE_ENGINE.__name__}/{name}: update median speedup "
-            f"{entry['speedup']['update_median']:.2f}x < {GATE_SPEEDUP}x"
-        )
-        assert entry["speedup"]["init"] >= GATE_INIT_SPEEDUP, (
-            f"{GATE_ENGINE.__name__}/{name}: init speedup "
-            f"{entry['speedup']['init']:.2f}x < {GATE_INIT_SPEEDUP}x"
-        )
-    # Incremental engines: columnar may not buy much (epochs are
-    # compensation-bound) but it must never cost much either.
     for engine_cls in ENGINES:
-        if engine_cls is GATE_ENGINE:
-            continue
         for name, entry in engines[engine_cls.__name__].items():
             assert entry["speedup"]["update_median"] >= FLOOR_SPEEDUP, (
                 f"{engine_cls.__name__}/{name}: columnar regressed update "

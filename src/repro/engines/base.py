@@ -78,12 +78,39 @@ class UpdateStats:
         )
 
 
+class Relations(dict):
+    """``pred -> relation``, created on first touch by ``create(pred)``.
+
+    The one create-on-miss container of the engines.  Kernels and sweeps
+    resolve relations on every probe; the bound ``__getitem__`` of this dict
+    is what they receive as ``lookup``, so the hit path is one C-level dict
+    lookup with no Python frame, and only an actual miss pays ``create``.
+    """
+
+    __slots__ = ("create",)
+
+    def __init__(self, create: Callable[[str], object], items=()):
+        super().__init__(items)
+        self.create = create
+
+    def __reduce__(self):
+        # Checkpoints capture relation maps; ``create`` (a bound method of
+        # the owning state: plans, kernels, registered callables) must not
+        # travel with them, so the map pickles as a plain dict and
+        # :meth:`ComponentState.adopt` rewraps it.
+        return (dict, (), None, None, iter(self.items()))
+
+    def __missing__(self, pred: str):
+        relation = self[pred] = self.create(pred)
+        return relation
+
+
 class ComponentState:
     """Compiled plans plus live state for one dependency component of an
     engine that maintains its strata in place (DRedL, Laddder).
 
-    Subclasses add the engine's relation container and aggregation state
-    (``reset``/``rel``/``state_size``) and extend ``STATE``.
+    Subclasses supply the relation factory (``new_relation``) and their
+    aggregation state (``reset``/``state_size``) and extend ``STATE``.
     """
 
     STATE = {"relations": JOURNALED}
@@ -136,16 +163,39 @@ class ComponentState:
 
     def reset(self) -> None:
         """Drop every stored tuple and aggregate (before a fresh solve)."""
+        self.relations = Relations(self._create)
+
+    def new_relation(self, arity: int):
+        """One empty relation of the engine's kind."""
         raise NotImplementedError
 
-    def rel(self, pred: str):
-        """The component-local relation for ``pred``, created on demand."""
-        raise NotImplementedError
+    def _create(self, pred: str):
+        """The first touch of ``pred``: a fresh relation, its creation
+        journaled so a guarded update that fails leaves no trace of it."""
+        arity = self.arities.get(pred)
+        if arity is None:
+            raise SolverError(
+                f"unknown predicate {pred!r} in component "
+                f"{sorted(self.component.predicates)}"
+            )
+        relation = self.new_relation(arity)
+        if self.journal is not None:
+            relation.journal = self.journal
+            self.journal.append((self.relations.pop, pred, None))
+        return relation
+
+    @property
+    def rel(self) -> Callable[[str], object]:
+        """``pred -> component-local relation``, created on demand: what
+        kernels take as ``lookup``.  Hot loops bind it to a local once."""
+        return self.relations.__getitem__
 
     def adopt(self, entry: Mapping[str, object]) -> None:
-        """Take over checkpoint-restored ``STATE`` values."""
+        """Take over checkpoint-restored ``STATE`` values (the relation map
+        pickled as a plain dict: rewrap it)."""
         for name, value in entry.items():
             setattr(self, name, value)
+        self.relations = Relations(self._create, self.relations)
 
 
 class Solver(ABC):
@@ -556,13 +606,16 @@ class Solver(ABC):
         touch a few tuples, so that path must stay cheap.
         """
         guard = state.replan_guard
+        # Sizes are read, never created: a predicate with no relation yet
+        # has no tuples, and measuring must not force (and, under a guard,
+        # journal) an empty relation into existence.
+        get = state.relations.get
         if state.kernels_bound and guard is not None:
-            rel = state.rel
-            if all(lo < len(rel(p)) < hi for p, (lo, hi) in guard.items()):
+            if all(lo < len(get(p, ())) < hi for p, (lo, hi) in guard.items()):
                 return None  # no watched cardinality left its safe interval
 
         def oracle(pred: str) -> int:
-            return len(state.rel(pred))
+            return len(get(pred, ()))
 
         evicted = self.kernels.refresh(state.component.rules, oracle)
         if state.kernels_bound and not evicted:
@@ -691,6 +744,7 @@ __all__ = [
     "FactChanges",
     "JOURNALED",
     "PLAIN",
+    "Relations",
     "Solver",
     "SolverError",
     "StratumDiff",

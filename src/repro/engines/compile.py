@@ -56,6 +56,7 @@ Call signatures (identical in compiled and interpreted mode):
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from time import perf_counter
 from typing import Callable, Iterable, Iterator
 
@@ -80,6 +81,9 @@ from .grounding import Lookup, bind_pinned, instantiate, run_plan
 DEFAULT_REPLAN_FACTOR = 4.0
 
 _KERNEL_NAME = "_kernel"
+
+#: ``repro.engines.laddder.timeline.NEVER`` (importing it here is a cycle).
+_NEVER = float("inf")
 
 
 def interpret_requested() -> bool:
@@ -125,9 +129,36 @@ class _Codegen:
         self.env[name] = value
         return name
 
-    def source(self, header: str) -> str:
+    def unify_row(self, terms) -> dict[str, str]:
+        """Unify ``_row`` against ``terms`` or ``return None``: constants are
+        equality-checked, first variable occurrences bind a slot, repeated
+        ones are consistency-checked (aggregation slots are skipped).
+        Returns ``variable name -> slot``."""
+        slots: dict[str, str] = {}
+        for i, term in enumerate(terms):
+            if isinstance(term, Constant):
+                self.emit(f"if _row[{i}] != {self.const(term.value)}: return None")
+            elif not isinstance(term, Variable):
+                continue
+            elif term.name in slots:
+                self.emit(f"if _row[{i}] != {slots[term.name]}: return None")
+            else:
+                slots[term.name] = f"_v{len(slots)}"
+                self.emit(f"{slots[term.name]} = _row[{i}]")
+        return slots
+
+    def build(self, name: str, args: str, filename: str) -> Callable:
+        """``exec`` the buffered lines as ``def name(args)`` over the closure
+        environment; the source rides along as ``__kernel_source__``."""
         body = self.lines or ["    pass"]
-        return header + "\n" + "\n".join(body)
+        source = f"def {name}({args}):\n" + "\n".join(body)
+        namespace = dict(self.env)
+        exec(compile(source, filename, "exec"), namespace)
+        # Popped, not read: a function that sits in its own globals is a
+        # reference cycle, and an evicted kernel would wait for the collector.
+        fn = namespace.pop(name)
+        fn.__kernel_source__ = source
+        return fn
 
 
 def _tuple_expr(parts: list[str]) -> str:
@@ -141,14 +172,15 @@ def _tuple_expr(parts: list[str]) -> str:
 class _KernelBuilder:
     """Lowers one planned body into a specialized generator function.
 
-    Under the columnar backend (``backend="columnar"``) the lowering skips
-    :meth:`~repro.engines.relation.ColumnIndexed.matching` entirely: the
-    bound-column set of every probe is known at compile time, so the kernel
-    hoists ``index_for(cols)`` dictionaries into its prologue and probes
-    them with inline packed integer keys; zero-bound scans read the cached
-    ``scan_rows()`` snapshot; and the innermost enumeration is emitted as
-    one batched list comprehension (see ``batch_tail``) instead of a
-    per-row loop.
+    The bound-column set of every probe is known at compile time, so the
+    kernel never goes through
+    :meth:`~repro.engines.relation.ColumnIndexed.matching`: it hoists the
+    ``cols`` index dictionaries into its prologue and probes them with
+    inline keys; zero-bound scans read the cached ``scan_rows()`` snapshot;
+    and the innermost enumeration is emitted as one batched list
+    comprehension (see ``batch_tail``) instead of a per-row loop.  The
+    storage backend decides the key format and nothing else
+    (:meth:`_key_expr`).
     """
 
     def __init__(
@@ -275,64 +307,58 @@ class _KernelBuilder:
             )
         return name
 
-    @staticmethod
-    def _packed_key(exprs: list[str]) -> str:
-        """The inline packed-int key over bound-column expressions, matching
-        :meth:`repro.engines.relation.ColumnIndexed._key_for` exactly."""
+    def _key_expr(self, exprs: list[str]) -> str:
+        """The inline index key over bound-column expressions, matching
+        :meth:`repro.engines.relation.ColumnIndexed._key_for` exactly: the
+        value tuple on object rows, the shift-or packed int on handle rows
+        (built indexes travel in checkpoints, so the format is persistent)."""
+        if not self.columnar:
+            return _tuple_expr(exprs)
         key = exprs[0]
         for expr in exprs[1:]:
             key = f"(({key} << 32) | {expr})"
         return key
 
-    def _membership(self, item: Literal, rels: dict[str, str], bound_exprs) -> None:
-        # Fully bound probe: plain membership, no enumeration.
+    def _probe(self, rel: str, bound_exprs: list[tuple[int, str]]) -> str:
+        """Emit one probe of ``rel`` on its bound columns and return the
+        local holding the rows it found: the cached ``scan_rows()`` snapshot
+        for a zero-bound scan, else the *live* index bucket, with the
+        indent left inside the bucket-hit guard."""
         g = self.g
-        pattern = [expr for _, expr in bound_exprs]
-        g.emit(f"if {_tuple_expr(pattern)} in {rels[item.pred]}:")
-        g.indent += 1
+        counted = self.counted
+        src = self._temp()
+        if not bound_exprs:
+            g.emit(f"{src} = {rel}.scan_rows()")
+        else:
+            index = self.index_ref(rel, tuple(i for i, _ in bound_exprs))
+            key = self._key_expr([expr for _, expr in bound_exprs])
+            g.emit(f"{src} = {index}.get({key})")
+        if counted is not None:
+            g.emit(f"{counted}.join_probes += 1")
+        if bound_exprs:
+            g.emit(f"if {src} is not None:")
+            g.indent += 1
+        if counted is not None:
+            g.emit(f"{counted}.join_probe_rows += len({src})")
+        return src
 
     def positive(self, item: Literal, rels: dict[str, str]) -> None:
         g = self.g
         bound_exprs, frees, repeats = self._analyze(item)
         rel = rels[item.pred]
         if not frees and not repeats:
-            self._membership(item, rels, bound_exprs)
+            # Fully bound probe: plain membership, no enumeration.
+            g.emit(f"if {_tuple_expr([e for _, e in bound_exprs])} in {rel}:")
+            g.indent += 1
             return
-        row = self._temp()
-        if not self.columnar:
-            pattern = [""] * len(item.atom.args)
-            for i, expr in bound_exprs:
-                pattern[i] = expr
-            for i, _ in frees:
-                pattern[i] = "None"
-            for i, _ in repeats:
-                pattern[i] = "None"
-            g.emit(f"for {row} in {rel}.matching({_tuple_expr(pattern)}):")
-            g.indent += 1
-        elif not bound_exprs:
-            src = self._temp()
-            g.emit(f"{src} = {rel}.scan_rows()")
-            if self.counted is not None:
-                g.emit(f"{self.counted}.join_probes += 1")
-                g.emit(f"{self.counted}.join_probe_rows += len({src})")
-            g.emit(f"for {row} in {src}:")
-            g.indent += 1
-        else:
-            cols = tuple(i for i, _ in bound_exprs)
-            index = self.index_ref(rel, cols)
-            key = self._packed_key([expr for _, expr in bound_exprs])
-            bucket = self._temp()
-            g.emit(f"{bucket} = {index}.get({key})")
-            if self.counted is not None:
-                g.emit(f"{self.counted}.join_probes += 1")
-            g.emit(f"if {bucket} is not None:")
-            g.indent += 1
-            if self.counted is not None:
-                g.emit(f"{self.counted}.join_probe_rows += len({bucket})")
+        src = self._probe(rel, bound_exprs)
+        if bound_exprs:
             # Snapshot the live bucket: downstream consumers mutate the
             # relation while the generator is suspended mid-iteration.
-            g.emit(f"for {row} in tuple({bucket}):")
-            g.indent += 1
+            src = f"tuple({src})"
+        row = self._temp()
+        g.emit(f"for {row} in {src}:")
+        g.indent += 1
         for i, name in frees:
             g.emit(f"{self.slot(name)} = {row}[{i}]")
             self.bound.add(name)
@@ -438,7 +464,6 @@ class _KernelBuilder:
         bound_exprs, frees, repeats = self._analyze(item)
         if not frees and not repeats:
             return False
-        rel = rels[item.pred]
         row = self._temp()
         for i, name in frees:
             self._slots[name] = f"{row}[{i}]"
@@ -446,26 +471,8 @@ class _KernelBuilder:
         conds = [f"{row}[{i}] == {self._slots[name]}" for i, name in repeats]
         expr = self.emit_expr(emit, spec, var_order)
         suffix = "".join(f" if {cond}" for cond in conds)
-        if not bound_exprs:
-            src = self._temp()
-            g.emit(f"{src} = {rel}.scan_rows()")
-            if self.counted is not None:
-                g.emit(f"{self.counted}.join_probes += 1")
-                g.emit(f"{self.counted}.join_probe_rows += len({src})")
-            g.emit(f"_batch = [{expr} for {row} in {src}{suffix}]")
-        else:
-            cols = tuple(i for i, _ in bound_exprs)
-            index = self.index_ref(rel, cols)
-            key = self._packed_key([e for _, e in bound_exprs])
-            bucket = self._temp()
-            g.emit(f"{bucket} = {index}.get({key})")
-            if self.counted is not None:
-                g.emit(f"{self.counted}.join_probes += 1")
-            g.emit(f"if {bucket} is not None:")
-            g.indent += 1
-            if self.counted is not None:
-                g.emit(f"{self.counted}.join_probe_rows += len({bucket})")
-            g.emit(f"_batch = [{expr} for {row} in {bucket}{suffix}]")
+        src = self._probe(rels[item.pred], bound_exprs)
+        g.emit(f"_batch = [{expr} for {row} in {src}{suffix}]")
         if self.counted is not None:
             g.emit(f"{self.counted}.batch_rows_emitted += len(_batch)")
         g.emit("yield from _batch")
@@ -494,7 +501,6 @@ def compile_kernel(
     elif mode == "bound":
         args.append("_binding")
         builder.bound_prologue(bound)
-    header = f"def {_KERNEL_NAME}({', '.join(args)}, neg_skip=None):"
     # Relation hoists belong above the prologue lines in execution order,
     # but the prologue emits straight-line code only, so ordering within the
     # preamble is irrelevant; keep hoists after to reuse the line buffer.
@@ -504,24 +510,20 @@ def compile_kernel(
     rels = builder.hoist_relations(skip_first=mode == "pinned")
     hoists = builder.g.lines
     builder.g.lines = []
-    # Columnar kernels fuse the innermost positive literal with the emit
-    # into one batched comprehension; ``exists`` keeps the per-row path
-    # (callers rely on its lazy short-circuit).
-    batch_at = None
+    # The innermost positive literal fuses with the emit into one batched
+    # comprehension; ``exists`` keeps the per-row path (callers rely on its
+    # lazy short-circuit).
+    batched = False
     if (
-        builder.columnar
-        and emit in ("head", "regs", "keyvalue")
+        emit in ("head", "regs", "keyvalue")
         and len(plan) > start
         and isinstance(plan[-1], Literal)
         and not plan[-1].negated
     ):
-        batch_at = len(plan) - 1
-    batched = False
-    if batch_at is not None:
-        builder.lower_body(rels, start, stop=batch_at)
-        batched = builder.batch_tail(plan[batch_at], rels, emit, spec, var_order)
+        builder.lower_body(rels, start, stop=len(plan) - 1)
+        batched = builder.batch_tail(plan[-1], rels, emit, spec, var_order)
         if not batched:
-            builder.positive(plan[batch_at], rels)
+            builder.positive(plan[-1], rels)
     else:
         builder.lower_body(rels, start)
     if not batched:
@@ -530,13 +532,10 @@ def compile_kernel(
     # Final line order: relation hoists, hoisted index dicts (which read
     # the relation locals), the mode prologue, then the lowered body.
     builder.g.lines = hoists + builder.index_lines + prologue + body
-    source = builder.g.source(header)
-    namespace = dict(builder.g.env)
-    code = compile(source, f"<kernel:{rule.head.pred}>", "exec")
-    exec(code, namespace)
-    fn = namespace[_KERNEL_NAME]
-    fn.__kernel_source__ = source
-    return fn
+    return builder.g.build(
+        _KERNEL_NAME, ", ".join(args) + ", neg_skip=None",
+        f"<kernel:{rule.head.pred}>",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -604,39 +603,100 @@ class RuleShape:
     canonical substitution key (the compiled analogue of
     ``tuple(sorted(theta.items()))``).  ``head_of(regs)`` instantiates the
     head; ``literals`` holds ``(negated, pred, grounder)`` per relational
-    body atom, where ``grounder(regs)`` builds that atom's ground row — the
-    Laddder engine uses these to compute firing times without a binding
-    dict.
-    """
+    body atom, where ``grounder(regs)`` builds that atom's ground row.
 
-    __slots__ = ("rule", "var_order", "head_of", "literals")
+    The per-substitution work of the incremental engines is fixed per rule,
+    so it is generated here once, as straight-line code:
+
+    ``firing(regs, relations, pred, row, old_first, new_first)``
+        Laddder's firing timestamps ``(t_old, t_new)`` of the substitution
+        in the worlds before and after ``(pred, row)``'s first existence
+        moved ``old_first -> new_first``.  Every occurrence grounding to the
+        changed row uses its old/new first-existence respectively;
+        everything else reads current state.  A ``NEVER`` body atom makes
+        the whole firing ``NEVER`` in that world; a negated atom counts as
+        existing at 0 while the atom is absent.  Eval/Test items are
+        timeless (timestamp 0 <= any max) and do not appear.  Reads go at
+        ``relations.get``: a predicate with no relation yet simply has no
+        tuples, and a pure probe must not force one into existence.
+    ``bind_head(row)``
+        DRedL's re-derivation binding: unify ``row`` against the head,
+        returning ``name -> value`` or None on a constant or
+        repeated-variable mismatch.
+    """
 
     def __init__(self, rule: Rule):
         self.rule = rule
         self.var_order = tuple(
             sorted(v.name for v in rule.body_variables() | rule.head_variables())
         )
-        index = {name: i for i, name in enumerate(self.var_order)}
-        self.head_of = self._projector(rule.head.args, index)
-        self.literals = tuple(
-            (lit.negated, lit.pred, self._projector(lit.atom.args, index))
-            for lit in rule.body_literals()
-        )
+        self._index = {name: i for i, name in enumerate(self.var_order)}
 
-    @staticmethod
-    def _projector(terms, index: dict[str, int]) -> Callable[[tuple], tuple]:
-        env: dict[str, object] = {}
+    # Each engine reads its own members only (DRedL never fires, Laddder
+    # never binds heads), so they are generated on first use, once.
+
+    def _row_expr(self, terms, g: _Codegen) -> str:
+        """``terms`` grounded from the register tuple ``_s``, as source."""
         parts = []
-        for k, term in enumerate(terms):
+        for term in terms:
             if isinstance(term, Constant):
-                name = f"_c{k}"
-                env[name] = term.value
-                parts.append(name)
+                parts.append(g.const(term.value))
             elif isinstance(term, AggTerm):  # pragma: no cover - engine guard
                 raise ValueError("cannot project an aggregation slot")
             else:
-                parts.append(f"_s[{index[term.name]}]")
-        return eval(f"lambda _s: {_tuple_expr(parts)}", env)
+                parts.append(f"_s[{self._index[term.name]}]")
+        return _tuple_expr(parts)
+
+    def _projector(self, terms) -> Callable[[tuple], tuple]:
+        g = _Codegen()
+        return eval(f"lambda _s: {self._row_expr(terms, g)}", g.env)
+
+    @cached_property
+    def head_of(self) -> Callable[[tuple], tuple]:
+        return self._projector(self.rule.head.args)
+
+    @cached_property
+    def literals(self) -> tuple[tuple[bool, str, Callable[[tuple], tuple]], ...]:
+        return tuple(
+            (lit.negated, lit.pred, self._projector(lit.atom.args))
+            for lit in self.rule.body_literals()
+        )
+
+    @cached_property
+    def firing(self) -> Callable:
+        g = _Codegen()
+        g.env["NEVER"] = _NEVER
+        g.emit("_to = _tn = -1.0")
+        for lit in self.rule.body_literals():
+            g.emit(f"_g = {self._row_expr(lit.atom.args, g)}")
+            g.emit(f"if _pred == {lit.pred!r} and _g == _row:")
+            if lit.negated:
+                g.emit("    _fo = 0.0 if _old == NEVER else NEVER")
+                g.emit("    _fn = 0.0 if _new == NEVER else NEVER")
+            else:
+                g.emit("    _fo = _old; _fn = _new")
+            g.emit("else:")
+            g.emit(f"    _r = _rels.get({lit.pred!r})")
+            first = "NEVER if _r is None else _r._first.get(_g, NEVER)"
+            if lit.negated:
+                g.emit(f"    _fo = _fn = 0.0 if ({first}) == NEVER else NEVER")
+            else:
+                g.emit(f"    _fo = _fn = {first}")
+            g.emit("if _fo > _to: _to = _fo")
+            g.emit("if _fn > _tn: _tn = _fn")
+        g.emit("return (_to + 1, _tn + 1)  # NEVER + 1 is NEVER")
+        return g.build(
+            "_firing", "_s, _rels, _pred, _row, _old, _new",
+            f"<firing:{self.rule.head.pred}>",
+        )
+
+    @cached_property
+    def bind_head(self) -> Callable[[tuple], "dict | None"]:
+        g = _Codegen()
+        slots = g.unify_row(self.rule.head.args)
+        items = ", ".join(f"{name!r}: {slot}" for name, slot in slots.items())
+        g.emit(f"return {{{items}}}")
+        return g.build("_bind_head", "_row", f"<bind_head:{self.rule.head.pred}>")
 
 
 # ---------------------------------------------------------------------------
@@ -662,15 +722,7 @@ def compile_extractor(spec, *, interpret: bool = False) -> Callable:
         return extract
 
     g = _Codegen()
-    slots: dict[str, str] = {}
-    for i, term in enumerate(literal.atom.args):
-        if isinstance(term, Constant):
-            g.emit(f"if _row[{i}] != {g.const(term.value)}: return None")
-        elif term.name in slots:
-            g.emit(f"if _row[{i}] != {slots[term.name]}: return None")
-        else:
-            slots[term.name] = f"_v{len(slots)}"
-            g.emit(f"{slots[term.name]} = _row[{i}]")
+    slots = g.unify_row(literal.atom.args)
     key_parts: list[str] = []
     value = None
     for i, term in enumerate(spec.head.args):
@@ -681,12 +733,7 @@ def compile_extractor(spec, *, interpret: bool = False) -> Callable:
         else:
             key_parts.append(slots[term.name])
     g.emit(f"return ({_tuple_expr(key_parts)}, {value})")
-    source = g.source("def _extract(_row):")
-    namespace = dict(g.env)
-    exec(compile(source, f"<extractor:{spec.pred}>", "exec"), namespace)
-    fn = namespace["_extract"]
-    fn.__kernel_source__ = source
-    return fn
+    return g.build("_extract", "_row", f"<extractor:{spec.pred}>")
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from ..datalog.ast import Constant, Rule, Variable
+from ..datalog.ast import Rule, Variable
 from ..datalog.errors import SolverError
 from ..datalog.program import Program
 from ..metrics import SolverMetrics
@@ -65,28 +65,16 @@ class _DredComponent(ComponentState):
         for rule in self.plain_rules:
             bound = frozenset(v.name for v in rule.head_variables())
             self.rederive_rules.setdefault(rule.head.pred, []).append((rule, bound))
-        self.rederive_kernels: dict[str, list[tuple[Rule, object]]] = {}
+        #: head pred -> [(rule, shape.bind_head, exists-kernel)].
+        self.rederive_kernels: dict[str, list[tuple[Rule, object, object]]] = {}
         self.recompute_kernels: dict[str, object] = {}
 
     def reset(self) -> None:
-        self.relations: dict[str, IndexedRelation] = {}
+        super().reset()
         self.totals: dict[str, dict[tuple, object]] = {p: {} for p in self.specs}
 
-    def rel(self, pred: str) -> IndexedRelation:
-        relation = self.relations.get(pred)
-        if relation is None:
-            arity = self.arities.get(pred)
-            if arity is None:
-                raise SolverError(
-                    f"unknown predicate {pred!r} in component "
-                    f"{sorted(self.component.predicates)}"
-                )
-            relation = make_relation(arity, metrics=self.metrics, backend=self.backend)
-            self.relations[pred] = relation
-            if self.journal is not None:
-                relation.journal = self.journal
-                self.journal.append((self.relations.pop, pred, None))
-        return relation
+    def new_relation(self, arity: int) -> IndexedRelation:
+        return make_relation(arity, metrics=self.metrics, backend=self.backend)
 
     def state_size(self) -> int:
         cells = sum(rel.state_size() for rel in self.relations.values())
@@ -212,6 +200,7 @@ class DRedLSolver(Solver):
             pred: [
                 (
                     rule,
+                    kernels.shape(rule).bind_head,
                     kernels.kernel(
                         rule, bound=bound, emit="exists", oracle=oracle
                     ).fn,
@@ -442,14 +431,11 @@ class DRedLSolver(Solver):
         removal, then re-derivation of survivors (restorations feed the
         caller's insertion worklist)."""
         metrics = self.metrics
+        rel = state.rel
         work = 0
         removed: set[tuple[str, tuple]] = set()
         negation_reinserts: set[tuple[str, tuple]] = set()
-        frontier = [
-            (pred, row)
-            for pred, row in seeds
-            if row in state.rel(pred)
-        ]
+        frontier = [(pred, row) for pred, row in seeds if row in rel(pred)]
         removed.update(frontier)
         while frontier:
             self._poll_budget("DRedL deletion sweep")
@@ -464,14 +450,15 @@ class DRedLSolver(Solver):
                             negation_reinserts.add((pred, row))
                         continue
                     head_pred = rule.head.pred
+                    head_rel = rel(head_pred)
                     t0 = perf_counter() if stratum is not None else 0.0
                     enumerated = 0
-                    for head_row in kernel(state.rel, row):
+                    for head_row in kernel(rel, row):
                         enumerated += 1
                         head = (head_pred, head_row)
                         if head in removed:
                             continue
-                        if head_row in state.rel(head_pred):
+                        if head_row in head_rel:
                             removed.add(head)
                             next_frontier.append(head)
                     if stratum is not None:
@@ -493,7 +480,7 @@ class DRedLSolver(Solver):
                     # total), or stale intermediates can keep retracted
                     # conclusions alive through cycles.
                     pattern = spec.tuple_for(key, None)
-                    for total_row in state.rel(spec.pred).matching(pattern):
+                    for total_row in rel(spec.pred).matching(pattern):
                         head = (spec.pred, total_row)
                         if head not in removed:
                             removed.add(head)
@@ -508,8 +495,7 @@ class DRedLSolver(Solver):
         prov = self.provenance
         overdeleted_local: list[tuple[str, tuple]] = []
         for pred, row in removed:
-            relation = state.rel(pred)
-            if relation.discard(row):
+            if rel(pred).discard(row):
                 if stratum is not None:
                     metrics.tuples_retracted += 1
                 record_remove(pred, row)
@@ -530,7 +516,7 @@ class DRedLSolver(Solver):
             for rule, literal, kernel in state.occ_kernels.get(pred, ()):
                 if not literal.negated:
                     continue
-                for head_row in kernel(state.rel, row):
+                for head_row in kernel(rel, row):
                     pending_ins.add((rule.head.pred, head_row))
                     if prov is not None:
                         prov.hint(rule.head.pred, head_row, rule)
@@ -549,6 +535,7 @@ class DRedLSolver(Solver):
         negated atoms seed the next round's deletions."""
         metrics = self.metrics
         prov = self.provenance
+        rel = state.rel
         work = 0
         worklist = list(seeds)
         while worklist:
@@ -560,8 +547,7 @@ class DRedLSolver(Solver):
                 # deadline every ~1k applied tuples so a runaway ascension
                 # cannot outlive the wall-clock budget.
                 self._poll_budget("DRedL insertion sweep")
-            relation = state.rel(pred)
-            if not relation.add(row):
+            if not rel(pred).add(row):
                 if prov is not None:
                     prov.drop_hint(pred, row)
                 if stratum is not None:
@@ -575,16 +561,17 @@ class DRedLSolver(Solver):
             record_add(pred, row)
             for rule, literal, kernel in state.occ_kernels.get(pred, ()):
                 head_pred = rule.head.pred
+                head_rel = rel(head_pred)
                 if literal.negated:
-                    for head_row in kernel(state.rel, row, neg_skip=(pred, row)):
-                        if head_row in state.rel(head_pred):
+                    for head_row in kernel(rel, row, neg_skip=(pred, row)):
+                        if head_row in head_rel:
                             pending_del.add((head_pred, head_row))
                     continue
                 t0 = perf_counter() if stratum is not None else 0.0
                 enumerated = 0
-                for head_row in kernel(state.rel, row):
+                for head_row in kernel(rel, row):
                     enumerated += 1
-                    if head_row not in state.rel(head_pred):
+                    if head_row not in head_rel:
                         worklist.append((head_pred, head_row))
                         if prov is not None:
                             prov.hint(head_pred, head_row, rule)
@@ -616,7 +603,7 @@ class DRedLSolver(Solver):
                     # total tuple itself; re-assert its presence so the
                     # group stays visible to rules.
                     total_row = spec.tuple_for(key, new_total)
-                    if total_row not in state.rel(spec.pred):
+                    if total_row not in rel(spec.pred):
                         worklist.append((spec.pred, total_row))
                         if prov is not None:
                             prov.hint(spec.pred, total_row, spec.rule)
@@ -636,26 +623,14 @@ class DRedLSolver(Solver):
     def _rederivable(self, state, pred: str, row: tuple) -> "Rule | None":
         """The first rule still deriving ``row`` in the current state, or
         None when no alternative support survives."""
-        for rule, kernel in state.rederive_kernels.get(pred, ()):
-            binding = self._bind_head(rule, row)
+        rel = state.rel
+        for rule, bind_head, kernel in state.rederive_kernels.get(pred, ()):
+            binding = bind_head(row)
             if binding is None:
                 continue
-            for _ in kernel(state.rel, binding):
+            for _ in kernel(rel, binding):
                 return rule
         return None
-
-    @staticmethod
-    def _bind_head(rule: Rule, row: tuple) -> dict | None:
-        binding: dict = {}
-        for term, value in zip(rule.head.args, row):
-            if isinstance(term, Constant):
-                if term.value != value:
-                    return None
-            elif isinstance(term, Variable):
-                if binding.get(term.name, value) != value:
-                    return None
-                binding[term.name] = value
-        return binding
 
     def _recompute_total(self, state, spec: AggSpec, key: tuple):
         """Fold the group's surviving aggregands; None if the group is empty."""

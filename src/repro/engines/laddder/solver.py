@@ -44,10 +44,8 @@ import itertools
 from time import perf_counter
 from typing import Mapping
 
-from ...datalog.errors import SolverError
 from ...robustness import faults as _faults
 from ..base import JOURNALED, ComponentState, Solver, StratumDiff
-from ..compile import RuleShape
 from .groups import GroupState
 from .state import TimedRelation
 from .timeline import NEVER
@@ -68,48 +66,6 @@ def _reaches(deps: dict[str, set[str]], start: str, target: str) -> bool:
         seen.add(pred)
         stack.extend(deps.get(pred, ()))
     return False
-
-
-class _ComponentRelations(dict):
-    """``pred -> TimedRelation`` with create-on-first-touch via ``__missing__``.
-
-    Kernels and the compensation loop resolve relations on every probe;
-    making the hit path a plain C-level ``dict.__getitem__`` (the bound
-    ``__getitem__`` is what gets passed into kernels as their ``lookup``)
-    keeps that resolution off the Python frame stack.  Only an actual miss
-    pays for creation — including journal registration, so guarded-update
-    rollback semantics are identical to the old ``rel()`` slow path.
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: "_ComponentState"):
-        super().__init__()
-        self.state = state
-
-    def __reduce__(self):
-        # Checkpoints capture relation maps; the ``state`` backref (plans,
-        # kernels, registered callables) must not travel with them, so the
-        # map pickles as a plain dict and the restorer rewraps it
-        # (:meth:`_ComponentState.adopt`).
-        return (dict, (), None, None, iter(self.items()))
-
-    def __missing__(self, pred: str) -> TimedRelation:
-        state = self.state
-        arity = state.arities.get(pred)
-        if arity is None:
-            raise SolverError(
-                f"unknown predicate {pred!r} in component "
-                f"{sorted(state.component.predicates)}"
-            )
-        relation = TimedRelation(
-            arity, metrics=state.metrics, packed=state.backend == "columnar"
-        )
-        self[pred] = relation
-        if state.journal is not None:
-            relation.journal = state.journal
-            state.journal.append((self.pop, pred, None))
-        return relation
 
 
 class _ComponentState(ComponentState):
@@ -142,26 +98,23 @@ class _ComponentState(ComponentState):
         )
 
     def reset(self) -> None:
-        self.relations = _ComponentRelations(self)
+        super().reset()
         self.groups: dict[str, dict[tuple, GroupState]] = {p: {} for p in self.specs}
+
+    def new_relation(self, arity: int) -> TimedRelation:
+        return TimedRelation(
+            arity, metrics=self.metrics, packed=self.backend == "columnar"
+        )
 
     def adopt(self, entry: Mapping[str, object]) -> None:
         super().adopt(entry)
-        # The relation map pickled as a plain dict (see
-        # :meth:`_ComponentRelations.__reduce__`): rewrap it into the live
-        # container.  Group state pickled without its combine callable (it
-        # may close over another solver's intern table): rebind to this
-        # solver's live aggregator registry.
-        relations = _ComponentRelations(self)
-        relations.update(self.relations)
-        self.relations = relations
+        # Group state pickled without its combine callable (it may close
+        # over another solver's intern table): rebind to this solver's live
+        # aggregator registry.
         for pred, per_pred in self.groups.items():
             combine = self.specs[pred].aggregator.combine
             for group in per_pred.values():
                 group.rebind(combine)
-
-    def rel(self, pred: str) -> TimedRelation:
-        return self.relations[pred]
 
     def timeline_entries(self) -> int:
         """Differential-count entries across the component (gauge)."""
@@ -295,6 +248,9 @@ class LaddderSolver(Solver):
                     kernels.kernel(
                         rule, pinned=occ, emit="regs", oracle=oracle
                     ).fn,
+                    # Two occurrences of ``pred`` in one rule can ground the
+                    # same substitution; only those need deduplicating.
+                    sum(other is rule for other, _, _ in entries) > 1,
                 )
                 for rule, _literal, occ in entries
                 if impact is None or impact.rule_viable(rule)
@@ -443,25 +399,28 @@ class LaddderSolver(Solver):
         prov = self.provenance
         by_rule: dict[int, set] = {}
         neg_skip = (pred, row)
-        lookup = state.relations.__getitem__
-        for rule, shape, kernel in entries:
+        relations = state.relations
+        lookup = relations.__getitem__
+        for rule, shape, kernel, shared in entries:
             if _faults.ACTIVE is not None:
                 _faults.fire("kernel.emit")
-            seen = by_rule.setdefault(id(rule), set())
+            seen = by_rule.setdefault(id(rule), set()) if shared else None
             head_pred = rule.head.pred
             head_of = shape.head_of
+            firing = shape.firing
             t0 = perf_counter() if stratum is not None else 0.0
             enumerated = 0
             # ``regs`` is the canonical substitution (values in sorted
             # variable-name order), so it doubles as the cross-occurrence
             # dedup key — the positional analogue of sorted(theta.items()).
             for regs in kernel(lookup, row, neg_skip=neg_skip):
-                if regs in seen:
-                    continue
-                seen.add(regs)
+                if seen is not None:
+                    if regs in seen:
+                        continue
+                    seen.add(regs)
                 enumerated += 1
-                t_old, t_new = self._firing_times(
-                    state, shape, regs, pred, row, old_first, new_first
+                t_old, t_new = firing(
+                    regs, relations, pred, row, old_first, new_first
                 )
                 if t_old == t_new:
                     continue
@@ -485,56 +444,6 @@ class LaddderSolver(Solver):
                     repr(rule), 0, 0, perf_counter() - t0, stratum,
                     count=False, fired=enumerated,
                 )
-
-    def _firing_times(
-        self, state, shape: RuleShape, regs: tuple, pred: str, row: tuple,
-        old_first, new_first,
-    ) -> tuple[float, float]:
-        """The firing timestamps of the substitution in old and new worlds.
-
-        All occurrences grounding to the changed ``row`` use its old/new
-        first-existence respectively; everything else uses current state.
-        A ``NEVER`` body atom makes the whole firing ``NEVER`` in that world.
-        Eval/Test items are timeless (timestamp 0 <= any max) and absent
-        from ``shape.literals``.
-        """
-        t_old: float = -1.0
-        t_new: float = -1.0
-        relations = state.relations
-        for negated, lit_pred, grounder in shape.literals:
-            grounded = grounder(regs)
-            is_changed = lit_pred == pred and grounded == row
-            # Reads go straight at the relations dict: a predicate with no
-            # relation yet simply has no tuples (first == NEVER), and a pure
-            # probe must not force an empty relation into existence.
-            if negated:
-                # Factor exists (at 0) while the atom is ABSENT.
-                if is_changed:
-                    f_old = 0.0 if old_first == NEVER else NEVER
-                    f_new = 0.0 if new_first == NEVER else NEVER
-                else:
-                    relation = relations.get(lit_pred)
-                    present = (
-                        relation is not None
-                        and relation.first(grounded) != NEVER
-                    )
-                    f_old = f_new = NEVER if present else 0.0
-            else:
-                if is_changed:
-                    f_old, f_new = old_first, new_first
-                else:
-                    relation = relations.get(lit_pred)
-                    f_old = f_new = (
-                        relation.first(grounded)
-                        if relation is not None
-                        else NEVER
-                    )
-            t_old = max(t_old, f_old)
-            t_new = max(t_new, f_new)
-        return (
-            NEVER if t_old == NEVER else t_old + 1,
-            NEVER if t_new == NEVER else t_new + 1,
-        )
 
     def _feed_aggregations(
         self, state, pred, row, old_first, new_first, queue, counter,

@@ -92,7 +92,7 @@ class TimedRelation(ColumnIndexed):
         for at, d in placements:
             timeline.add(at, d)
             if journal is not None:
-                journal.append((self._undo_delta, item, at, -d))
+                journal.append((TimedRelation._undo_delta, self, item, at, -d))
         self._first[item] = timeline.first()
         return timeline
 

@@ -231,8 +231,10 @@ class IndexedRelation(ColumnIndexed):
 
     When ``journal`` is set (a list, installed by
     :class:`repro.robustness.guard.UpdateGuard`), every mutation appends its
-    inverse as a ``(bound_method, *args)`` entry; replaying the journal in
-    reverse restores the pre-update tuple population exactly.
+    inverse as a ``(callable, *args)`` entry; replaying the journal in
+    reverse restores the pre-update tuple population exactly.  The per-tuple
+    entries name the plain function and the relation: a bound method would
+    be one more allocation per journaled mutation.
     """
 
     __slots__ = (
@@ -275,7 +277,7 @@ class IndexedRelation(ColumnIndexed):
         self.tuples.add(item)
         self._register(item)
         if self.journal is not None:
-            self.journal.append((self.discard, item))
+            self.journal.append((IndexedRelation.discard, self, item))
         return True
 
     def discard(self, item: tuple) -> bool:
@@ -285,7 +287,7 @@ class IndexedRelation(ColumnIndexed):
         self.tuples.discard(item)
         self._unregister(item)
         if self.journal is not None:
-            self.journal.append((self.add, item))
+            self.journal.append((IndexedRelation.add, self, item))
         return True
 
     def clear(self) -> None:

@@ -24,33 +24,9 @@ from ..datalog.planning import delta_occurrences
 from ..datalog.stratify import Component
 from ..robustness import faults as _faults
 from .aggspec import compile_agg_specs
-from .relation import IndexedRelation, RelationStore
+from .base import Relations
+from .relation import RelationStore
 from .resolving import ResolvingSolver
-
-
-class _ResolvedRelations(dict):
-    """``pred -> relation`` cache dispatching misses to the right store.
-
-    Kernels resolve their relations on every call; the bound
-    ``__getitem__`` of this dict is what they receive as ``lookup``, so the
-    hit path is one C-level dict lookup and only the first touch of a
-    predicate per component visit pays the store dispatch.
-    """
-
-    __slots__ = ("local", "exported", "predicates")
-
-    def __init__(
-        self, local: RelationStore, exported: RelationStore, predicates
-    ):
-        super().__init__()
-        self.local = local
-        self.exported = exported
-        self.predicates = predicates
-
-    def __missing__(self, pred: str) -> IndexedRelation:
-        store = self.local if pred in self.predicates else self.exported
-        relation = self[pred] = store.get(pred)
-        return relation
 
 
 class SemiNaiveSolver(ResolvingSolver):
@@ -75,7 +51,12 @@ class SemiNaiveSolver(ResolvingSolver):
         # Relation resolution is on every kernel's path, several probes per
         # call; once resolved, the relation object is stable for the rest of
         # this component visit, so cache the store dispatch away.
-        resolved = _ResolvedRelations(local, self._exported, component.predicates)
+        exported = self._exported
+        resolved = Relations(
+            lambda pred: (
+                local if pred in component.predicates else exported
+            ).get(pred)
+        )
         lookup = resolved.__getitem__
 
         def oracle(pred: str) -> int:

@@ -116,3 +116,95 @@ def test_pipeline_is_written_once():
     for cls in classes - {Solver}:
         for name in ("update", "solve", "_partial_solve"):
             assert name not in vars(cls), f"{cls.__qualname__} defines {name}"
+
+
+# -- the one relation container (repro.engines.base.Relations) ---------------
+
+
+@pytest.fixture
+def in_place(engine_cls, program):
+    """A solved in-place engine (DRedL, Laddder) with *no* ``arc`` facts, so
+    its recursive stratum has not touched a single relation yet."""
+    if engine_cls.COMPONENT_STATE is None:
+        pytest.skip("re-solving engines keep no component relations")
+    solver = engine_cls(program)
+    solver.add_facts("node", FACTS["node"])
+    solver.solve()
+    return solver
+
+
+def test_relation_first_touched_in_a_failed_update_is_gone(in_place):
+    from repro.datalog.errors import RollbackError
+    from repro.robustness import GuardedSolver, inject
+
+    before = [set(state.relations) for state in in_place._states]
+    assert not any("dcand" in names for names in before)
+    guarded = GuardedSolver(in_place, fallback=False)
+    with inject("kernel.emit", at=3) as plan:
+        with pytest.raises(RollbackError):
+            guarded.update(insertions={"arc": FACTS["arc"]})
+    assert plan.fired
+    assert [set(state.relations) for state in in_place._states] == before
+    # The same batch, unfaulted, creates them and lands on the reference.
+    guarded.update(insertions={"arc": FACTS["arc"]})
+    assert any("dcand" in state.relations for state in in_place._states)
+    assert ("a", "c", 3) in in_place.relation("dist")
+
+
+def test_sizing_a_relation_does_not_create_it(in_place):
+    """``_stale_kernels`` reads cardinalities for the re-plan policy; a
+    predicate nothing has touched has size 0 and stays untouched."""
+    state = next(s for s in in_place._states if "dcand" in s.component.predicates)
+    assert "dcand" not in state.relations
+    # The cheap path: every watched size inside its interval, nothing due.
+    state.replan_guard = {"dcand": (-1, 10), "arc": (-1, 10)}
+    assert in_place._stale_kernels(state) is None
+    # The full path: the oracle handed to the planner.
+    state.kernels_bound = False
+    oracle = in_place._stale_kernels(state)
+    assert oracle("dcand") == 0 and oracle("arc") == 0
+    assert "dcand" not in state.relations and "arc" not in state.relations
+
+
+def test_relation_map_pickles_as_a_plain_dict(in_place):
+    import pickle
+
+    from repro.engines.base import Relations
+
+    in_place.update(insertions={"arc": FACTS["arc"]})
+    for state in in_place._states:
+        assert type(state.relations) is Relations
+        restored = pickle.loads(pickle.dumps(state.relations))
+        assert type(restored) is dict
+        assert restored.keys() == state.relations.keys()
+
+
+def test_parent_written_checkpoint_restores_and_keeps_updating(
+    engine_cls, program, monkeypatch
+):
+    """``tests/fixtures/parent_<engine>.ckpt`` was written by the commit
+    before the shared container (plain-dict relation maps, object backend,
+    FACTS plus the arc c->d) — it must restore to the same snapshot and
+    update on."""
+    from pathlib import Path
+
+    from repro.engines.base import Relations
+    from repro.engines.checkpoint import load_checkpoint
+    from repro.service import take_snapshot
+
+    if engine_cls.COMPONENT_STATE is None:
+        pytest.skip("fixtures exist for the in-place engines")
+    monkeypatch.setenv("REPRO_BACKEND", "object")
+    name = {cls: n for n, cls in ENGINES.items()}[engine_cls]
+    path = Path(__file__).parents[2] / "fixtures" / f"parent_{name}.ckpt"
+    restored = load_checkpoint(engine_cls, program, path)
+    assert all(type(s.relations) is Relations for s in restored._states)
+    fresh = engine_cls(program)
+    for pred, rows in FACTS.items():
+        fresh.add_facts(pred, rows)
+    fresh.solve()
+    fresh.update(insertions={"arc": {("c", "d", 1)}})
+    assert take_snapshot(restored, 1).digest() == take_snapshot(fresh, 1).digest()
+    batch = {"insertions": {"arc": {("d", "a", 2)}}, "deletions": {"arc": {("a", "b", 1)}}}
+    assert restored.update(**batch).inserted == fresh.update(**batch).inserted
+    assert take_snapshot(restored, 2).digest() == take_snapshot(fresh, 2).digest()
