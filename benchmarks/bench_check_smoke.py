@@ -4,7 +4,7 @@ The static checker's live slice (docs/STATIC_CHECKS.md) drops rules that
 cannot reach an exported predicate before the engines plan or compile
 anything.  This smoke check injects a chain of scratch rules into a real
 analysis (constant propagation on the minijavac preset), runs the solver
-with and without ``REPRO_NO_PRUNE=1``, and asserts that
+with ``SolverConfig.prune`` on and off, and asserts that
 
 * exported relations are bit-equal either way (pruning is semantics-free),
 * every injected rule is pruned and none of them is compiled
@@ -18,11 +18,11 @@ Results are persisted to ``benchmarks/results/check_smoke.txt``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from time import perf_counter
 
 from repro.analyses import constant_propagation
+from repro.config import SolverConfig
 from repro.corpus import load_subject
 from repro.datalog import Program, Rule, atom, head, var
 from repro.engines import SemiNaiveSolver
@@ -51,22 +51,16 @@ def inject_dead_rules(program: Program, count: int) -> Program:
 
 
 def run(program, facts, prune: bool):
-    old = os.environ.pop("REPRO_NO_PRUNE", None)
-    if not prune:
-        os.environ["REPRO_NO_PRUNE"] = "1"
-    try:
-        metrics = SolverMetrics()
-        t0 = perf_counter()
-        solver = SemiNaiveSolver(program, metrics=metrics)
-        for pred, rows in facts.items():
-            solver.add_facts(pred, rows)
-        solver.solve()
-        seconds = perf_counter() - t0
-        return solver.relations(), metrics, seconds
-    finally:
-        os.environ.pop("REPRO_NO_PRUNE", None)
-        if old is not None:
-            os.environ["REPRO_NO_PRUNE"] = old
+    metrics = SolverMetrics()
+    t0 = perf_counter()
+    solver = SemiNaiveSolver(
+        program, metrics=metrics, config=SolverConfig(prune=prune)
+    )
+    for pred, rows in facts.items():
+        solver.add_facts(pred, rows)
+    solver.solve()
+    seconds = perf_counter() - t0
+    return solver.relations(), metrics, seconds
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -90,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{pruned.dead_rules_pruned} rules pruned",
         f"  unpruned  solve {plain_s * 1e3:8.1f} ms, "
         f"{plain.rules_compiled:3d} kernels "
-        f"(REPRO_NO_PRUNE=1)",
+        f"(prune=False)",
     ]
     report("check_smoke", "\n".join(lines))
 

@@ -3,7 +3,7 @@
 Same protocol as ``bench_sec71_update_times.py`` (initialize once, apply
 every synthesized change as one epoch, summarize the distribution), run
 twice per engine and subject: once with the default ``object`` backend and
-once with ``REPRO_BACKEND=columnar`` (interned handles + packed index keys
+once with ``SolverConfig(backend="columnar")`` (interned handles + packed index keys
 + struct-of-arrays columns — pure Python, no numpy required).
 
 Both backends run the same compiled lowering (hoisted index, inline key,
@@ -20,10 +20,10 @@ Results land in ``results/bench_columnar.txt`` (table) and
 ``results/BENCH_columnar.json`` (per-engine/subject curves + speedups).
 """
 
-import os
 from statistics import median
 
 from repro.bench import Distribution, format_table, run_update_benchmark
+from repro.config import SolverConfig
 from repro.engines import DRedLSolver, LaddderSolver, SemiNaiveSolver
 
 from common import ANALYSIS_SERIES, SUBJECTS, make_changes, report, report_json, subject
@@ -37,17 +37,11 @@ ENGINES = (SemiNaiveSolver, DRedLSolver, LaddderSolver)
 
 def _measure(engine_cls, instance_builder, generator, subject_name, backend):
     """One (engine, subject, backend) series: init + per-epoch times."""
-    saved = os.environ.get("REPRO_BACKEND")
-    os.environ["REPRO_BACKEND"] = backend
-    try:
-        instance = instance_builder(subject(subject_name))
-        changes = make_changes(generator, instance)
-        run = run_update_benchmark(instance, engine_cls, changes)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_BACKEND", None)
-        else:
-            os.environ["REPRO_BACKEND"] = saved
+    instance = instance_builder(subject(subject_name))
+    changes = make_changes(generator, instance)
+    run = run_update_benchmark(
+        instance, engine_cls, changes, config=SolverConfig(backend=backend)
+    )
     return {
         "init_ms": run.init_seconds * 1e3,
         "update_median_ms": median(run.update_times()) * 1e3,

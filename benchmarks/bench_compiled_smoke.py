@@ -23,6 +23,7 @@ import argparse
 import sys
 from time import perf_counter
 
+from repro.config import SolverConfig
 from repro.datalog import parse
 from repro.engines import LaddderSolver
 from repro.engines.compile import KernelCache
@@ -97,8 +98,7 @@ def end_to_end() -> tuple[float, float]:
     times = {}
     results = {}
     for backend, interpret in (("compiled", False), ("interpreted", True)):
-        solver = LaddderSolver(program)
-        solver.kernels.interpret = interpret
+        solver = LaddderSolver(program, config=SolverConfig(interpret=interpret))
         solver.add_facts("edge", edges)
         t0 = perf_counter()
         solver.solve()

@@ -25,6 +25,7 @@ from time import perf_counter
 
 from repro.analyses import constant_propagation
 from repro.changes import literal_to_zero_changes
+from repro.config import SolverConfig
 from repro.corpus import load_subject
 from repro.engines import LaddderSolver
 from repro.robustness import GuardedSolver
@@ -60,7 +61,9 @@ def measure(change_pairs: int, rounds: int) -> dict:
     )
 
     # Self-check wall time, reported but not gated.
-    solver = GuardedSolver(instance.make_solver(LaddderSolver), self_check=True)
+    solver = GuardedSolver(
+        instance.make_solver(LaddderSolver, config=SolverConfig(self_check=True))
+    )
     times["self-check"] = _update_series(solver, changes)
     return {"times": times, "updates": len(changes)}
 

@@ -2,7 +2,7 @@
 
 Two seeded edit series on the minijavac preset, both delete/reinsert
 waves over a single EDB predicate, run with impact-guided update
-scheduling (the default) and with ``REPRO_NO_IMPACT=1``:
+scheduling (the default) and with ``SolverConfig(impact=False)``:
 
 * ``constprop`` edited through ``flow`` — the footprint is the value
   stratum alone, so every epoch must skip at least half the strata.
@@ -22,11 +22,11 @@ Results land in ``benchmarks/results/impact_smoke.txt`` and
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from time import perf_counter
 
 from repro.analyses import ANALYSES
+from repro.config import SolverConfig
 from repro.corpus import load_subject
 from repro.engines import SemiNaiveSolver
 from repro.metrics import SolverMetrics
@@ -54,33 +54,27 @@ def edit_series(instance, pred: str, epochs: int):
 
 
 def run(instance, series, guided: bool):
-    saved = os.environ.pop("REPRO_NO_IMPACT", None)
-    if not guided:
-        os.environ["REPRO_NO_IMPACT"] = "1"
-    try:
-        metrics = SolverMetrics()
-        solver = SemiNaiveSolver(instance.program, metrics=metrics)
-        for pred, rows in instance.facts.items():
-            solver.add_facts(pred, rows)
-        solver.solve()
-        epochs = []
-        t0 = perf_counter()
-        for deletions, insertions in series:
-            skipped_before = metrics.strata_skipped
-            solver.update(insertions=insertions, deletions=deletions)
-            footprint = solver.last_footprint
-            epochs.append({
-                "strata_skipped": metrics.strata_skipped - skipped_before,
-                "strata_total": (
-                    footprint.strata_total if footprint is not None else None
-                ),
-            })
-        seconds = perf_counter() - t0
-        return solver.relations(), metrics, epochs, seconds
-    finally:
-        os.environ.pop("REPRO_NO_IMPACT", None)
-        if saved is not None:
-            os.environ["REPRO_NO_IMPACT"] = saved
+    metrics = SolverMetrics()
+    solver = SemiNaiveSolver(
+        instance.program, metrics=metrics, config=SolverConfig(impact=guided)
+    )
+    for pred, rows in instance.facts.items():
+        solver.add_facts(pred, rows)
+    solver.solve()
+    epochs = []
+    t0 = perf_counter()
+    for deletions, insertions in series:
+        skipped_before = metrics.strata_skipped
+        solver.update(insertions=insertions, deletions=deletions)
+        footprint = solver.last_footprint
+        epochs.append({
+            "strata_skipped": metrics.strata_skipped - skipped_before,
+            "strata_total": (
+                footprint.strata_total if footprint is not None else None
+            ),
+        })
+    seconds = perf_counter() - t0
+    return solver.relations(), metrics, epochs, seconds
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -111,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{guided.strata_skipped} strata skipped, "
             f"{guided.rules_skipped_by_impact} rules unbound, "
             f"impact overhead {guided.impact_seconds * 1e3:.2f} ms",
-            f"  unguided  {plain_s * 1e3:8.1f} ms (REPRO_NO_IMPACT=1)",
+            f"  unguided  {plain_s * 1e3:8.1f} ms (impact=False)",
             f"  min epoch skip fraction {min(fractions):.2f} "
             f"(gate: >= {min_skip:.2f}), speedup {speedup:.2f}x",
         ]

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.config import SolverConfig
 from repro.datalog import parse, plan_body
 from repro.engines import LaddderSolver
 from repro.engines.compile import KernelCache
@@ -123,8 +124,9 @@ def test_micro_laddder_epoch(benchmark, backend):
         tc(X, Z) :- tc(X, Y), edge(Y, Z).
         """
     )
-    solver = LaddderSolver(program)
-    solver.kernels.interpret = backend == "interpreted"
+    solver = LaddderSolver(
+        program, config=SolverConfig(interpret=backend == "interpreted")
+    )
     solver.add_facts("edge", [(i, i + 1) for i in range(60)] + [(60, 0)])
     solver.solve()
 

@@ -3,7 +3,7 @@
 Two measurements on the minijavac constprop preset (docs/PROVENANCE.md):
 
 * **Capture overhead** — from-scratch solve wall time, annotated
-  (``provenance=True``) vs. plain, best-of-N to shave scheduler noise.
+  (``SolverConfig(provenance=True)``) vs. plain, best-of-N to shave scheduler noise.
   The gate fails if annotation capture costs more than the budgeted
   fraction of solve time (default 10%), or if the exported relations of
   the two solvers are not bit-equal.
@@ -24,6 +24,7 @@ import sys
 from time import perf_counter
 
 from repro.analyses import ANALYSES
+from repro.config import SolverConfig
 from repro.corpus import load_subject
 from repro.engines import LaddderSolver, explain
 from repro.metrics import SolverMetrics
@@ -38,7 +39,9 @@ OVERHEAD_BUDGET = 0.10
 def solve_once(instance, provenance: bool):
     metrics = SolverMetrics()
     solver = LaddderSolver(
-        instance.program, metrics=metrics, provenance=provenance
+        instance.program,
+        metrics=metrics,
+        config=SolverConfig(provenance=provenance),
     )
     for pred, rows in instance.facts.items():
         solver.add_facts(pred, rows)

@@ -10,11 +10,11 @@ more state than the from-scratch baseline (timelines are the price of
 incrementality, Section 8), and updates leave memory roughly unchanged.
 """
 
-import os
 
 import pytest
 
 from repro.bench import deep_sizeof, format_table, run_update_benchmark
+from repro.config import BACKENDS, SolverConfig
 from repro.engines import LaddderSolver, SemiNaiveSolver
 
 from common import ANALYSIS_SERIES, SUBJECTS, make_changes, report, subject
@@ -58,37 +58,31 @@ def _bytes_per_tuple():
     build, _ = ANALYSIS_SERIES["constprop"]
     rows = []
     checks = []
-    saved = os.environ.get("REPRO_BACKEND")
-    try:
-        for subject_name in SUBJECTS:
-            per_backend = {}
-            for backend in ("object", "columnar"):
-                os.environ["REPRO_BACKEND"] = backend
-                instance = build(subject(subject_name))
-                solver = instance.make_solver(SemiNaiveSolver)
-                profile = solver.storage_profile()
-                profile["deep_bytes"] = deep_sizeof(solver)
-                per_backend[backend] = profile
-            obj, col = per_backend["object"], per_backend["columnar"]
-            tuples = obj["exported_tuples"]
-            rows.append(
-                [
-                    subject_name,
-                    tuples,
-                    f"{obj['bytes_per_tuple']:.0f}",
-                    f"{col['bytes_per_tuple']:.0f}",
-                    f"{obj['deep_bytes'] / tuples:.0f}",
-                    f"{col['deep_bytes'] / tuples:.0f}",
-                    col["interned_constants"],
-                    f"{col['intern_bytes'] / 1e3:.1f}",
-                ]
+    for subject_name in SUBJECTS:
+        per_backend = {}
+        for backend in BACKENDS:
+            instance = build(subject(subject_name))
+            solver = instance.make_solver(
+                SemiNaiveSolver, config=SolverConfig(backend=backend)
             )
-            checks.append((obj, col))
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_BACKEND", None)
-        else:
-            os.environ["REPRO_BACKEND"] = saved
+            profile = solver.storage_profile()
+            profile["deep_bytes"] = deep_sizeof(solver)
+            per_backend[backend] = profile
+        obj, col = per_backend["object"], per_backend["columnar"]
+        tuples = obj["exported_tuples"]
+        rows.append(
+            [
+                subject_name,
+                tuples,
+                f"{obj['bytes_per_tuple']:.0f}",
+                f"{col['bytes_per_tuple']:.0f}",
+                f"{obj['deep_bytes'] / tuples:.0f}",
+                f"{col['deep_bytes'] / tuples:.0f}",
+                col["interned_constants"],
+                f"{col['intern_bytes'] / 1e3:.1f}",
+            ]
+        )
+        checks.append((obj, col))
     return rows, checks
 
 

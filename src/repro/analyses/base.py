@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Type
 
+from ..config import SolverConfig
 from ..datalog.program import Program
 from ..engines.base import Solver
 from ..javalite.ast import JProgram
@@ -38,13 +39,12 @@ class AnalysisInstance:
         engine_cls: Type[Solver],
         solve: bool = True,
         metrics: SolverMetrics | None = None,
-        provenance: bool | None = None,
+        config: SolverConfig | None = None,
     ) -> Solver:
         """Instantiate ``engine_cls`` on this analysis and optionally run the
-        initial (from-scratch) evaluation.  ``provenance`` opts the solver
-        into per-tuple annotation capture (docs/PROVENANCE.md); ``None``
-        defers to the ``REPRO_PROVENANCE`` environment default."""
-        solver = engine_cls(self.program, metrics=metrics, provenance=provenance)
+        initial (from-scratch) evaluation.  ``config`` is handed to the
+        solver unchanged (None: the environment's)."""
+        solver = engine_cls(self.program, metrics=metrics, config=config)
         for pred, rows in self.facts.items():
             if rows and pred in solver.idb:
                 continue  # extractor emitted a relation the rules derive

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Type
+from typing import Sequence, Type
 
 from ..analyses.base import AnalysisInstance
 from ..changes.base import Change
+from ..config import SolverConfig
 from ..engines.base import Solver
 from ..metrics import SolverMetrics
 from ..robustness import GuardedSolver
@@ -49,7 +50,7 @@ def time_initialization(
     repeats: int = 4,
     drop_first: bool = True,
     metrics: SolverMetrics | None = None,
-    setup: Callable[[Solver], None] | None = None,
+    config: SolverConfig | None = None,
     guard: bool = False,
 ) -> tuple[float, Solver]:
     """Initialization time under the paper's warm-up protocol; returns the
@@ -58,17 +59,17 @@ def time_initialization(
     A ``metrics`` collector, when given, is attached to every repeat (its
     counters accumulate across them; enabled collection perturbs the
     timings, so profile runs and headline-number runs should be separate).
-    ``setup``, when given, runs on each fresh solver before the clock starts
-    (budgets, self-check mode, ...); ``guard=True`` wraps each repeat in a
+    Every repeat's solver is built with ``config`` (None: the
+    environment's); ``guard=True`` wraps each repeat in a
     :class:`~repro.robustness.GuardedSolver`, so the measured time includes
     the transactional-update discipline.
     """
     times = []
     solver = None
     for _ in range(max(1, repeats)):
-        solver = instance.make_solver(engine_cls, solve=False, metrics=metrics)
-        if setup is not None:
-            setup(solver)
+        solver = instance.make_solver(
+            engine_cls, solve=False, metrics=metrics, config=config
+        )
         if guard:
             solver = GuardedSolver(solver)
         start = time.perf_counter()
@@ -85,20 +86,20 @@ def run_update_benchmark(
     changes: Sequence[Change],
     repeats: int = 1,
     metrics: SolverMetrics | None = None,
-    setup: Callable[[Solver], None] | None = None,
+    config: SolverConfig | None = None,
     guard: bool = False,
 ) -> BenchmarkRun:
     """Initialize once, then measure every change's incremental update.
 
     Change sequences from :mod:`repro.changes` are state-restoring, so
     ``repeats > 1`` re-runs the same sequence on the same solver; the first
-    pass is dropped when ``repeats > 1`` (warm-up protocol).  ``setup`` and
+    pass is dropped when ``repeats > 1`` (warm-up protocol).  ``config`` and
     ``guard`` are forwarded to :func:`time_initialization`, so with
     ``guard=True`` every measured update runs transactionally.
     """
     init_seconds, solver = time_initialization(
         instance, engine_cls, repeats=1, drop_first=False, metrics=metrics,
-        setup=setup, guard=guard,
+        config=config, guard=guard,
     )
     run = BenchmarkRun(
         analysis=instance.name, engine=engine_cls.__name__, init_seconds=init_seconds

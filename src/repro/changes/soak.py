@@ -31,8 +31,10 @@ from __future__ import annotations
 
 import copy
 import time
+from dataclasses import asdict
 
 from ..analyses import ANALYSES
+from ..config import SolverConfig
 from ..corpus import load_subject
 from ..engines import SemiNaiveSolver
 from ..robustness import GuardedSolver
@@ -102,13 +104,14 @@ def soak(
     seed: int = 7,
     checkpoint_every: int = 25,
     scale: float = 1.0,
-    self_check: bool = False,
+    config: SolverConfig | None = None,
     drive_session: bool = False,
     flush_size: int = 16,
     flush_latency: float = 0.005,
 ) -> dict:
     """Replay one seeded edit stream; returns the full soak record.
 
+    The solver (and the session's, when driven) is built with ``config``.
     The record's ``ok`` field is the CI gate: every checkpoint digest
     (bare solver, and session when driven) equals the from-scratch
     reference, and on Laddder the timeline-excess gauge stayed flat over
@@ -116,8 +119,8 @@ def soak(
     """
     program = copy.deepcopy(load_subject(subject, scale=scale))
     instance = ANALYSES[analysis](program)
-    inner = instance.make_solver(ENGINES[engine], solve=False)
-    solver = GuardedSolver(inner, fallback=False, self_check=self_check)
+    inner = instance.make_solver(ENGINES[engine], solve=False, config=config)
+    solver = GuardedSolver(inner, fallback=False)
     solver.solve()
 
     session = None
@@ -131,8 +134,8 @@ def soak(
                 scale=scale,
                 flush_size=flush_size,
                 flush_latency=flush_latency,
-                self_check=self_check,
             ),
+            solver_config=inner.config,
         )
 
     facts = {pred: set(rows) for pred, rows in instance.facts.items()}
@@ -213,7 +216,7 @@ def soak(
         "steps": steps,
         "seed": seed,
         "checkpoint_every": checkpoint_every,
-        "self_check": self_check,
+        "config": asdict(inner.config),
         "edit_counts": stream.counts,
         "baseline_gauges": baseline,
         "final_gauges": engine_gauges(solver.solver),

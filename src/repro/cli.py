@@ -63,6 +63,7 @@ from .bench import (
     run_update_benchmark,
 )
 from .changes import alloc_site_changes, literal_to_zero_changes
+from .config import SolverConfig
 from .corpus import PRESETS, load_subject
 from .engines import explain
 from .methodology import bucket_impacts, format_histogram, measure_impacts
@@ -107,20 +108,11 @@ def _make_metrics(args) -> SolverMetrics | None:
     return None
 
 
-def _solver_setup(args):
-    """A per-solver configuration hook for ``--deadline``/``--self-check``."""
-    deadline = getattr(args, "deadline", None)
-    self_check = getattr(args, "self_check", False)
-    if deadline is None and not self_check:
-        return None
-
-    def setup(solver):
-        if deadline is not None:
-            solver.budget.deadline = deadline
-        if self_check:
-            solver.self_check = True
-
-    return setup
+def _solver_config(args) -> SolverConfig:
+    """The environment's configuration with the ``guarded`` flags on top."""
+    return SolverConfig.from_env().with_request(
+        self_check=args.self_check, deadline=args.deadline
+    )
 
 
 def _emit_profile(args, metrics: SolverMetrics | None) -> None:
@@ -161,18 +153,16 @@ def cmd_analyze(args) -> int:
     subject, instance = _build(args)
     engine = ENGINES[args.engine]
     metrics = _make_metrics(args)
-    setup = _solver_setup(args)
+    build = dict(metrics=metrics, config=_solver_config(args))
     ckpt = Path(args.checkpoint) if args.checkpoint else None
     start = time.perf_counter()
     restored = ckpt is not None and ckpt.exists()
     restore_signals = install_signal_handlers()
     try:
         if restored:
-            inner = load_checkpoint(engine, instance.program, ckpt, metrics=metrics)
+            inner = load_checkpoint(engine, instance.program, ckpt, **build)
         else:
-            inner = instance.make_solver(engine, solve=False, metrics=metrics)
-        if setup is not None:
-            setup(inner)
+            inner = instance.make_solver(engine, solve=False, **build)
         solver = GuardedSolver(inner) if args.guard else inner
         if not restored:
             solver.solve()
@@ -220,7 +210,7 @@ def cmd_bench(args) -> int:
     try:
         run = run_update_benchmark(
             instance, engine, changes, metrics=metrics,
-            setup=_solver_setup(args), guard=args.guard,
+            config=_solver_config(args), guard=args.guard,
         )
     except ShutdownRequested as exc:
         return _interrupted(args, metrics, exc)
@@ -282,8 +272,9 @@ def cmd_explain(args) -> int:
     from .service.snapshot import stable_repr
 
     _subject, instance = _build(args)
+    config = SolverConfig.from_env(provenance=True)
     try:
-        solver = instance.make_solver(ENGINES[args.engine], provenance=True)
+        solver = instance.make_solver(ENGINES[args.engine], config=config)
         row = _parse_cli_row(args)
 
         if args.whynot:
@@ -702,7 +693,8 @@ def main(argv: list[str] | None = None) -> int:
     one-line message on stderr (see ``EXIT_CODES``; docs/ROBUSTNESS.md):
     watchdog trip 3, invariant violation 4, checkpoint failure 5, rolled-
     back update 6, graceful signal-driven shutdown 7, unrecovered worker
-    crash 8, retry exhaustion 9, any other Datalog/solver error 2.
+    crash 8, retry exhaustion 9, any other Datalog/solver error — a
+    malformed ``REPRO_*`` configuration value included — 2.
     """
     args = make_parser().parse_args(argv)
     if getattr(args, "limit", None) == -1:

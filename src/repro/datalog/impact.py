@@ -29,7 +29,7 @@ impact footprints are therefore automatically component-closed, which is
 what makes whole-stratum skipping sound (a stratum outside the footprint
 receives no upstream delta and its fixpoint is unchanged by definition).
 
-Runtime threading (docs/PERFORMANCE.md, ``REPRO_NO_IMPACT=1`` opt-out):
+Runtime threading (docs/PERFORMANCE.md; ``SolverConfig.impact``):
 
 * every engine's ``update`` derives the batch's touched-EDB footprint via
   :meth:`ImpactIndex.footprint` and skips strata outside it

@@ -30,12 +30,12 @@ mutates (DESIGN.md, "One update pipeline").
 
 from __future__ import annotations
 
-import os
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
+from ..config import SolverConfig
 from ..datalog.ast import Literal, Rule
 from ..datalog.errors import BudgetExceededError, SolverError, ValidationError
 from ..datalog.impact import Footprint
@@ -50,7 +50,7 @@ from .aggspec import AggSpec, compile_agg_specs
 from .compile import KernelCache
 from .intern import InternTable, intern_program, program_hash
 from .prepare import prepare
-from .relation import RelationStore, resolve_backend
+from .relation import RelationStore
 
 FactChanges = Mapping[str, Iterable[tuple]]
 
@@ -218,8 +218,13 @@ class Solver(ABC):
         self,
         program: Program,
         metrics: SolverMetrics | None = None,
-        provenance: bool | None = None,
+        config: SolverConfig | None = None,
     ):
+        #: How this solver evaluates (docs/PERFORMANCE.md, "Configuration").
+        #: Never reassigned: the hot loops read the attributes bound from it
+        #: below, and whatever rebuilds this solver (guard fallback,
+        #: checkpoint restore) hands the same object to the new one.
+        self.config = config = config or SolverConfig.from_env()
         #: The caller's program as handed in, before normalization — the
         #: guard's graceful-degradation path rebuilds a reference solver
         #: from it (re-normalizing a normalized program is not idempotent).
@@ -232,13 +237,12 @@ class Solver(ABC):
         self.metrics.engine = type(self).__name__
         # Shared pre-planning pass (repro.engines.prepare): static checks
         # with the validate() first-error contract, dead-rule pruning
-        # (opt out with REPRO_NO_PRUNE=1; docs/STATIC_CHECKS.md), and the
-        # static change-impact index that update scheduling and kernel
-        # binding consult (opt out with REPRO_NO_IMPACT=1;
-        # docs/PERFORMANCE.md).  Exported views are unaffected either way.
-        prepared = prepare(self.program)
+        # (docs/STATIC_CHECKS.md), and the static change-impact index that
+        # update scheduling and kernel binding consult
+        # (docs/PERFORMANCE.md).  Exported views are unaffected either way.
+        prepared = prepare(self.program, prune=config.prune, impact=config.impact)
         self.components: list[Component] = prepared.components
-        #: Static change-impact index, or None under REPRO_NO_IMPACT=1.
+        #: Static change-impact index, or None with ``config.impact`` off.
         self.impact = prepared.impact
         #: Footprint of the most recent update() batch (None before the
         #: first update, or while impact scheduling is disabled); the
@@ -251,11 +255,8 @@ class Solver(ABC):
         self.arities = self.program.arities()
         self.edb = self.program.edb_predicates()
         self.idb = self.program.idb_predicates()
-        #: Storage backend, resolved once from REPRO_BACKEND
-        #: (docs/PERFORMANCE.md): "object" keeps raw-value rows, "columnar"
-        #: interns every constant to a dense int handle and stores packed
-        #: relations.  Exported views are bit-equal either way.
-        self.backend = resolve_backend()
+        #: Storage backend (``SolverConfig.backend``).
+        self.backend = config.backend
         #: Backend-independent fingerprint of the (pruned) program, captured
         #: before interning rewrites the private copy — checkpoints compare
         #: against this, never against the handle-space rule text.
@@ -283,10 +284,10 @@ class Solver(ABC):
         self.last_stats: UpdateStats | None = None
         #: Shared compiled-kernel cache: one specialized enumeration pipeline
         #: per (rule, pinned occurrence, bound set, emit mode) — see
-        #: repro.engines.compile.  ``REPRO_INTERPRET=1`` swaps in run_plan-
-        #: backed kernels with identical signatures.
+        #: repro.engines.compile.  ``config.interpret`` swaps in run_plan-
+        #: backed kernels with identical signatures (the test oracle).
         self.kernels = KernelCache(
-            self.program, metrics=self.metrics, backend=self.backend
+            self.program, self.metrics, config.interpret, self.backend
         )
         #: Rules no registered delta source can feed — some positive body
         #: literal reads a forever-empty predicate, so their kernels are
@@ -298,25 +299,21 @@ class Solver(ABC):
                 if not self.impact.rule_viable(rule)
             )
         #: Fixpoint watchdog budgets (docs/ROBUSTNESS.md): iteration
-        #: ceilings, wall-clock deadline, ascending-chain counter.  Defaults
-        #: come from REPRO_MAX_ITERS / REPRO_MAX_CHAIN; mutate in place
-        #: (``solver.budget.deadline = 5.0``) or assign a fresh Budget.
-        self.budget = Budget.from_env()
-        #: Run invariant self-checks after every solved component when set
-        #: (``--self-check`` / REPRO_SELF_CHECK=1); violations raise
-        #: InvariantViolationError with a diagnostic dump.
-        self.self_check = bool(os.environ.get("REPRO_SELF_CHECK"))
+        #: ceilings, wall-clock deadline, ascending-chain counter.
+        self.budget = Budget(
+            config.max_iterations, config.deadline, config.max_chain
+        )
+        #: Run invariant self-checks after every solved component when set;
+        #: violations raise InvariantViolationError with a diagnostic dump.
+        self.self_check = config.self_check
         #: Active undo log installed by repro.robustness.guard.UpdateGuard;
         #: None outside a guarded update.
         self._undo: list | None = None
-        #: Opt-in per-tuple provenance annotations (docs/PROVENANCE.md):
-        #: every engine records (rule_id, height) per derived tuple at emit
-        #: time, and repro.engines.explain reconstructs proof trees from
-        #: them on demand.  ``Solver(provenance=True)`` or REPRO_PROVENANCE=1.
-        if provenance is None:
-            provenance = bool(os.environ.get("REPRO_PROVENANCE"))
+        #: Per-tuple (rule_id, height) annotations recorded at emit time,
+        #: from which repro.engines.explain reconstructs proof trees
+        #: (docs/PROVENANCE.md); None with ``config.provenance`` off.
         self.provenance = None
-        if provenance:
+        if config.provenance:
             from ..provenance.store import ProvenanceStore
 
             self.provenance = ProvenanceStore(self.program, metrics=self.metrics)
@@ -451,7 +448,7 @@ class Solver(ABC):
         dels: Mapping[str, set[tuple]],
     ) -> Footprint | None:
         """The static footprint of one effective batch diff, or None when
-        impact scheduling is off (``REPRO_NO_IMPACT=1``).  Records the
+        impact scheduling is off (``config.impact``).  Records the
         derivation time into ``metrics.impact_seconds`` and publishes the
         result on :attr:`last_footprint` for the service stats op."""
         index = self.impact

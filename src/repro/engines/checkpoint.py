@@ -32,9 +32,11 @@ import hashlib
 import os
 import pickle
 import struct
+from dataclasses import replace
 from pathlib import Path
 from typing import Type
 
+from ..config import SolverConfig
 from ..datalog.errors import CheckpointError
 from ..robustness import faults as _faults
 from .base import Solver, declared_state
@@ -50,16 +52,10 @@ __all__ = [
 
 #: Envelope marker leading every checkpoint file.
 MAGIC = b"REPROCKPT"
-#: Current checkpoint format version.  v3: aggregation group state is
-#: pickled without its combine callable (rebound on restore) and the
-#: payload records the storage backend plus the intern-table value list.
-#: v4: an optional ``"provenance"`` payload key carries the per-tuple
-#: annotation map of provenance-enabled solvers (docs/PROVENANCE.md).
+#: Checkpoint format version, the only one this build reads: the payload
+#: records the backend, the intern table and (docs/PROVENANCE.md) the
+#: annotation map; group state is pickled without its combine callable.
 VERSION = 4
-#: Older format versions this build can still read.  v3 payloads simply
-#: lack the provenance key: they restore with empty annotations, and
-#: ``explain`` falls back to full proof search.
-READ_VERSIONS = frozenset({3, VERSION})
 _HEADER = struct.Struct(f">{len(MAGIC)}sH32s")
 
 def dump_state(solver: Solver) -> bytes:
@@ -126,11 +122,10 @@ def _read_body(path: Path) -> bytes:
     if len(data) < _HEADER.size or not data.startswith(MAGIC):
         raise CheckpointError(f"{path} is not a repro checkpoint")
     _, version, digest = _HEADER.unpack_from(data)
-    if version not in READ_VERSIONS:
+    if version != VERSION:
         raise CheckpointError(
             f"{path} has checkpoint format version {version}, "
-            f"but this build reads versions "
-            f"{sorted(READ_VERSIONS)}; re-run the initial "
+            f"but this build reads version {VERSION}; re-run the initial "
             f"analysis to regenerate it"
         )
     body = data[_HEADER.size:]
@@ -143,7 +138,7 @@ def _read_body(path: Path) -> bytes:
 
 
 def load_checkpoint(
-    solver_cls: Type[Solver], program, path: str | Path, metrics=None
+    solver_cls: Type[Solver], program, path: str | Path, metrics=None, config=None
 ) -> Solver:
     """Reconstruct a solved solver from ``program`` plus a checkpoint.
 
@@ -152,7 +147,10 @@ def load_checkpoint(
     Any mismatch — engine class, program hash, format version, corrupt or
     truncated file — raises :class:`CheckpointError`.  ``metrics``, when
     given, is attached to the restored solver (service sessions keep one
-    collector alive across a restore).
+    collector alive across a restore).  The solver is built with ``config``
+    (a :class:`SolverConfig`; None: the environment's), with provenance
+    switched on if the file carries annotations — their capture cost is
+    already paid, and explain works immediately.
     """
     path = Path(path)
     body = _read_body(path)
@@ -169,27 +167,28 @@ def load_checkpoint(
             f"checkpoint was taken from {payload['solver']}, "
             f"not {solver_cls.__name__}"
         )
-    solver = solver_cls(program, metrics=metrics)
+    config = config or SolverConfig.from_env()
+    if payload["backend"] != config.backend:
+        raise CheckpointError(
+            f"checkpoint was taken under the {payload['backend']!r} storage "
+            f"backend but SolverConfig.backend is {config.backend!r}; restore "
+            f"under the matching backend or re-run the initial analysis"
+        )
+    annotations = payload["provenance"]
+    if annotations is not None:
+        config = replace(config, provenance=True)
+    solver = solver_cls(program, metrics=metrics, config=config)
     if payload["program"] != solver._program_hash:
         raise CheckpointError(
             "checkpoint does not match the program (rules differ); "
             "re-run the initial analysis"
         )
-    saved_backend = payload.get("backend", "object")
-    if saved_backend != solver.backend:
-        raise CheckpointError(
-            f"checkpoint was taken under the {saved_backend!r} storage "
-            f"backend but this solver resolved {solver.backend!r} "
-            f"(REPRO_BACKEND); restore under the matching backend or "
-            f"re-run the initial analysis"
-        )
-    table = payload.get("intern")
-    if table is not None:
+    if payload["intern"] is not None:
         # The fresh solver's table holds exactly the program constants; the
         # dump must extend it with the same first-touch order, reproducing
         # the saved handle assignment that every pickled row relies on.
         try:
-            solver.intern.restore(table)
+            solver.intern.restore(payload["intern"])
         except ValueError as exc:
             raise CheckpointError(f"intern table mismatch: {exc}") from exc
     for name, value in payload["attrs"].items():
@@ -208,16 +207,6 @@ def load_checkpoint(
         raise CheckpointError("checkpoint component count mismatch")
     for state, entry in zip(solver._states, components):
         state.adopt(entry)
-    annotations = payload.get("provenance")
     if annotations is not None:
-        # A provenance-enabled checkpoint restores its annotations even if
-        # the restoring process did not opt in — the capture cost is
-        # already paid, and explain works immediately.
-        if solver.provenance is None:
-            from ..provenance.store import ProvenanceStore
-
-            solver.provenance = ProvenanceStore(
-                solver.program, metrics=solver.metrics
-            )
         solver.provenance.restore(annotations)
     return solver

@@ -16,16 +16,16 @@ each planned body into a flat, specialized Python generator *once* per
   innermost loop, so no intermediate binding dict ever exists.
 
 The generated source is plain Python compiled with :func:`exec`; the
-original interpreter remains available behind ``REPRO_INTERPRET=1`` (or
-``KernelCache(interpret=True)``) with *identical* kernel signatures, both as
-an escape hatch and as the reference implementation for differential tests.
+original interpreter remains available as ``KernelCache(interpret=True)``
+(``SolverConfig.interpret``) with *identical* kernel signatures: it is the
+reference implementation the differential tests compare against.
 
 Kernels are produced and cached by :class:`KernelCache`, one per solver.
 When a cardinality oracle is supplied the body is planned cost-aware
 (:func:`repro.datalog.planning.plan_body` with ``oracle=``) and the relation
 sizes seen at compile time are remembered; :meth:`KernelCache.refresh`
 evicts kernels whose body relations have since grown or shrunk by more than
-``REPRO_REPLAN_FACTOR`` (default 4×), so join orders track cardinality
+:attr:`KernelCache.REPLAN_FACTOR`, so join orders track cardinality
 shifts between strata visits without ever re-planning inside a fixpoint
 loop.
 
@@ -55,7 +55,6 @@ Call signatures (identical in compiled and interpreted mode):
 
 from __future__ import annotations
 
-import os
 from functools import cached_property
 from time import perf_counter
 from typing import Callable, Iterable, Iterator
@@ -76,30 +75,10 @@ from ..datalog.program import Program
 from ..robustness import faults as _faults
 from .grounding import Lookup, bind_pinned, instantiate, run_plan
 
-#: Default re-plan threshold: a kernel is re-planned when one of its body
-#: relations grew or shrank by at least this factor since it was compiled.
-DEFAULT_REPLAN_FACTOR = 4.0
-
 _KERNEL_NAME = "_kernel"
 
 #: ``repro.engines.laddder.timeline.NEVER`` (importing it here is a cycle).
 _NEVER = float("inf")
-
-
-def interpret_requested() -> bool:
-    """True when ``REPRO_INTERPRET`` asks for the run_plan fallback."""
-    return os.environ.get("REPRO_INTERPRET", "").strip() not in ("", "0")
-
-
-def replan_factor_from_env() -> float:
-    """The configured re-plan threshold (``<= 0`` disables re-planning)."""
-    raw = os.environ.get("REPRO_REPLAN_FACTOR", "").strip()
-    if not raw:
-        return DEFAULT_REPLAN_FACTOR
-    try:
-        return float(raw)
-    except ValueError:
-        return DEFAULT_REPLAN_FACTOR
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +518,7 @@ def compile_kernel(
 
 
 # ---------------------------------------------------------------------------
-# interpreter-backed kernels (REPRO_INTERPRET=1)
+# interpreter-backed kernels (the reference oracle)
 
 
 def interpret_kernel(
@@ -769,21 +748,21 @@ class KernelCache:
     between-strata re-planning policy.
     """
 
+    #: Re-plan threshold: a kernel is re-planned when a body relation grew or
+    #: shrank by this factor since compile time (``<= 0``: never; tests patch it).
+    REPLAN_FACTOR = 4.0
+
     def __init__(
         self,
         program: Program,
         metrics=None,
-        interpret: bool | None = None,
-        replan_factor: float | None = None,
+        interpret: bool = False,
         backend: str = "object",
     ):
         self.program = program
         self.metrics = metrics
         self.backend = backend
-        self.interpret = interpret_requested() if interpret is None else interpret
-        self.replan_factor = (
-            replan_factor_from_env() if replan_factor is None else replan_factor
-        )
+        self.interpret = interpret
         self._kernels: dict[tuple, RuleKernel] = {}
         #: rule id -> keys of that rule's kernels (refresh never scans the
         #: whole cache: updates visit one component at a time and tiny
@@ -890,7 +869,7 @@ class KernelCache:
         kernel can go stale.  Recompute after any refresh that evicted or
         after new kernels were built.
         """
-        factor = self.replan_factor
+        factor = self.REPLAN_FACTOR
         guard: dict[str, tuple[float, float]] = {}
         if factor <= 0:
             return guard
@@ -913,11 +892,11 @@ class KernelCache:
         """Evict kernels of ``rules`` whose cardinality snapshot is stale.
 
         A snapshot is stale when some body relation's size changed by at
-        least ``replan_factor`` (growth from empty counts).  Evicted keys
+        least ``REPLAN_FACTOR`` (growth from empty counts).  Evicted keys
         are re-planned lazily on next request with the fresh oracle.
         Returns the number of kernels evicted.
         """
-        factor = self.replan_factor
+        factor = self.REPLAN_FACTOR
         if factor <= 0:
             return 0
         stale = []

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
+from ..config import SolverConfig
 from ..datalog.ast import Rule, Variable
 from ..datalog.errors import SolverError
 from ..datalog.program import Program
@@ -96,7 +97,7 @@ class DRedLSolver(Solver):
         program: Program,
         aggregation: str = "inflationary",
         metrics: SolverMetrics | None = None,
-        provenance: bool | None = None,
+        config: SolverConfig | None = None,
     ):
         """``aggregation`` selects the aggregate-maintenance mode:
 
@@ -112,7 +113,7 @@ class DRedLSolver(Solver):
           oscillate and trip the divergence guard — the behaviour the paper
           reports for IncA.
         """
-        super().__init__(program, metrics=metrics, provenance=provenance)
+        super().__init__(program, metrics=metrics, config=config)
         if aggregation not in ("inflationary", "rosssagiv"):
             raise ValueError(f"unknown aggregation mode {aggregation!r}")
         self.inflationary = aggregation == "inflationary"

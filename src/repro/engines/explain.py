@@ -7,8 +7,8 @@ solver by re-evaluating rules head-bound against the solver's exported
 relations (the same technique as DRed's re-derivation check, turned into a
 user-facing feature).
 
-With provenance capture enabled (``Solver(provenance=True)`` /
-``REPRO_PROVENANCE=1``, docs/PROVENANCE.md), the search is **height
+With provenance capture enabled (``SolverConfig.provenance``,
+docs/PROVENANCE.md), the search is **height
 guided**: every derived tuple carries a ``(rule_id, height)`` annotation
 recorded at emit time, so reconstruction tries the annotated rule first
 and accepts the first grounding whose positive premises all precede the

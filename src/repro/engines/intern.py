@@ -1,6 +1,6 @@
 """Constant interning: dense integer handles for every constant a solver touches.
 
-The columnar backend (``REPRO_BACKEND=columnar``, see
+The columnar backend (``SolverConfig.backend``, see
 :mod:`repro.engines.relation`) stores relation rows as tuples of dense
 non-negative ints instead of raw Python values.  The mapping lives in a
 per-solver :class:`InternTable`; everything *inside* the engine — joins,

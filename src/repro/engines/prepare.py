@@ -1,21 +1,16 @@
 """Shared pre-planning pass: check, prune, and build the impact index.
 
-Before PR 9 every engine constructor duplicated the same sequence inline —
-run :func:`repro.datalog.check.check_program`, raise on the first error,
-drop the dead-rule slice unless ``REPRO_NO_PRUNE`` is set, re-stratify.
-:func:`prepare` is that sequence as a single pass, extended with the static
-change-impact index (:mod:`repro.datalog.impact`) so pruning and
-impact-guided scheduling consume one consistent view of the program:
-the impact index is always built *after* pruning, against the exact rule
-list and component order the engine will evaluate.
-
-``REPRO_NO_IMPACT=1`` (docs/PERFORMANCE.md) skips the index; engines then
-fall back to visiting every stratum per update, bit-equal by construction.
+:func:`prepare` runs :func:`repro.datalog.check.check_program`, raises on
+the first error, drops the dead-rule slice, re-stratifies, and builds the
+static change-impact index (:mod:`repro.datalog.impact`) — always *after*
+pruning, against the exact rule list and component order the engine will
+evaluate, so pruning and impact-guided scheduling consume one consistent
+view of the program.  Without the index (``SolverConfig.impact`` off)
+engines visit every stratum per update, bit-equal by construction.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -35,16 +30,17 @@ class PreparedProgram:
     checked: CheckResult
     #: Dependency components of the (pruned) program, bottom-up.
     components: list[Component]
-    #: Static change-impact index, or None under ``REPRO_NO_IMPACT=1``.
+    #: Static change-impact index, or None when not asked for.
     impact: ImpactIndex | None
     dead_rules_pruned: int
     check_seconds: float
     impact_seconds: float
 
 
-def prepare(program: Program) -> PreparedProgram:
+def prepare(program: Program, prune: bool, impact: bool) -> PreparedProgram:
     """Run static checks on ``program`` (already normalized), prune dead
-    rules in place, and build the impact index over the result.
+    rules in place (``prune``), and build the impact index over the result
+    (``impact``).
 
     Raises the first error-severity diagnostic as a ``ValidationError``
     (the legacy ``validate()`` contract).  Exported views are unaffected by
@@ -55,23 +51,21 @@ def prepare(program: Program) -> PreparedProgram:
     raise_on_error(checked)
     components: list[Component] = checked.components or []
     pruned = 0
-    if checked.dead_rules and not os.environ.get("REPRO_NO_PRUNE"):
+    if checked.dead_rules and prune:
         program.rules = list(checked.live_rules)
         components = stratify(program)
         pruned = len(checked.dead_rules)
     check_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    impact = None
-    if not os.environ.get("REPRO_NO_IMPACT"):
-        impact = ImpactIndex(program, components)
+    index = ImpactIndex(program, components) if impact else None
     impact_seconds = time.perf_counter() - t1
 
     return PreparedProgram(
         program=program,
         checked=checked,
         components=components,
-        impact=impact,
+        impact=index,
         dead_rules_pruned=pruned,
         check_seconds=check_seconds,
         impact_seconds=impact_seconds,

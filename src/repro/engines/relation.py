@@ -14,8 +14,7 @@ a drifting copy.
 Storage backends
 ----------------
 
-Two physical layouts hide behind the same interface (selected by
-``REPRO_BACKEND``, resolved once per solver — see :func:`resolve_backend`):
+Two physical layouts hide behind the same interface (``SolverConfig.backend``):
 
 ``object`` (the default)
     rows are tuples of raw Python values; index keys are value tuples.
@@ -37,7 +36,6 @@ is backend-agnostic.
 
 from __future__ import annotations
 
-import os
 import sys
 from array import array
 from typing import TYPE_CHECKING, Iterator
@@ -57,23 +55,6 @@ _KEY_SHIFT = 32
 #: Widest relation that materializes struct-of-arrays columns under the
 #: columnar backend; wider ones keep packed keys over tuple storage.
 COLUMNAR_MAX_ARITY = 16
-
-
-def resolve_backend() -> str:
-    """The storage backend requested by ``REPRO_BACKEND``.
-
-    ``object`` (or unset) or ``columnar``.  Unknown values raise — a typo
-    silently falling back to the default would make benchmark comparisons
-    lie.
-    """
-    raw = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    if raw in ("", "object"):
-        return "object"
-    if raw == "columnar":
-        return "columnar"
-    raise SolverError(
-        f"unknown REPRO_BACKEND {raw!r} (expected 'object' or 'columnar')"
-    )
 
 
 class ColumnIndexed:

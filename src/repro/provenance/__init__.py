@@ -4,7 +4,7 @@ The subsystem has three layers (docs/PROVENANCE.md):
 
 * **Capture** — :class:`ProvenanceStore` records a minimal ``(rule_id,
   height)`` annotation per derived tuple at emit time, in every engine,
-  when enabled via ``Solver(provenance=True)`` or ``REPRO_PROVENANCE=1``.
+  when enabled via ``SolverConfig.provenance``.
 * **Reconstruction** — :func:`repro.engines.explain.explain` turns
   annotations into height-guided proof trees; :func:`whynot` computes the
   failed-derivation frontier of an *absent* tuple.

@@ -16,7 +16,7 @@ update cannot leave the solver half-mutated.  This package supplies:
   budgets plus strictly-ascending-chain divergence detection, raising a
   typed :class:`BudgetExceededError` instead of hanging;
 * :mod:`repro.robustness.selfcheck` — runtime invariant validation between
-  strata (``--self-check`` / ``REPRO_SELF_CHECK=1``), raising
+  strata (``--self-check`` / ``SolverConfig.self_check``), raising
   :class:`InvariantViolationError` with a diagnostic dump.
 
 See docs/ROBUSTNESS.md for the guard/rollback model, the fault-site

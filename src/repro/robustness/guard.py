@@ -180,7 +180,7 @@ class GuardedSolver:
     * Watchdog trips (:class:`BudgetExceededError`) always roll back and
       re-raise: the caller set a resource budget, and a from-scratch
       fallback would burn strictly more of it.
-    * With ``self_check`` enabled, the whole-state invariant validation
+    * With ``config.self_check`` on, the whole-state invariant validation
       runs *before* commit, so a corrupted-but-quiet update rolls back too.
 
     Everything else (``relation``, ``add_facts``, ``metrics``, ...)
@@ -188,12 +188,9 @@ class GuardedSolver:
     unguarded engine can treat the two interchangeably.
     """
 
-    def __init__(self, solver: "Solver", fallback: bool = True,
-                 self_check: bool | None = None):
+    def __init__(self, solver: "Solver", fallback: bool = True):
         self.solver = solver
         self.fallback = fallback
-        if self_check is not None:
-            solver.self_check = self_check
 
     def __getattr__(self, name: str):
         return getattr(self.solver, name)
@@ -265,12 +262,8 @@ class GuardedSolver:
 
         solver = self.solver
         reference = SemiNaiveSolver(
-            solver.source_program,
-            metrics=solver.metrics,
-            provenance=solver.provenance is not None,
+            solver.source_program, metrics=solver.metrics, config=solver.config
         )
-        reference.budget = solver.budget
-        reference.self_check = solver.self_check
         # Staged rows live in the donor's intern-handle space (columnar
         # backend); externalize through the public view so the reference
         # solver interns them itself, in its own first-touch order.

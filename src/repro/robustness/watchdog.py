@@ -4,15 +4,14 @@ Every engine already has a hard iteration ceiling (``MAX_ITERATIONS``,
 ``MAX_ROUNDS``, ``MAX_TIMESTAMP``) that catches *globally* diverging
 fixpoints.  A :class:`Budget` tightens and extends that:
 
-* ``max_iterations`` — overrides the engine ceiling per solve
-  (``REPRO_MAX_ITERS``), so a CI job can bound a known-small analysis far
-  below the engine default;
+* ``max_iterations`` — overrides the engine ceiling per solve, so a CI job
+  can bound a known-small analysis far below the engine default;
 * ``deadline`` — a wall-clock budget in seconds (``--deadline``), polled
   once per outer iteration/round so the cost is one ``monotonic()`` call
   per fixpoint step;
-* ``max_chain`` — a strictly-ascending-chain counter (``REPRO_MAX_CHAIN``)
-  for non-Noetherian lattices: each time a single aggregation group's
-  total strictly changes, its chain length ticks; exceeding the budget
+* ``max_chain`` — a strictly-ascending-chain counter for non-Noetherian
+  lattices: each time a single aggregation group's total strictly
+  changes, its chain length ticks; exceeding the budget
   means the lattice is climbing an infinite ascending chain (e.g. interval
   analysis without widening) and the solve would never settle.  This
   catches divergence *localized to one group* long before the global
@@ -26,7 +25,6 @@ and bump the ``watchdog_trips`` metrics counter.
 
 from __future__ import annotations
 
-import os
 import time
 
 from ..datalog.errors import BudgetExceededError
@@ -37,26 +35,14 @@ from ..datalog.errors import BudgetExceededError
 DEFAULT_MAX_CHAIN = 100_000
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise BudgetExceededError(f"{name} must be an integer, got {raw!r}") from None
-    if value <= 0:
-        raise BudgetExceededError(f"{name} must be positive, got {value}")
-    return value
-
-
 class Budget:
     """Per-solve resource budgets; shared by all four engines.
 
-    A solver owns one Budget (``solver.budget``); ``begin()`` is called at
-    the top of every ``solve``/``update`` and resets the clock and the
-    chain counters.  The polling helpers are written so the fully-disabled
-    case costs one attribute load and one ``is None`` test."""
+    A solver owns one Budget (``solver.budget``, from the ``SolverConfig``
+    fields of the same names); ``begin()`` is called at the top of every
+    ``solve``/``update`` and resets the clock and the chain counters.  The
+    polling helpers are written so the fully-disabled case costs one
+    attribute load and one ``is None`` test."""
 
     __slots__ = ("max_iterations", "deadline", "max_chain", "_t0", "_chains")
 
@@ -71,14 +57,6 @@ class Budget:
         self.max_chain = DEFAULT_MAX_CHAIN if max_chain is None else max_chain
         self._t0 = 0.0
         self._chains: dict[tuple, int] = {}
-
-    @classmethod
-    def from_env(cls) -> "Budget":
-        """Budget configured from ``REPRO_MAX_ITERS`` / ``REPRO_MAX_CHAIN``."""
-        return cls(
-            max_iterations=_env_int("REPRO_MAX_ITERS"),
-            max_chain=_env_int("REPRO_MAX_CHAIN"),
-        )
 
     def begin(self) -> None:
         """Reset the wall clock and ascending-chain counters for a solve."""
@@ -118,5 +96,5 @@ class Budget:
             raise BudgetExceededError(
                 f"aggregation group {pred}{key!r} climbed a strictly-ascending "
                 f"chain of length {n} (> {self.max_chain}); the lattice appears "
-                "non-Noetherian — add widening or raise REPRO_MAX_CHAIN"
+                "non-Noetherian — add widening or raise SolverConfig.max_chain"
             )

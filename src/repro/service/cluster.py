@@ -730,11 +730,13 @@ class ClusterService:
     def _cluster_stats(self, request_id) -> dict:
         """Aggregate: protocol-compatible with the single-process listing
         (``protocol``/``sessions``) plus cluster counters and per-worker
-        detail.  Per-session solver metrics are merged numerically."""
+        detail.  Per-session solver metrics are merged numerically,
+        ``solver_config`` as the one dict they agree on or the distinct ones."""
         with self._slots_cond:
             slots = {name: slot for name, slot in self._slots.items()}
         workers = {}
         merged_metrics: dict[str, float] = {}
+        configs: list[dict] = []
         for name, slot in sorted(slots.items()):
             client = slot.client
             info = {
@@ -758,6 +760,8 @@ class ClusterService:
                             timeout=self.config.heartbeat_timeout,
                         )
                         if detail.get("ok"):
+                            if detail["solver_config"] not in configs:
+                                configs.append(detail["solver_config"])
                             for key, value in (
                                 detail.get("metrics") or {}
                             ).items():
@@ -779,6 +783,7 @@ class ClusterService:
                 "spool": self.config.spool,
             },
             "metrics": merged_metrics,
+            "solver_config": configs[0] if len(configs) == 1 else configs,
         }
 
     # -- teardown ----------------------------------------------------------

@@ -34,9 +34,10 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..analyses import ANALYSES
+from ..config import SolverConfig
 from ..corpus import PRESETS, load_subject
 from ..datalog.errors import ServiceError
 from ..engines import DRedLSolver, LaddderSolver, NaiveSolver, SemiNaiveSolver
@@ -80,7 +81,6 @@ class SessionConfig:
     profile: bool = False
     #: Per-tuple provenance capture (docs/PROVENANCE.md): enables the
     #: height-guided ``explain`` fast path and annotation checkpointing.
-    #: False still defers to the ``REPRO_PROVENANCE`` environment opt-in.
     provenance: bool = False
     #: Checkpoint the solver every N successfully applied batches ...
     checkpoint_every: int | None = None
@@ -122,10 +122,20 @@ class Session:
     #: Seconds to wait for the worker to drain on close before giving up.
     CLOSE_TIMEOUT = 60.0
 
-    def __init__(self, name: str, config: SessionConfig):
+    def __init__(
+        self,
+        name: str,
+        config: SessionConfig,
+        solver_config: SolverConfig | None = None,
+    ):
         config.validate()
         self.name = name
         self.config = config
+        #: What every solver of this session is built with — initial solve,
+        #: checkpoint restore and guard fallback alike.
+        self.solver_config = (
+            solver_config or SolverConfig.from_env()
+        ).with_request(config.provenance, config.self_check, config.deadline)
         self.engine_cls = ENGINES[config.engine]
         subject = load_subject(config.subject, scale=config.scale, seed=config.seed)
         self.instance = ANALYSES[config.analysis](subject)
@@ -134,24 +144,13 @@ class Session:
         if config.restore_from is not None:
             # Crash recovery / warm start: the checkpoint supplies the
             # fixpoint, so construction costs a load instead of a solve.
-            inner = load_checkpoint(
-                self.engine_cls,
-                self.instance.program,
-                config.restore_from,
-                metrics=self.metrics,
-            )
-            self._setup(inner)
-            self.solver = GuardedSolver(inner, fallback=config.fallback)
+            self.solver = self._load(config.restore_from)
             self.restored_from = str(config.restore_from)
         else:
             inner = self.instance.make_solver(
-                self.engine_cls,
-                solve=False,
-                metrics=self.metrics,
-                # False defers to the REPRO_PROVENANCE environment opt-in.
-                provenance=config.provenance or None,
+                self.engine_cls, solve=False,
+                metrics=self.metrics, config=self.solver_config,
             )
-            self._setup(inner)
             self.solver = GuardedSolver(inner, fallback=config.fallback)
             self.solver.solve()
             self.restored_from = None
@@ -169,7 +168,7 @@ class Session:
         self._flush_requested = False
         self._last_outcome: dict | None = None
         #: Static impact footprint of the last applied batch (None until one
-        #: lands, or when impact scheduling is disabled via REPRO_NO_IMPACT).
+        #: lands, or when ``SolverConfig.impact`` is off).
         self._last_footprint: dict | None = None
         self._closed = False
         self.failed_batches = 0
@@ -191,20 +190,15 @@ class Session:
         )
         self._worker.start()
 
-    def _setup(self, solver) -> None:
-        if self.config.deadline is not None:
-            solver.budget.deadline = self.config.deadline
-        if self.config.self_check:
-            solver.self_check = True
-        if self.config.provenance and solver.provenance is None:
-            # Restore path from a checkpoint without annotations: start
-            # capturing from here on (pre-existing tuples reconstruct via
-            # the full-search fallback).
-            from ..provenance.store import ProvenanceStore
-
-            solver.provenance = ProvenanceStore(
-                solver.program, metrics=solver.metrics
-            )
+    def _load(self, path) -> GuardedSolver:
+        """A guarded solver restored from ``path``.  When the session
+        captures provenance and the file has none, capture starts here:
+        older tuples reconstruct via the full-search fallback."""
+        inner = load_checkpoint(
+            self.engine_cls, self.instance.program, path,
+            metrics=self.metrics, config=self.solver_config,
+        )
+        return GuardedSolver(inner, fallback=self.config.fallback)
 
     # -- the write path ----------------------------------------------------
 
@@ -594,11 +588,7 @@ class Session:
             self._applied_generation = self._queue.generation
             self._cond.notify_all()
         with self._solver_lock:
-            inner = load_checkpoint(
-                self.engine_cls, self.instance.program, path, metrics=self.metrics
-            )
-            self._setup(inner)
-            self.solver = GuardedSolver(inner, fallback=self.config.fallback)
+            self.solver = self._load(path)
             snapshot = take_snapshot(self.solver, self._snapshot.version + 1)
             self._snapshot = snapshot
             self.metrics.snapshots_published += 1
@@ -619,6 +609,7 @@ class Session:
             "analysis": self.config.analysis,
             "subject": self.config.subject,
             "engine": self.engine_cls.__name__,
+            "solver_config": asdict(self.solver.config),
             "closed": self._closed,
             "snapshot_version": self._snapshot.version,
             "init_seconds": self.init_seconds,

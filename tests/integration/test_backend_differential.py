@@ -2,19 +2,18 @@
 
 Every public observation a solver makes — exported relations after the
 initial solve, after each update epoch, the per-epoch update stats, and
-the staged facts view — must be bit-equal between ``REPRO_BACKEND=object``
-and ``REPRO_BACKEND=columnar``, for all four engines on the constprop and
+the staged facts view — must be bit-equal between ``SolverConfig.backend``
+``"object"`` and ``"columnar"``, for all four engines on the constprop and
 k-update points-to analyses.  This is the contract the interning layer
 (:mod:`repro.engines.intern`) promises: handles exist only inside the
 solver, and every boundary externs them back to the original constants.
 """
 
-import os
-
 import pytest
 
 from repro.analyses import constant_propagation, kupdate_pointsto
 from repro.changes import alloc_site_changes, literal_to_zero_changes
+from repro.config import SolverConfig
 from repro.corpus import load_subject
 from repro.engines import DRedLSolver, LaddderSolver, NaiveSolver, SemiNaiveSolver
 
@@ -32,29 +31,21 @@ EPOCHS = 3
 def _observe(backend, engine_cls, analysis_name):
     """Run one full solve + change series; return every public observation."""
     build, generator = ANALYSES[analysis_name]
-    saved = os.environ.get("REPRO_BACKEND")
-    os.environ["REPRO_BACKEND"] = backend
-    try:
-        instance = build(load_subject("minijavac", scale=SCALE))
-        changes = generator(instance, EPOCHS, seed=11)[:EPOCHS]
-        solver = instance.make_solver(engine_cls)
-        observations = [("solve", solver.relations())]
-        for i, change in enumerate(changes):
-            stats = solver.update(
-                insertions=change.insertions, deletions=change.deletions
-            )
-            observations.append(
-                (f"epoch-{i}", solver.relations(), stats.inserted, stats.deleted)
-            )
-        observations.append(
-            ("facts", {pred: solver.facts(pred) for pred in instance.facts})
+    instance = build(load_subject("minijavac", scale=SCALE))
+    changes = generator(instance, EPOCHS, seed=11)[:EPOCHS]
+    solver = instance.make_solver(engine_cls, config=SolverConfig(backend=backend))
+    observations = [("solve", solver.relations())]
+    for i, change in enumerate(changes):
+        stats = solver.update(
+            insertions=change.insertions, deletions=change.deletions
         )
-        return observations
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_BACKEND", None)
-        else:
-            os.environ["REPRO_BACKEND"] = saved
+        observations.append(
+            (f"epoch-{i}", solver.relations(), stats.inserted, stats.deleted)
+        )
+    observations.append(
+        ("facts", {pred: solver.facts(pred) for pred in instance.facts})
+    )
+    return observations
 
 
 @pytest.mark.parametrize("analysis_name", list(ANALYSES))

@@ -24,6 +24,7 @@ import pytest
 
 from repro.analyses import constant_propagation
 from repro.changes import literal_to_zero_changes
+from repro.config import SolverConfig
 from repro.corpus import load_subject
 from repro.datalog.errors import RollbackError
 from repro.engines import (
@@ -109,7 +110,9 @@ def test_guarded_equals_unguarded_without_faults(instance, engine):
     """Property: with no faults, guarding changes nothing observable."""
     changes = literal_to_zero_changes(instance, 2, seed=3)
     plain = instance.make_solver(engine)
-    guarded = GuardedSolver(instance.make_solver(engine), self_check=True)
+    guarded = GuardedSolver(
+        instance.make_solver(engine, config=SolverConfig.from_env(self_check=True))
+    )
     assert exported_state(plain) == exported_state(guarded)
     for change in changes:
         s1 = plain.update(

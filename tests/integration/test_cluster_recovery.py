@@ -120,6 +120,9 @@ def test_kill9_mid_edit_stream_recovers_bit_equal(backend):
         assert counters["sessions_recovered"] >= 1
         assert counters["replayed_ops"] >= 1
         assert counters["journal_truncations"] == 0
+        # The recovered worker resolved its configuration from its own
+        # environment; one session, so the merge reports the one dict.
+        assert stats["solver_config"]["backend"] == backend
 
     expected = reference_digest(instance.program, facts)
     assert snap["digest"] == expected, (

@@ -2,12 +2,12 @@
 
 The compiled backend must be a pure performance transformation — for every
 engine, every analysis, and every corpus preset the exported relations must
-be *identical* to the ``REPRO_INTERPRET=1`` reference, both after the
-initial solve and along an incremental change sequence.
+be *identical* to the interpreted reference, both after the initial solve
+and along an incremental change sequence.
 
-The interpreter is selected per solver via ``KernelCache.interpret`` (set
-before the first solve), which is exactly what the environment variable
-toggles at cache construction; one test covers the env-var path itself.
+The interpreter is selected per solver by ``SolverConfig.interpret``; every
+other field comes from the environment, so the CI jobs that re-run this
+suite under another backend or with self-checks on still multiply it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 
 from repro.analyses import constant_propagation, setbased_pointsto, sign_analysis
 from repro.changes import alloc_site_changes, literal_to_zero_changes
+from repro.config import SolverConfig
 from repro.corpus import PRESETS, load_subject
 from repro.engines import DRedLSolver, LaddderSolver, NaiveSolver, SemiNaiveSolver
 
@@ -23,17 +24,14 @@ ENGINES = [NaiveSolver, SemiNaiveSolver, DRedLSolver, LaddderSolver]
 
 
 def solver_pair(instance, engine):
-    """The same analysis on ``engine`` twice: compiled and interpreted.
-
-    Backends are forced per solver so the pairing holds even when the
-    surrounding test run itself sets ``REPRO_INTERPRET``.
-    """
-    compiled = instance.make_solver(engine, solve=False)
-    compiled.kernels.interpret = False
-    interp = instance.make_solver(engine, solve=False)
-    interp.kernels.interpret = True
-    compiled.solve()
-    interp.solve()
+    """The same analysis on ``engine`` twice: compiled and interpreted."""
+    compiled, interp = (
+        instance.make_solver(
+            engine, config=SolverConfig.from_env(interpret=interpret)
+        )
+        for interpret in (False, True)
+    )
+    assert interp.kernels.interpret and not compiled.kernels.interpret
     return compiled, interp
 
 
@@ -83,15 +81,3 @@ def test_update_sequence_identical(make_analysis, make_changes):
             )
             # The logical diff of each update must match too.
             assert (s1.inserted, s1.deleted) == (s2.inserted, s2.deleted)
-
-
-def test_env_var_selects_interpreter(monkeypatch):
-    """``REPRO_INTERPRET=1`` flips freshly constructed solvers to the
-    run_plan backend; results are unchanged."""
-    instance = sign_analysis(load_subject("minijavac"))
-    monkeypatch.delenv("REPRO_INTERPRET", raising=False)
-    compiled = instance.make_solver(SemiNaiveSolver)
-    monkeypatch.setenv("REPRO_INTERPRET", "1")
-    interp = instance.make_solver(SemiNaiveSolver)
-    assert interp.kernels.interpret and not compiled.kernels.interpret
-    assert compiled.relations() == interp.relations()

@@ -10,6 +10,7 @@ step-60 checkpoint of the seed-7 constprop stream.
 import pytest
 
 from repro.changes.soak import soak
+from repro.config import SolverConfig
 from repro.engines import LaddderSolver
 
 
@@ -33,7 +34,8 @@ class TestBareSolverSoak:
         # caught unrestricted compaction leaving stale Top valuations.
         record = soak(
             "minijavac", "constprop", engine="laddder",
-            steps=60, seed=7, checkpoint_every=20, self_check=True,
+            steps=60, seed=7, checkpoint_every=20,
+            config=SolverConfig.from_env(self_check=True),
         )
         assert_soak_ok(record)
         assert len(record["checkpoints"]) == 3
@@ -43,7 +45,8 @@ class TestBareSolverSoak:
     def test_laddder_pointsto_stream(self):
         record = soak(
             "minijavac", "pointsto-kupdate", engine="laddder",
-            steps=40, seed=7, checkpoint_every=20, self_check=True,
+            steps=40, seed=7, checkpoint_every=20,
+            config=SolverConfig.from_env(self_check=True),
         )
         assert_soak_ok(record)
 

@@ -3,7 +3,7 @@
 Two guarantees:
 
 * **Bit-equality** — impact-guided updates (the default) produce exactly
-  the observations of a solver running with ``REPRO_NO_IMPACT=1``, for
+  the observations of a solver built with ``SolverConfig(impact=False)``, for
   all four engines on both storage backends, across an edit series that
   includes deletions.  Skipping strata outside the static footprint must
   be observationally invisible.
@@ -13,13 +13,12 @@ Two guarantees:
   an over-approximation.
 """
 
-import os
-
 import pytest
 
 from repro.analyses import constant_propagation, kupdate_pointsto
 from repro.changes import alloc_site_changes, literal_to_zero_changes
 from repro.changes.stream import EditStream, editor_for
+from repro.config import SolverConfig
 from repro.corpus import load_subject
 from repro.engines import DRedLSolver, LaddderSolver, NaiveSolver, SemiNaiveSolver
 
@@ -35,34 +34,21 @@ EPOCHS = 3
 def _observe(engine_cls, analysis_name, *, backend, impact):
     """Run solve + edit series; return every public observation."""
     build, generator = ANALYSES[analysis_name]
-    saved = {
-        key: os.environ.get(key) for key in ("REPRO_BACKEND", "REPRO_NO_IMPACT")
-    }
-    os.environ["REPRO_BACKEND"] = backend
-    if impact:
-        os.environ.pop("REPRO_NO_IMPACT", None)
-    else:
-        os.environ["REPRO_NO_IMPACT"] = "1"
-    try:
-        instance = build(load_subject("minijavac", scale=SCALE))
-        changes = generator(instance, EPOCHS, seed=23)[:EPOCHS]
-        solver = instance.make_solver(engine_cls)
-        assert (solver.impact is not None) == impact
-        observations = [("solve", solver.relations())]
-        for i, change in enumerate(changes):
-            stats = solver.update(
-                insertions=change.insertions, deletions=change.deletions
-            )
-            observations.append(
-                (f"epoch-{i}", solver.relations(), stats.inserted, stats.deleted)
-            )
-        return observations, solver.metrics
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    instance = build(load_subject("minijavac", scale=SCALE))
+    changes = generator(instance, EPOCHS, seed=23)[:EPOCHS]
+    solver = instance.make_solver(
+        engine_cls, config=SolverConfig(backend=backend, impact=impact)
+    )
+    assert (solver.impact is not None) == impact
+    observations = [("solve", solver.relations())]
+    for i, change in enumerate(changes):
+        stats = solver.update(
+            insertions=change.insertions, deletions=change.deletions
+        )
+        observations.append(
+            (f"epoch-{i}", solver.relations(), stats.inserted, stats.deleted)
+        )
+    return observations, solver.metrics
 
 
 @pytest.mark.parametrize("backend", ["object", "columnar"])

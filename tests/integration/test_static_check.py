@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.config import SolverConfig
 from repro.datalog import parse
 from repro.engines import DRedLSolver, LaddderSolver, NaiveSolver, SemiNaiveSolver
 from repro.metrics import SolverMetrics
@@ -158,13 +159,13 @@ EDB = {
 }
 
 
-def solve(engine, monkeypatch, prune):
-    if not prune:
-        monkeypatch.setenv("REPRO_NO_PRUNE", "1")
-    else:
-        monkeypatch.delenv("REPRO_NO_PRUNE", raising=False)
+def solve(engine, prune):
     metrics = SolverMetrics()
-    solver = engine(parse(DEAD_RULE_SOURCE), metrics=metrics)
+    solver = engine(
+        parse(DEAD_RULE_SOURCE),
+        metrics=metrics,
+        config=SolverConfig.from_env(prune=prune),
+    )
     for pred, rows in EDB.items():
         solver.add_facts(pred, rows)
     solver.solve()
@@ -175,26 +176,24 @@ class TestDeadRulePruning:
     @pytest.mark.parametrize(
         "engine", [NaiveSolver, SemiNaiveSolver, DRedLSolver, LaddderSolver]
     )
-    def test_exported_views_bit_equal_with_and_without_pruning(
-        self, engine, monkeypatch
-    ):
-        pruned, _ = solve(engine, monkeypatch, prune=True)
-        unpruned, _ = solve(engine, monkeypatch, prune=False)
+    def test_exported_views_bit_equal_with_and_without_pruning(self, engine):
+        pruned, _ = solve(engine, prune=True)
+        unpruned, _ = solve(engine, prune=False)
         assert pruned.relations() == unpruned.relations()
         assert pruned.relation("out")  # non-trivial result
 
-    def test_pruning_skips_dead_rule_compilation(self, monkeypatch):
-        _, with_prune = solve(SemiNaiveSolver, monkeypatch, prune=True)
-        _, without = solve(SemiNaiveSolver, monkeypatch, prune=False)
+    def test_pruning_skips_dead_rule_compilation(self):
+        _, with_prune = solve(SemiNaiveSolver, prune=True)
+        _, without = solve(SemiNaiveSolver, prune=False)
         assert with_prune.dead_rules_pruned == 2
         assert without.dead_rules_pruned == 0
         assert with_prune.rules_compiled < without.rules_compiled
         assert with_prune.diagnostics_emitted >= 2  # DLC601/602 warnings
         assert with_prune.check_seconds > 0
 
-    def test_updates_unaffected_by_pruning(self, monkeypatch):
-        pruned, _ = solve(LaddderSolver, monkeypatch, prune=True)
-        unpruned, _ = solve(LaddderSolver, monkeypatch, prune=False)
+    def test_updates_unaffected_by_pruning(self):
+        pruned, _ = solve(LaddderSolver, prune=True)
+        unpruned, _ = solve(LaddderSolver, prune=False)
         for solver in (pruned, unpruned):
             solver.update(insertions={"edge": [(3, 4)]},
                           deletions={"start": [(4,)]})

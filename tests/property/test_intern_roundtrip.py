@@ -8,14 +8,13 @@ through :class:`InternTable`, and seeded change prefixes through the
 save/restore/resume cycle under ``object`` and ``columnar`` side by side.
 """
 
-import os
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analyses import constant_propagation
 from repro.changes import literal_to_zero_changes
+from repro.config import SolverConfig
 from repro.corpus import load_subject
 from repro.datalog.errors import CheckpointError
 from repro.engines import LaddderSolver, SemiNaiveSolver
@@ -89,27 +88,20 @@ def test_row_roundtrip_and_readonly_lookup(rows):
 def _checkpoint_resume(backend, engine_cls, path, seed):
     """Solve, apply a change, checkpoint, restore, resume; return the
     exported relations of saver and restorer after one more change."""
-    saved = os.environ.get("REPRO_BACKEND")
-    os.environ["REPRO_BACKEND"] = backend
-    try:
-        instance = constant_propagation(load_subject("minijavac", scale=0.3))
-        changes = literal_to_zero_changes(instance, 2, seed=seed)
-        solver = instance.make_solver(engine_cls)
-        solver.update(
-            insertions=changes[0].insertions, deletions=changes[0].deletions
+    config = SolverConfig(backend=backend)
+    instance = constant_propagation(load_subject("minijavac", scale=0.3))
+    changes = literal_to_zero_changes(instance, 2, seed=seed)
+    solver = instance.make_solver(engine_cls, config=config)
+    solver.update(
+        insertions=changes[0].insertions, deletions=changes[0].deletions
+    )
+    save_checkpoint(solver, path)
+    restored = load_checkpoint(engine_cls, instance.program, path, config=config)
+    for s in (solver, restored):
+        s.update(
+            insertions=changes[1].insertions, deletions=changes[1].deletions
         )
-        save_checkpoint(solver, path)
-        restored = load_checkpoint(engine_cls, instance.program, path)
-        for s in (solver, restored):
-            s.update(
-                insertions=changes[1].insertions, deletions=changes[1].deletions
-            )
-        return solver.relations(), restored.relations()
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_BACKEND", None)
-        else:
-            os.environ["REPRO_BACKEND"] = saved
+    return solver.relations(), restored.relations()
 
 
 @pytest.mark.parametrize("engine_cls", [LaddderSolver, SemiNaiveSolver])
@@ -132,18 +124,16 @@ def test_checkpoint_backends_agree(engine_cls, tmp_path_factory, seed):
 def test_checkpoint_backend_mismatch_rejected(tmp_path):
     """A columnar checkpoint names its backend; restoring it into an
     object-backed solver is a refusal, not a silent re-encode."""
-    saved = os.environ.get("REPRO_BACKEND")
-    try:
-        os.environ["REPRO_BACKEND"] = "columnar"
-        instance = constant_propagation(load_subject("minijavac", scale=0.3))
-        solver = instance.make_solver(SemiNaiveSolver)
-        path = tmp_path / "col.ckpt"
-        save_checkpoint(solver, path)
-        os.environ["REPRO_BACKEND"] = "object"
-        with pytest.raises(CheckpointError, match="backend"):
-            load_checkpoint(SemiNaiveSolver, instance.program, path)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_BACKEND", None)
-        else:
-            os.environ["REPRO_BACKEND"] = saved
+    instance = constant_propagation(load_subject("minijavac", scale=0.3))
+    solver = instance.make_solver(
+        SemiNaiveSolver, config=SolverConfig(backend="columnar")
+    )
+    path = tmp_path / "col.ckpt"
+    save_checkpoint(solver, path)
+    with pytest.raises(CheckpointError, match="SolverConfig.backend"):
+        load_checkpoint(
+            SemiNaiveSolver,
+            instance.program,
+            path,
+            config=SolverConfig(backend="object"),
+        )

@@ -1,6 +1,6 @@
 """Property-based check: provenance capture is observationally free.
 
-Annotation capture (``provenance=True``) must not change *any* exported
+Annotation capture (``SolverConfig.provenance``) must not change *any* exported
 relation, on any engine, under any insert/delete epoch sequence — the
 annotations are a side table, never an input to evaluation.  Each
 property runs an annotated and an unannotated solver of the same engine
@@ -12,6 +12,7 @@ every report it reconstructs verifies against the live state.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import SolverConfig
 from repro.engines import (
     DRedLSolver,
     LaddderSolver,
@@ -31,7 +32,10 @@ def run_pairs(program_factory, initial_facts, epochs, engines=ENGINES):
     for engine in engines:
         twins = []
         for provenance in (False, True):
-            solver = engine(program_factory(), provenance=provenance)
+            solver = engine(
+                program_factory(),
+                config=SolverConfig.from_env(provenance=provenance),
+            )
             for pred, rows in initial_facts.items():
                 solver.add_facts(pred, rows)
             solver.solve()

@@ -286,9 +286,9 @@ def kupdate_cyclic_facts() -> dict[str, set[tuple]]:
     }
 
 
-def load(solver_cls, program: Program, facts: dict[str, set[tuple]]):
+def load(solver_cls, program: Program, facts: dict[str, set[tuple]], config=None):
     """Build a solver, stage facts, and solve."""
-    solver = solver_cls(program)
+    solver = solver_cls(program, config=config)
     for pred, rows in facts.items():
         solver.add_facts(pred, rows)
     solver.solve()

@@ -14,19 +14,13 @@ from __future__ import annotations
 import pytest
 
 from repro.analyses import ANALYSES
+from repro.config import SolverConfig
 from repro.corpus import load_subject
 from repro.datalog import parse
 from repro.datalog.ast import Literal, Variable
 from repro.datalog.planning import plan_body
 from repro.engines.aggspec import compile_agg_specs
-from repro.engines.compile import (
-    DEFAULT_REPLAN_FACTOR,
-    KernelCache,
-    RuleShape,
-    compile_extractor,
-    interpret_requested,
-    replan_factor_from_env,
-)
+from repro.engines.compile import KernelCache, RuleShape, compile_extractor
 from repro.engines.laddder import LaddderSolver
 from repro.engines.relation import IndexedRelation
 from repro.engines.seminaive import SemiNaiveSolver
@@ -274,7 +268,7 @@ class TestKernelCache:
             {"e": {(1, 2)}, "f": {(2, 3)}}, arities={"e": 2, "f": 2}
         )
         m = SolverMetrics()
-        cache = KernelCache(p, metrics=m, interpret=False, replan_factor=4.0)
+        cache = KernelCache(p, metrics=m, interpret=False)
 
         def oracle(pred):
             return len(rels[pred])
@@ -295,13 +289,14 @@ class TestKernelCache:
         cache.kernel(rule, oracle=oracle)
         assert m.rules_compiled == 2
 
-    def test_replan_guard_brackets_refresh(self):
+    def test_replan_guard_brackets_refresh(self, monkeypatch):
         # The guard's safe intervals are exactly the sizes for which
         # refresh is a no-op — the engines use it to skip the full sweep.
         p = parse("j(X, Z) :- e(X, Y), f(Y, Z).")
         rule = p.rules[0]
         sizes = {"e": 8, "f": 8}
-        cache = KernelCache(p, interpret=False, replan_factor=4.0)
+        assert KernelCache.REPLAN_FACTOR == 4.0
+        cache = KernelCache(p, interpret=False)
         cache.kernel(rule, oracle=sizes.__getitem__)
         guard = cache.replan_guard([rule])
         assert set(guard) == {"e", "f"}
@@ -317,13 +312,15 @@ class TestKernelCache:
         fresh = KernelCache(p, interpret=False)
         fresh.kernel(rule)
         assert fresh.replan_guard([rule]) == {}
-        assert KernelCache(p, replan_factor=0.0).replan_guard([rule]) == {}
+        monkeypatch.setattr(KernelCache, "REPLAN_FACTOR", 0.0)
+        assert cache.replan_guard([rule]) == {}
 
-    def test_replan_factor_zero_disables(self):
+    def test_replan_factor_zero_disables(self, monkeypatch):
         p = parse("p(X) :- e(X).")
         rule = p.rules[0]
         rels, _ = make_lookup({"e": {(1,)}})
-        cache = KernelCache(p, interpret=False, replan_factor=0.0)
+        monkeypatch.setattr(KernelCache, "REPLAN_FACTOR", 0.0)
+        cache = KernelCache(p, interpret=False)
         cache.kernel(rule, oracle=lambda pred: len(rels[pred]))
         for i in range(100):
             rels["e"].add((i,))
@@ -362,23 +359,6 @@ class TestKernelCache:
         assert m.plan_cache_misses == 2
         assert m.rules_compiled == 1
         assert len(cache._kernels) == 1
-
-    def test_env_toggles(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INTERPRET", raising=False)
-        monkeypatch.delenv("REPRO_REPLAN_FACTOR", raising=False)
-        assert not interpret_requested()
-        assert replan_factor_from_env() == DEFAULT_REPLAN_FACTOR
-        monkeypatch.setenv("REPRO_INTERPRET", "1")
-        monkeypatch.setenv("REPRO_REPLAN_FACTOR", "2.5")
-        assert interpret_requested()
-        assert replan_factor_from_env() == 2.5
-        p = parse("p(X) :- e(X).")
-        cache = KernelCache(p)
-        assert cache.interpret and cache.replan_factor == 2.5
-        monkeypatch.setenv("REPRO_INTERPRET", "0")
-        assert not interpret_requested()
-        monkeypatch.setenv("REPRO_REPLAN_FACTOR", "nonsense")
-        assert replan_factor_from_env() == DEFAULT_REPLAN_FACTOR
 
 
 class TestCompileHoistedOutOfFixpoint:
@@ -466,11 +446,11 @@ class TestOneLoweringOnEveryBundledRule:
 
     @pytest.mark.parametrize("backend", ["object", "columnar"])
     @pytest.mark.parametrize("analysis", sorted(ANALYSES))
-    def test_compiled_equals_interpreted(self, analysis, backend, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", backend)
+    def test_compiled_equals_interpreted(self, analysis, backend):
         instance = ANALYSES[analysis](load_subject("minijavac"))
-        solver = instance.make_solver(LaddderSolver)
-        assert solver.backend == backend
+        solver = instance.make_solver(
+            LaddderSolver, config=SolverConfig(backend=backend)
+        )
         caches = [
             KernelCache(solver.program, interpret=flag, backend=backend)
             for flag in (False, True)

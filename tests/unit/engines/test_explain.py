@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import SolverConfig
 from repro.datalog import SolverError, parse
 from repro.engines import LaddderSolver, NaiveSolver, explain
 from repro.lattices import C, ConstantLattice
@@ -16,6 +17,8 @@ from .helpers import (
 )
 
 CONST = ConstantLattice()
+#: Capture on, everything else as the suite's environment has it.
+PROVENANCE = SolverConfig.from_env(provenance=True)
 
 
 def leaf_kinds(node):
@@ -143,7 +146,7 @@ class TestLatticeExplanations:
 
 class TestHeightGuidedProvenance:
     def test_annotated_solver_takes_fast_path(self):
-        solver = LaddderSolver(tc_program(), provenance=True)
+        solver = LaddderSolver(tc_program(), config=PROVENANCE)
         solver.add_facts("edge", {(i, i + 1) for i in range(10)})
         solver.solve()
         d = explain(solver, "tc", (0, 10))
@@ -153,7 +156,7 @@ class TestHeightGuidedProvenance:
     def test_tree_identical_with_and_without_annotations(self):
         facts = tc_facts({(1, 2), (2, 3), (3, 4)})
         plain = load(LaddderSolver, tc_program(), facts)
-        annotated = LaddderSolver(tc_program(), provenance=True)
+        annotated = LaddderSolver(tc_program(), config=PROVENANCE)
         annotated.add_facts("edge", facts["edge"])
         annotated.solve()
         for row in plain.relation("tc"):
@@ -165,7 +168,7 @@ class TestHeightGuidedProvenance:
             assert leaf_kinds(a) == leaf_kinds(b) == {"fact"}
 
     def test_fast_path_after_incremental_update(self):
-        solver = LaddderSolver(tc_program(), provenance=True)
+        solver = LaddderSolver(tc_program(), config=PROVENANCE)
         solver.add_facts("edge", {(1, 2)})
         solver.solve()
         solver.update(insertions={"edge": {(2, 3), (3, 4)}})
@@ -174,9 +177,10 @@ class TestHeightGuidedProvenance:
 
 
 class TestColumnarAndSchema:
-    def test_columnar_round_trip(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "columnar")
-        solver = LaddderSolver(tc_program(), provenance=True)
+    def test_columnar_round_trip(self):
+        solver = LaddderSolver(
+            tc_program(), config=SolverConfig(backend="columnar", provenance=True)
+        )
         solver.add_facts("edge", {(1, 2), (2, 3)})
         solver.solve()
         assert solver.intern is not None
@@ -186,10 +190,12 @@ class TestColumnarAndSchema:
         assert leaf_kinds(d) == {"fact"}
         assert "edge(1, 2)" in d.format()
 
-    def test_columnar_aggregate_explanation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "columnar")
+    def test_columnar_aggregate_explanation(self):
         facts = {"lit": {("x", 1), ("y", 2)}, "copy": {("z", "x"), ("z", "y")}}
-        solver = load(LaddderSolver, const_prop_program(), facts)
+        solver = load(
+            LaddderSolver, const_prop_program(), facts,
+            config=SolverConfig(backend="columnar"),
+        )
         d = explain(solver, "val", ("z", CONST.top()))
         assert d.kind == "aggregate"
         assert len(d.premises) == 2

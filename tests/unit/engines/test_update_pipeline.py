@@ -14,6 +14,7 @@ from importlib import import_module
 import pytest
 
 import repro.engines
+from repro.config import SolverConfig
 from repro.datalog import parse
 from repro.engines import Solver
 from repro.lattices import ChainLattice, glb
@@ -89,10 +90,11 @@ def test_exported_edb_rows_are_reported(solver):
     assert ("a", "d") in stats.deleted["unlinked"]
 
 
-def test_update_books_update_seconds_only(engine_cls, program, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_IMPACT", "1")
+def test_update_books_update_seconds_only(engine_cls, program):
     metrics = SolverMetrics(enabled=True)
-    solver = engine_cls(program, metrics=metrics)
+    solver = engine_cls(
+        program, metrics=metrics, config=SolverConfig.from_env(impact=False)
+    )
     solver.add_facts("arc", FACTS["arc"])
     solver.solve()
     solved = metrics.solve_seconds
@@ -180,7 +182,7 @@ def test_relation_map_pickles_as_a_plain_dict(in_place):
 
 
 def test_parent_written_checkpoint_restores_and_keeps_updating(
-    engine_cls, program, monkeypatch
+    engine_cls, program
 ):
     """``tests/fixtures/parent_<engine>.ckpt`` was written by the commit
     before the shared container (plain-dict relation maps, object backend,
@@ -194,12 +196,12 @@ def test_parent_written_checkpoint_restores_and_keeps_updating(
 
     if engine_cls.COMPONENT_STATE is None:
         pytest.skip("fixtures exist for the in-place engines")
-    monkeypatch.setenv("REPRO_BACKEND", "object")
+    config = SolverConfig.from_env(backend="object")
     name = {cls: n for n, cls in ENGINES.items()}[engine_cls]
     path = Path(__file__).parents[2] / "fixtures" / f"parent_{name}.ckpt"
-    restored = load_checkpoint(engine_cls, program, path)
+    restored = load_checkpoint(engine_cls, program, path, config=config)
     assert all(type(s.relations) is Relations for s in restored._states)
-    fresh = engine_cls(program)
+    fresh = engine_cls(program, config=config)
     for pred, rows in FACTS.items():
         fresh.add_facts(pred, rows)
     fresh.solve()

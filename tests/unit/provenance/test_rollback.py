@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import SolverConfig
 from repro.datalog import SolverError
 from repro.engines import DRedLSolver, LaddderSolver, NaiveSolver, SemiNaiveSolver
 from repro.provenance import suggest_rollbacks
@@ -67,7 +68,9 @@ class TestTaintAlarm:
         )
 
     def test_alarm_removal_matches_from_scratch(self, instance):
-        solver = instance.make_solver(LaddderSolver, provenance=True)
+        solver = instance.make_solver(
+            LaddderSolver, config=SolverConfig.from_env(provenance=True)
+        )
         alarm = next(
             row for row in solver.relation("sink_alert")
             if row[1] == "Main.main/x"

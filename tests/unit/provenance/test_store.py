@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import SolverConfig
 from repro.engines import DRedLSolver, LaddderSolver, NaiveSolver, SemiNaiveSolver
 from repro.provenance import ProvenanceStore
 
@@ -84,7 +85,7 @@ class TestJournalRollback:
 @pytest.mark.parametrize("engine", ENGINES)
 class TestEngineCapture:
     def test_all_derived_tuples_annotated(self, engine):
-        solver = engine(tc_program(), provenance=True)
+        solver = engine(tc_program(), config=SolverConfig.from_env(provenance=True))
         solver.add_facts("edge", {(1, 2), (2, 3), (3, 4)})
         solver.solve()
         prov = solver.provenance
@@ -93,7 +94,7 @@ class TestEngineCapture:
             assert prov.get("tc", key) is not None
 
     def test_annotations_track_updates(self, engine):
-        solver = engine(tc_program(), provenance=True)
+        solver = engine(tc_program(), config=SolverConfig.from_env(provenance=True))
         solver.add_facts("edge", {(1, 2)})
         solver.solve()
         solver.update(insertions={"edge": {(2, 3)}})

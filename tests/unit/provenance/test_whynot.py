@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import SolverConfig
 from repro.datalog import SolverError, parse
 from repro.engines import DRedLSolver, LaddderSolver, NaiveSolver, SemiNaiveSolver
 from repro.lattices import ConstantLattice
@@ -113,9 +114,11 @@ class TestValidationAndKinds:
 
 
 class TestColumnarBackend:
-    def test_frontier_in_caller_space(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "columnar")
-        solver = load(LaddderSolver, tc_program(), tc_facts({(1, 2), (2, 3)}))
+    def test_frontier_in_caller_space(self):
+        solver = load(
+            LaddderSolver, tc_program(), tc_facts({(1, 2), (2, 3)}),
+            config=SolverConfig(backend="columnar"),
+        )
         assert solver.intern is not None
         report = whynot(solver, "tc", (2, 1))
         assert all(
@@ -124,9 +127,11 @@ class TestColumnarBackend:
             for e in report.frontier
         )
 
-    def test_unknown_constants_named(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "columnar")
-        solver = load(LaddderSolver, tc_program(), tc_facts({(1, 2)}))
+    def test_unknown_constants_named(self):
+        solver = load(
+            LaddderSolver, tc_program(), tc_facts({(1, 2)}),
+            config=SolverConfig(backend="columnar"),
+        )
         report = whynot(solver, "tc", (1, 99))
         assert report.reason == "unknown-constants"
         assert "99" in report.frontier[0].missing.detail

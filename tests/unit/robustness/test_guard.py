@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import SolverConfig
 from repro.datalog.errors import BudgetExceededError, RollbackError
 from repro.engines import (
     DRedLSolver,
@@ -226,9 +227,11 @@ class TestEquivalence:
 
 class TestSelfCheckGate:
     def test_self_check_runs_before_commit(self):
-        solver = load(LaddderSolver, tc_program(), tc_facts({(1, 2), (2, 3)}))
-        guarded = GuardedSolver(solver, self_check=True)
-        assert solver.self_check
+        solver = load(
+            LaddderSolver, tc_program(), tc_facts({(1, 2), (2, 3)}),
+            config=SolverConfig.from_env(self_check=True),
+        )
+        guarded = GuardedSolver(solver)
         guarded.update(insertions={"edge": {(3, 4)}})
         assert solver.metrics.selfcheck_seconds > 0.0
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import SolverConfig
 from repro.datalog.errors import InvariantViolationError
 from repro.engines import (
     DRedLSolver,
@@ -126,9 +127,13 @@ class TestDetectsCorruption:
 
 class TestEngineHook:
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_self_check_mode_solves_clean(self, engine, monkeypatch):
-        monkeypatch.setenv("REPRO_SELF_CHECK", "1")
-        solver = load(engine, singleton_pointsto_program(), figure3_facts())
+    def test_self_check_mode_solves_clean(self, engine):
+        solver = engine(
+            singleton_pointsto_program(), config=SolverConfig(self_check=True)
+        )
+        for pred, rows in figure3_facts().items():
+            solver.add_facts(pred, rows)
+        solver.solve()
         assert solver.self_check
         solver.update(deletions={"alloc": {("c", "F2", "proc")}})
         assert solver.metrics.selfcheck_seconds > 0.0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import SolverConfig
 from repro.datalog.errors import BudgetExceededError, SolverError
 from repro.engines import LaddderSolver, SemiNaiveSolver
 from repro.robustness.watchdog import DEFAULT_MAX_CHAIN, Budget
@@ -22,24 +23,30 @@ class TestBudgetConfig:
         # An engine instance override tighter than the budget wins.
         assert Budget(max_iterations=10).iterations(3) == 3
 
+    # The environment reaches a Budget through SolverConfig.from_env (the
+    # parsing table itself is tests/unit/test_config.py).
+
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_ITERS", "7")
         monkeypatch.setenv("REPRO_MAX_CHAIN", "9")
-        b = Budget.from_env()
+        b = SemiNaiveSolver(tc_program()).budget
         assert b.max_iterations == 7
         assert b.max_chain == 9
 
     def test_from_env_unset(self, monkeypatch):
         monkeypatch.delenv("REPRO_MAX_ITERS", raising=False)
         monkeypatch.delenv("REPRO_MAX_CHAIN", raising=False)
-        b = Budget.from_env()
+        b = SemiNaiveSolver(tc_program()).budget
         assert b.max_iterations is None
+        assert b.max_chain == DEFAULT_MAX_CHAIN
 
     @pytest.mark.parametrize("value", ["zero", "-3", "0"])
     def test_bad_env_rejected(self, monkeypatch, value):
+        # A configuration mistake, not a watchdog trip (CLI exit 2, not 3).
         monkeypatch.setenv("REPRO_MAX_ITERS", value)
-        with pytest.raises(BudgetExceededError, match="REPRO_MAX_ITERS"):
-            Budget.from_env()
+        with pytest.raises(SolverError, match="REPRO_MAX_ITERS") as caught:
+            SemiNaiveSolver(tc_program())
+        assert not isinstance(caught.value, BudgetExceededError)
 
 
 class TestDeadline:
@@ -83,8 +90,9 @@ class TestAscendingChain:
 
 class TestEngineIntegration:
     def test_iteration_budget_trips_solver(self):
-        solver = SemiNaiveSolver(tc_program())
-        solver.budget.max_iterations = 2
+        solver = SemiNaiveSolver(
+            tc_program(), config=SolverConfig(max_iterations=2)
+        )
         solver.add_facts("edge", {(i, i + 1) for i in range(10)})
         with pytest.raises(SolverError, match="iterations"):
             solver.solve()

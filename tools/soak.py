@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.changes.soak import soak  # noqa: E402
+from repro.config import SolverConfig  # noqa: E402
 
 
 def parse_args(argv=None):
@@ -49,12 +50,12 @@ def parse_args(argv=None):
     parser.add_argument(
         "--backend", default=None,
         help="comma-separated storage backends to matrix over "
-        "(object, columnar, auto; default: inherit REPRO_BACKEND)",
+        "(object, columnar; default: the environment's REPRO_BACKEND)",
     )
     parser.add_argument(
         "--impact", default=None,
         help="comma-separated impact-scheduling modes to matrix over "
-        "(on, off; default: inherit REPRO_NO_IMPACT)",
+        "(on, off; default: on)",
     )
     parser.add_argument(
         "--self-check", action="store_true",
@@ -79,8 +80,8 @@ def summarize(record: dict) -> str:
     )
     return (
         f"{record['subject']}/{record['analysis']}/{record['engine']}"
-        f"[{record.get('backend', 'object')},"
-        f"impact={record.get('impact', 'on')}]: "
+        f"[{record['config']['backend']},"
+        f"impact={'on' if record['config']['impact'] else 'off'}]: "
         f"{'ok' if record['ok'] else 'FAIL'}  "
         f"steps={record['steps']} seed={record['seed']} "
         f"p50={latency['p50'] * 1e3:.1f}ms p95={latency['p95'] * 1e3:.1f}ms "
@@ -91,30 +92,20 @@ def summarize(record: dict) -> str:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    base = SolverConfig.from_env().with_request(self_check=args.self_check)
+    backends = [base.backend]
     if args.backend:
         backends = [b.strip() for b in args.backend.split(",") if b.strip()]
-    else:
-        backends = [None]  # inherit whatever REPRO_BACKEND says
+    impact_modes = ["on"]
     if args.impact:
         impact_modes = [m.strip() for m in args.impact.split(",") if m.strip()]
         for mode in impact_modes:
             if mode not in ("on", "off"):
                 raise SystemExit(f"--impact modes are on/off, got {mode!r}")
-    else:
-        impact_modes = [None]  # inherit whatever REPRO_NO_IMPACT says
     records = []
     for backend in backends:
-        if backend is not None:
-            os.environ["REPRO_BACKEND"] = backend
-        label = backend or os.environ.get("REPRO_BACKEND") or "object"
         for impact_mode in impact_modes:
-            if impact_mode == "on":
-                os.environ.pop("REPRO_NO_IMPACT", None)
-            elif impact_mode == "off":
-                os.environ["REPRO_NO_IMPACT"] = "1"
-            impact_label = impact_mode or (
-                "off" if os.environ.get("REPRO_NO_IMPACT") else "on"
-            )
+            config = replace(base, backend=backend, impact=impact_mode == "on")
             for analysis in args.analyses.split(","):
                 for engine in args.engines.split(","):
                     record = soak(
@@ -125,11 +116,9 @@ def main(argv=None) -> int:
                         seed=args.seed,
                         checkpoint_every=args.checkpoint_every,
                         scale=args.scale,
-                        self_check=args.self_check,
+                        config=config,
                         drive_session=args.session,
                     )
-                    record["backend"] = label
-                    record["impact"] = impact_label
                     records.append(record)
                     print(summarize(record), flush=True)
     if args.json:
