@@ -269,7 +269,7 @@ def cmd_explain(args) -> int:
     verified input-edit suggestions that remove the selected tuple.
     """
     from .provenance import suggest_rollbacks, whynot
-    from .service.snapshot import stable_repr
+    from .service.snapshot import match_rows, order_rows
 
     _subject, instance = _build(args)
     config = SolverConfig.from_env(provenance=True)
@@ -286,16 +286,9 @@ def cmd_explain(args) -> int:
             return _write_explain_json(args, {"whynot": report.to_dict()})
 
         pred = args.predicate or instance.primary
-        rows = sorted(solver.relation(pred), key=stable_repr)
+        _keys, rows = order_rows(solver.relation(pred))
         if row is not None:
-            rendered = [
-                v if isinstance(v, str) else stable_repr(v) for v in row
-            ]
-            rows = [
-                cand for cand in rows
-                if cand == row
-                or [stable_repr(v) for v in cand] == rendered
-            ]
+            rows = list(match_rows(rows, row))
             if not rows:
                 print(
                     f"{pred}{row} is not derived; try --whynot",

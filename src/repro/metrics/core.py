@@ -189,6 +189,7 @@ class SolverMetrics:
         "queries_served",
         "query_seconds",
         "snapshots_published",
+        "renders",
         "max_pending",
         "provenance_annotations",
         "provenance_hits",
@@ -277,6 +278,9 @@ class SolverMetrics:
         self.queries_served = 0
         self.query_seconds = 0.0
         self.snapshots_published = 0
+        #: Ordered views built by published snapshots (one per version and
+        #: predicate that was read); reads / renders is the reuse ratio.
+        self.renders = 0
         self.max_pending = 0
         # Provenance counters (see repro.provenance / docs/PROVENANCE.md).
         # Annotation writes are one dict store per derived tuple — cheap
@@ -449,6 +453,7 @@ class SolverMetrics:
                 "queries_served": self.queries_served,
                 "query_seconds": self.query_seconds,
                 "snapshots_published": self.snapshots_published,
+                "renders": self.renders,
                 "max_pending": self.max_pending,
             },
             "provenance": {

@@ -317,6 +317,17 @@ class _Slot:
         self.misses = 0
 
 
+def _sum_into(total: dict, part: dict) -> None:
+    """Add ``part``'s counters into ``total``, group by group (a session's
+    ``metrics`` export nests them: ``service.renders`` ...); strings, lists
+    and booleans are not counters and are left out."""
+    for key, value in part.items():
+        if isinstance(value, dict):
+            _sum_into(total.setdefault(key, {}), value)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            total[key] = total.get(key, 0) + value
+
+
 class ClusterService:
     """The sharded, supervised drop-in for :class:`ServiceProtocol`."""
 
@@ -735,7 +746,7 @@ class ClusterService:
         with self._slots_cond:
             slots = {name: slot for name, slot in self._slots.items()}
         workers = {}
-        merged_metrics: dict[str, float] = {}
+        merged_metrics: dict = {}
         configs: list[dict] = []
         for name, slot in sorted(slots.items()):
             client = slot.client
@@ -762,13 +773,9 @@ class ClusterService:
                         if detail.get("ok"):
                             if detail["solver_config"] not in configs:
                                 configs.append(detail["solver_config"])
-                            for key, value in (
-                                detail.get("metrics") or {}
-                            ).items():
-                                if isinstance(value, (int, float)):
-                                    merged_metrics[key] = (
-                                        merged_metrics.get(key, 0) + value
-                                    )
+                            _sum_into(
+                                merged_metrics, detail.get("metrics") or {}
+                            )
             workers[name] = info
         with self._counters_lock:
             counters = dict(self.counters)

@@ -170,14 +170,20 @@ def _pred_and_row(request, op: str) -> tuple[str, tuple]:
     return pred, tuple(row)
 
 
-def _bounded_int(request, key: str, default: int, lo: int, hi: int) -> int:
-    """An optional integer request field, range-clamped by validation."""
+def _bounded_int(
+    request, key: str, default: int | None, lo: int, hi: int | None = None
+) -> int | None:
+    """An optional integer request field, range-checked (``hi=None``:
+    bounded below only)."""
     value = request.get(key)
     if value is None:
         return default
     if not isinstance(value, int) or isinstance(value, bool):
         raise ServiceError(f"'{key}' must be an integer")
-    if not lo <= value <= hi:
+    if hi is None:
+        if value < lo:
+            raise ServiceError(f"'{key}' must be at least {lo}")
+    elif not lo <= value <= hi:
         raise ServiceError(f"'{key}' must be between {lo} and {hi}")
     return value
 
@@ -285,7 +291,9 @@ class ServiceProtocol:
         session = self._session(request)
         if request.get("flush"):
             session.flush()
-        return session.query(pred, limit=request.get("limit"))
+        return session.query(
+            pred, limit=_bounded_int(request, "limit", default=None, lo=0)
+        )
 
     def _op_explain(self, request) -> dict:
         pred, row = _pred_and_row(request, "explain")

@@ -45,7 +45,7 @@ from ..engines.checkpoint import dump_state, load_checkpoint, write_checkpoint
 from ..metrics import SolverMetrics
 from ..robustness import GuardedSolver
 from .queue import CoalescingQueue, UpdateBatch
-from .snapshot import Snapshot, render_row, stable_repr, take_snapshot
+from .snapshot import Snapshot, match_rows, take_snapshot
 
 #: Engine registry shared with the CLI (name -> solver class).
 ENGINES = {
@@ -183,7 +183,7 @@ class Session:
         self.checkpoints_written = 0
         self.checkpoint_errors = 0
         self.last_checkpoint_error: str | None = None
-        self._snapshot = take_snapshot(self.solver, 1)
+        self._snapshot = take_snapshot(self.solver, 1, self.metrics)
         self.metrics.snapshots_published += 1
         self._worker = threading.Thread(
             target=self._worker_loop, name=f"repro-session-{name}", daemon=True
@@ -319,7 +319,9 @@ class Session:
                 stats = self.solver.update(
                     insertions=batch.insertions, deletions=batch.deletions
                 )
-                snapshot = take_snapshot(self.solver, self._snapshot.version + 1)
+                snapshot = take_snapshot(
+                    self.solver, self._snapshot.version + 1, self.metrics
+                )
                 # Under the solver lock so the checkpointer reads a seq
                 # consistent with the solver state it serializes.
                 if seq_at_drain > self._applied_seq:
@@ -381,24 +383,13 @@ class Session:
     # -- provenance (docs/PROVENANCE.md) -----------------------------------
 
     def _resolve_row(self, solver, pred: str, row: tuple) -> tuple | None:
-        """Map a wire-form row onto a stored tuple of ``pred``.
-
-        Clients hold rows in two forms: raw scalars (what they inserted)
-        and the rendered strings the ``query`` op returns.  Try a direct
-        match first, then compare against each stored row's rendering —
-        so any row a client read back can be fed to ``explain`` verbatim.
-        """
+        """Map a wire-form row (see :func:`match_rows`) onto a stored tuple
+        of ``pred``: a direct match first, then the first stored row that
+        renders to it."""
         relation = solver.relation(pred)
         if row in relation:
             return row
-        rendered = [
-            value if isinstance(value, str) else stable_repr(value)
-            for value in row
-        ]
-        for candidate in relation:
-            if render_row(candidate) == rendered:
-                return candidate
-        return None
+        return next(match_rows(relation, row), None)
 
     def explain(
         self,
@@ -589,7 +580,9 @@ class Session:
             self._cond.notify_all()
         with self._solver_lock:
             self.solver = self._load(path)
-            snapshot = take_snapshot(self.solver, self._snapshot.version + 1)
+            snapshot = take_snapshot(
+                self.solver, self._snapshot.version + 1, self.metrics
+            )
             self._snapshot = snapshot
             self.metrics.snapshots_published += 1
         return {"version": snapshot.version, "dropped": dropped}

@@ -18,12 +18,13 @@ injection).
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ..datalog.errors import ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..engines.base import Solver
+    from ..metrics import SolverMetrics
 
 
 def stable_repr(value) -> str:
@@ -56,16 +57,66 @@ def render_row(row: tuple) -> list[str]:
     return [stable_repr(value) for value in row]
 
 
+#: One view in order: every row's :func:`stable_repr` key and the rows
+#: themselves, both in key order.
+Ordered = tuple[tuple[str, ...], tuple[tuple, ...]]
+
+
+def order_rows(rows: Iterable[tuple]) -> Ordered:
+    """The one place exported rows are sorted: a stable sort on the
+    :func:`stable_repr` key alone, so rows whose keys tie keep the order
+    ``rows`` iterates them in."""
+    rows = list(rows)
+    keys = [stable_repr(row) for row in rows]
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    return tuple([keys[i] for i in order]), tuple([rows[i] for i in order])
+
+
+def match_rows(rows: Iterable[tuple], wanted: tuple) -> Iterator[tuple]:
+    """The members of ``rows`` that a wire-form row names.
+
+    Clients hold rows in two forms: raw scalars (what they inserted) and
+    the rendered strings the ``query`` op returns.  A stored row matches
+    when it equals ``wanted`` or renders to it (strings in ``wanted`` are
+    taken as already rendered) — so any row a client read back can be fed
+    to ``explain`` verbatim."""
+    rendered = [
+        value if isinstance(value, str) else stable_repr(value)
+        for value in wanted
+    ]
+    for row in rows:
+        if row == wanted or render_row(row) == rendered:
+            yield row
+
+
 class Snapshot:
-    """One published, immutable set of exported views."""
+    """One published, immutable set of exported views.
 
-    __slots__ = ("version", "views")
+    Each view is put in order at most once, on the first read that needs it
+    (:meth:`ordered`), and that render is kept for the life of the version:
+    ``rows`` slices it and ``digest`` hashes its keys.  Nothing is rendered
+    for a version nobody reads, and nothing is carried to the next version.
+    The read path takes no lock: two readers racing the first render both
+    compute the same value and either store wins.
+    """
 
-    def __init__(self, version: int, views: Mapping[str, frozenset]):
+    __slots__ = ("version", "views", "_metrics", "_renders", "_digest",
+                 "__weakref__")
+
+    def __init__(
+        self,
+        version: int,
+        views: Mapping[str, frozenset],
+        metrics: "SolverMetrics | None" = None,
+    ):
         self.version = version
         self.views: dict[str, frozenset] = {
             pred: frozenset(rows) for pred, rows in views.items()
         }
+        #: Counts ordered views built (``renders``); None counts nothing.
+        self._metrics = metrics
+        self._renders: dict[str, Ordered] = {}
+        self._digest: str | None = None
 
     def query(self, pred: str) -> frozenset:
         """The exported view of ``pred``; unknown predicates are errors,
@@ -79,12 +130,18 @@ class Snapshot:
             )
         return rows
 
+    def ordered(self, pred: str) -> Ordered:
+        """:func:`order_rows` of ``pred``'s view, built on first use."""
+        render = self._renders.get(pred)
+        if render is None:
+            render = self._renders[pred] = order_rows(self.query(pred))
+            if self._metrics is not None:
+                self._metrics.renders += 1
+        return render
+
     def rows(self, pred: str, limit: int | None = None) -> list[list[str]]:
         """Sorted, rendered rows of ``pred`` (the protocol wire form)."""
-        ordered = sorted(self.query(pred), key=stable_repr)
-        if limit is not None:
-            ordered = ordered[:limit]
-        return [render_row(row) for row in ordered]
+        return [render_row(row) for row in self.ordered(pred)[1][:limit]]
 
     def counts(self) -> dict[str, int]:
         return {pred: len(rows) for pred, rows in sorted(self.views.items())}
@@ -98,18 +155,22 @@ class Snapshot:
         so set-valued lattice elements digest identically regardless of
         hash seed or construction order.
         """
-        hasher = hashlib.sha256()
-        for pred in sorted(self.views):
-            hasher.update(pred.encode("utf-8"))
-            hasher.update(b"\x00")
-            for row in sorted(self.views[pred], key=stable_repr):
-                hasher.update(stable_repr(row).encode("utf-8"))
-                hasher.update(b"\x01")
-            hasher.update(b"\x02")
-        return hasher.hexdigest()
+        if self._digest is None:
+            hasher = hashlib.sha256()
+            for pred in sorted(self.views):
+                hasher.update(pred.encode("utf-8"))
+                hasher.update(b"\x00")
+                for key in self.ordered(pred)[0]:
+                    hasher.update(key.encode("utf-8"))
+                    hasher.update(b"\x01")
+                hasher.update(b"\x02")
+            self._digest = hasher.hexdigest()
+        return self._digest
 
 
-def take_snapshot(solver: "Solver", version: int) -> Snapshot:
+def take_snapshot(
+    solver: "Solver", version: int, metrics: "SolverMetrics | None" = None
+) -> Snapshot:
     """Capture every exported predicate of a solved solver."""
     return Snapshot(
         version,
@@ -117,4 +178,5 @@ def take_snapshot(solver: "Solver", version: int) -> Snapshot:
             pred: solver.relation(pred)
             for pred in solver.program.exported_predicates()
         },
+        metrics,
     )

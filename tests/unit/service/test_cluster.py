@@ -355,9 +355,16 @@ class TestRealWorkerSmoke:
                 }
             )
             assert updated["ok"] and updated["seq"] == 1
+            for _ in range(2):
+                assert service.handle(
+                    {"op": "query", "session": "smoke", "predicate": "val"}
+                )["ok"]
             stats = service.handle({"op": "stats", "id": 2})
             assert stats["sessions"] == ["smoke"]
             assert stats["cluster"]["counters"]["worker_restarts"] == 0
+            # Session counters are summed group by group across workers.
+            assert stats["metrics"]["service"]["queries_served"] == 2
+            assert stats["metrics"]["service"]["renders"] == 1
             closed = service.handle({"op": "close", "session": "smoke"})
             assert closed["ok"]
 

@@ -151,6 +151,26 @@ class TestDispatch:
         assert not unknown["ok"]
         assert unknown["error"]["type"] == "ServiceError"
 
+    def test_query_limit_is_validated(self, protocol):
+        """Regression: ``limit`` went unchecked into a slice, so -1 answered
+        ``ok`` with the last row dropped, "3"/2.5 surfaced a raw TypeError
+        and ``true`` read as 1."""
+        open_default(protocol)
+        count = protocol.handle({"op": "query", "predicate": "val"})["count"]
+        for bad in (-1, "3", 2.5, True, False, [1], {"n": 1}):
+            response = protocol.handle(
+                {"op": "query", "predicate": "val", "limit": bad}
+            )
+            assert not response["ok"], bad
+            assert response["error"]["type"] == "ServiceError", bad
+            assert "'limit'" in response["error"]["message"], bad
+        for limit, want in ((0, 0), (3, 3), (count + 5, count), (None, count)):
+            response = protocol.handle(
+                {"op": "query", "predicate": "val", "limit": limit}
+            )
+            assert response["ok"] and response["count"] == count
+            assert len(response["rows"]) == want
+
     def test_snapshot_op(self, protocol):
         open_default(protocol)
         response = protocol.handle({"op": "snapshot"})
@@ -183,6 +203,8 @@ class TestDispatch:
         detail = protocol.handle({"op": "stats", "session": "alpha"})
         assert detail["ok"] and detail["engine"] == "LaddderSolver"
         assert detail["metrics"]["service"]["snapshots_published"] == 1
+        # Nothing has been read yet, so nothing has been rendered.
+        assert detail["metrics"]["service"]["renders"] == 0
 
     def test_named_sessions_are_independent(self, protocol):
         open_default(protocol, session="a")

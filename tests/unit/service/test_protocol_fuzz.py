@@ -94,6 +94,34 @@ class TestMalformedLines:
         stats = protocol.handle({"op": "stats", "session": name})
         assert stats["pending"] == 0  # nothing partially enqueued
 
+    def test_random_query_limits_answer_exactly_or_refuse(self, service_session):
+        # Any JSON value may arrive as ``limit``: a non-negative integer is
+        # honoured exactly, everything else is refused by name — never a
+        # raw TypeError from the slice, never a silently shortened answer.
+        protocol, name = service_session
+        query = {"op": "query", "session": name, "predicate": "val"}
+        count = protocol.handle(query)["count"]
+        rng = random.Random(4321)
+        arms = [
+            lambda: rng.randrange(-5, count + 5),
+            lambda: rng.choice([-(2**63), 2**63, 10**30]),
+            lambda: rng.choice([True, False]),
+            lambda: rng.uniform(-3, 3),
+            lambda: str(rng.randrange(0, 9)),
+            lambda: [rng.randrange(0, 9)],
+            lambda: {"n": rng.randrange(0, 9)},
+        ]
+        for _ in range(150):
+            limit = rng.choice(arms)()
+            response = protocol.handle(dict(query, limit=limit))
+            valid = type(limit) is int and limit >= 0
+            assert response["ok"] is valid, limit
+            if valid:
+                assert len(response["rows"]) == min(limit, count), limit
+            else:
+                assert response["error"]["type"] == "ServiceError", limit
+                assert "'limit'" in response["error"]["message"], limit
+
     def test_random_garbage_never_raises(self):
         protocol = ServiceProtocol()
         rng = random.Random(1234)

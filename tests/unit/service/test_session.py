@@ -6,8 +6,11 @@ previously published snapshot queryable — readers never see the failed
 batch, half-applied state, or an outage.
 """
 
+import gc
+import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.datalog.errors import ServiceError
 from repro.metrics import TraceSink
 from repro.robustness import inject
 from repro.service import Session, SessionConfig
+from repro.service.snapshot import render_row, stable_repr
 
 
 def make_session(**overrides) -> Session:
@@ -173,6 +177,7 @@ class TestFailedBatch:
             pre = session.snapshot
             pre_digest = pre.digest()
             pre_rows = session.query("val")["rows"]
+            assert session.metrics.renders == 1  # digest and rows: one render
             change = changes[0]
             session.update(
                 insertions=change.insertions, deletions=change.deletions
@@ -190,6 +195,8 @@ class TestFailedBatch:
             served = session.query("val")
             assert served["version"] == pre.version
             assert served["rows"] == pre_rows
+            # ... from the render it already had: nothing was built again.
+            assert session.metrics.renders == 1
             assert session.failed_batches == 1
             assert session.last_error and "RollbackError" in session.last_error
             assert session.metrics.rollbacks == 1
@@ -286,6 +293,87 @@ class TestSnapshotIsolation:
             assert not flusher.is_alive()
             assert session.query("val")["version"] == 2
         finally:
+            close(session)
+
+
+    def test_racing_readers_get_whole_versions_and_share_renders(self, changes):
+        """Readers race the first render of a fresh version, and the publish
+        of the next one: every response's rows are exactly the rows of the
+        version it names, each version is rendered at most once per racing
+        reader (there is no lock to make it exactly once), and a replaced
+        version dies with its render."""
+        readers, warmup = 8, 5
+        session = make_session(profile=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            gate = _GateSink()
+            session.metrics.sink = gate
+            snapshots = {1: session.snapshot}
+            change = changes[0]
+            session.update(
+                insertions=change.insertions, deletions=change.deletions
+            )
+            flusher = threading.Thread(target=session.flush, daemon=True)
+            flusher.start()
+            assert gate.entered.wait(timeout=30), "apply never started"
+            assert session.metrics.renders == 0  # version 1 is still unread
+
+            barrier = threading.Barrier(readers)
+            warmed = threading.Semaphore(0)
+            responses: list[list[dict]] = [[] for _ in range(readers)]
+
+            def read(slot):
+                barrier.wait(timeout=30)
+                deadline = time.monotonic() + 30
+                extra = 3
+                while extra and time.monotonic() < deadline:
+                    response = session.query("val")
+                    responses[slot].append(response)
+                    if len(responses[slot]) == warmup:
+                        warmed.release()
+                    if response["version"] == 2:
+                        extra -= 1
+
+            threads = [
+                threading.Thread(target=read, args=(slot,), daemon=True)
+                for slot in range(readers)
+            ]
+            for thread in threads:
+                thread.start()
+            for _ in range(readers):  # everyone has raced version 1 ...
+                assert warmed.acquire(timeout=30)
+            assert 1 <= session.metrics.renders <= readers
+            gate.release.set()  # ... now version 2 is published under them
+            for thread in threads + [flusher]:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+
+            snapshots[2] = session.snapshot
+            assert snapshots[2].version == 2
+            expected = {
+                version: [
+                    render_row(row)
+                    for row in sorted(snap.views["val"], key=stable_repr)
+                ]
+                for version, snap in snapshots.items()
+            }
+            assert expected[1] != expected[2]
+            served = [r for per_reader in responses for r in per_reader]
+            assert {r["version"] for r in served} == {1, 2}
+            for response in served:
+                assert response["rows"] == expected[response["version"]]
+            assert 2 <= session.metrics.renders <= 2 * readers
+            assert len(served) >= readers * (warmup + 3)
+            settled = session.metrics.renders
+            assert session.query("val")["rows"] == expected[2]
+            assert session.metrics.renders == settled  # a hit builds nothing
+
+            replaced = weakref.ref(snapshots.pop(1))
+            gc.collect()
+            assert replaced() is None, "a replaced version outlived its readers"
+        finally:
+            sys.setswitchinterval(interval)
             close(session)
 
 

@@ -80,3 +80,42 @@ class TestStableRendering:
     def test_rows_render_sets_sorted(self):
         snap = Snapshot(1, {"pt": {("v", frozenset(["b", "a"]))}})
         assert snap.rows("pt") == [["'v'", "{'a', 'b'}"]]
+
+    def test_repeated_reads_of_one_version_stay_stable(self):
+        # The render is kept for the life of the version: a second and a
+        # third read (rows at any limit, digest) must return what the first
+        # did, and what an equal view built the other way round returns.
+        forward = Snapshot(1, {"pt": {("v", frozenset(["b", "a"])), ("u", 1)}})
+        backward = Snapshot(2, {"pt": {("u", 1), ("v", frozenset(["a", "b"]))}})
+        first = (forward.rows("pt"), forward.digest())
+        for _ in range(3):
+            assert (forward.rows("pt"), forward.digest()) == first
+            assert (backward.rows("pt"), backward.digest()) == first
+        assert forward.rows("pt", limit=1) == first[0][:1]
+
+
+def test_replaced_snapshot_and_its_render_are_collectable():
+    """Nothing outlives a version: once no reader holds a replaced
+    snapshot, it and its kept render are garbage — a long session's memory
+    does not grow with the number of versions it has published."""
+    import gc
+    import weakref
+
+    from repro.metrics import SolverMetrics
+
+    class Marker:  # tuples and strings cannot be weakly referenced
+        def __repr__(self):
+            return "Marker"
+
+    marker = Marker()
+    metrics = SolverMetrics()
+    old = Snapshot(1, {"p": {(1, marker), (2, "b")}}, metrics)
+    assert old.rows("p") == [["1", "Marker"], ["2", "'b'"]]
+    old.digest()
+    refs = [weakref.ref(old), weakref.ref(marker)]
+    current = Snapshot(2, {"p": {(2, "b")}}, metrics)  # the replacing publish
+    del old, marker
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert current.rows("p") == [["2", "'b'"]]
+    assert metrics.renders == 2  # one per version read, none carried over
