@@ -334,8 +334,8 @@ def cmd_serve(args) -> int:
     end-of-input, a ``shutdown`` request, SIGINT, or SIGTERM.
 
     ``--workers N`` shards sessions across N supervised worker processes
-    with crash recovery from periodic checkpoints (``--checkpoint-every``,
-    spooled under ``--spool``); a termination signal is forwarded to the
+    with crash recovery from each session's base file and batch log
+    (spooled under ``--spool``); a termination signal is forwarded to the
     whole worker tree, which drains before the front end exits with the
     usual interrupt code 7.
     """
@@ -350,11 +350,7 @@ def cmd_serve(args) -> int:
     cluster = None
     if args.workers is not None:
         cluster = ClusterService(
-            ClusterConfig(
-                workers=args.workers,
-                checkpoint_every=args.checkpoint_every,
-                spool=args.spool,
-            )
+            ClusterConfig(workers=args.workers, spool=args.spool)
         )
         pids = " ".join(
             f"{slot}={pid}" for slot, pid in sorted(cluster.worker_pids().items())
@@ -669,12 +665,10 @@ def make_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--workers", type=int, default=None,
                            help="shard sessions across N supervised worker "
                                 "processes with crash recovery")
-    serve_cmd.add_argument("--checkpoint-every", type=int, default=16,
-                           help="checkpoint each session every K applied "
-                                "batches (cluster mode; default 16)")
     serve_cmd.add_argument("--spool", default=None,
-                           help="checkpoint spool directory (cluster mode; "
-                                "default: a fresh temp directory)")
+                           help="spool directory for session bases and logs "
+                                "(cluster mode; default: a fresh temp "
+                                "directory)")
     serve_cmd.set_defaults(fn=cmd_serve)
     return parser
 

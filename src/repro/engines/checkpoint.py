@@ -24,14 +24,21 @@ cannot be restored into a program it was not taken from.  All failure
 modes raise :class:`CheckpointError`.  Writes go through a temp file and
 an atomic rename, so a crash mid-write never leaves a half-written file
 at the destination path.
+
+A durable service session is such a file (its *base*) plus a log of the
+batches applied since (:class:`CheckpointLog`, one ``crc32<tab>number<tab>
+JSON`` line each); the base's payload names the last log record and router
+``seq`` it includes (docs/SERVICE.md, "Supervision and crash recovery").
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import pickle
 import struct
+import zlib
 from dataclasses import replace
 from pathlib import Path
 from typing import Type
@@ -47,6 +54,9 @@ __all__ = [
     "dump_state",
     "write_checkpoint",
     "load_checkpoint",
+    "load_base",
+    "CheckpointLog",
+    "read_log",
     "program_hash",
 ]
 
@@ -58,11 +68,13 @@ MAGIC = b"REPROCKPT"
 VERSION = 4
 _HEADER = struct.Struct(f">{len(MAGIC)}sH32s")
 
-def dump_state(solver: Solver) -> bytes:
+def dump_state(solver: Solver, covers: tuple[int, int] | None = None) -> bytes:
     """Pickle a solved solver's declared state.
 
     This half reads the solver, so a caller that shares it with an updating
     thread holds its lock here; :func:`write_checkpoint` needs none.
+    ``covers``: the last ``(log record, router seq)`` this state includes,
+    when the file is to be the base of a session's log.
     """
     if not solver._solved:
         raise CheckpointError("cannot checkpoint an unsolved solver")
@@ -81,6 +93,8 @@ def dump_state(solver: Solver) -> bytes:
             solver.provenance.dump() if solver.provenance is not None else None
         ),
     }
+    if covers is not None:
+        payload["log_record"], payload["seq"] = covers
     return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
 
@@ -140,7 +154,16 @@ def _read_body(path: Path) -> bytes:
 def load_checkpoint(
     solver_cls: Type[Solver], program, path: str | Path, metrics=None, config=None
 ) -> Solver:
-    """Reconstruct a solved solver from ``program`` plus a checkpoint.
+    """:func:`load_base` for a caller that keeps no log."""
+    return load_base(solver_cls, program, path, metrics, config)[0]
+
+
+def load_base(
+    solver_cls: Type[Solver], program, path: str | Path, metrics=None, config=None
+) -> tuple[Solver, int, int]:
+    """Reconstruct a solved solver from ``program`` plus a checkpoint;
+    returns it with the log record and router ``seq`` the file covers
+    (``0, 0`` for one written without :func:`dump_state`'s ``covers``).
 
     ``program`` must be (rule-for-rule) the program the checkpoint was taken
     from; registered callables come from it, the fixpoint state from disk.
@@ -209,4 +232,108 @@ def load_checkpoint(
         state.adopt(entry)
     if annotations is not None:
         solver.provenance.restore(annotations)
-    return solver
+    return solver, payload.get("log_record", 0), payload.get("seq", 0)
+
+
+class CheckpointLog:
+    """The append side of a session's batch log, positioned after its last
+    valid record: the first ``size`` bytes are kept (:func:`read_log`
+    reports both numbers; the defaults start an empty log).
+
+    Writes are unbuffered, so a record is with the OS when :meth:`append`
+    returns; there is no ``fsync``: the contract is process death, not
+    power loss.  Not thread-safe: the session holds its solver lock."""
+
+    def __init__(self, path: str | Path, records: int = 0, size: int = 0):
+        self.path = Path(path)
+        #: Number of the last record appended; :meth:`trim` does not reset it.
+        self.records = records
+        self.bytes = size
+        #: An append failed: the file may end in a torn record and the
+        #: owner's state is ahead of it, until a base covers the gap.
+        self.broken = False
+        self._handle = open(self.path, "ab", buffering=0)
+        self._handle.truncate(size)
+
+    def append(self, record: dict) -> None:
+        """Write ``record`` as the next numbered, checksummed line."""
+        try:
+            text = f"{self.records + 1}\t{json.dumps(record, separators=(',', ':'))}"
+            line = f"{zlib.crc32(text.encode()):08x}\t{text}\n".encode()
+            half = 0
+            if _faults.ACTIVE is not None:
+                # An injected failure lands mid-record, as a full disk would.
+                half = len(line) // 2
+                self._handle.write(line[:half])
+                _faults.fire("log.append")
+            self._handle.write(line[half:])
+        except BaseException:
+            self.broken = True
+            self.bytes = self._handle.tell()
+            raise
+        self.records += 1
+        self.bytes += len(line)
+
+    def trim(self, offset: int) -> None:
+        """Drop the first ``offset`` bytes, records a base now covers.  The
+        tail goes to a temp file renamed over the log, so a crash anywhere
+        leaves a log the base still matches."""
+        with open(self.path, "rb") as old:
+            old.seek(offset)
+            tail = old.read()
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        handle = open(tmp, "ab", buffering=0)
+        try:
+            handle.write(tail)
+            os.replace(tmp, self.path)
+        except BaseException:
+            handle.close()
+            tmp.unlink(missing_ok=True)
+            raise
+        self._handle.close()
+        self._handle, self.bytes = handle, len(tail)
+
+    def close(self) -> None:
+        self._handle.close()
+
+
+def read_log(path: str | Path, after: int = 0) -> tuple[list[dict], int, int]:
+    """Validate a batch log; returns the records numbered above ``after``
+    (what a base covering ``after`` has yet to replay), the number of the
+    last valid record and the byte length of the valid prefix.
+
+    A final record without its newline was torn by the crash and is dropped
+    (its batch was never acknowledged); a missing file is an empty log.
+    A failed checksum, a skipped number or a gap between ``after`` and the
+    first record raises :class:`CheckpointError`."""
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return [], after, 0
+    *lines, torn = data.split(b"\n")
+    records: list[dict] = []
+    last = None
+    for line in lines:
+        try:
+            digest, text = line.decode().split("\t", 1)
+            number, body = text.split("\t", 1)
+            if int(digest, 16) != zlib.crc32(text.encode()):
+                raise ValueError("checksum mismatch")
+            if last is not None and int(number) != last + 1:
+                raise ValueError(f"numbered {number}")
+            record = json.loads(body)
+            last = int(number)
+            if last > after:
+                records.append(record)
+        except ValueError as exc:
+            raise CheckpointError(
+                f"{path}: the line after record {last} is corrupt ({exc}); "
+                f"the log cannot be replayed"
+            ) from exc
+    if lines and last - len(lines) >= after + 1:
+        raise CheckpointError(
+            f"{path} starts at record {last - len(lines) + 1} but its base "
+            f"covers only {after}; the log cannot be replayed"
+        )
+    return records, max(after, last or 0), len(data) - len(torn)

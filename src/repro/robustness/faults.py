@@ -37,6 +37,7 @@ FAULT_SITES = frozenset(
         "aggregate.combine",  # aggregation feed/advance, every engine
         "timeline.append",  # Laddder compensation delta application
         "checkpoint.write",  # write_checkpoint, before the temp file write
+        "log.append",  # CheckpointLog.append, with half the record written
         "compile.build",  # KernelCache plan+compile of a rule body
         "cluster.dispatch",  # front-end request routing to a worker
         "worker.heartbeat",  # worker-side ping handling (liveness probe)

@@ -25,8 +25,9 @@ Layers (each its own module, composable without the ones above it):
 * :mod:`~repro.service.router` / :mod:`~repro.service.cluster` /
   :mod:`~repro.service.worker` — the fault-tolerant multi-process tier:
   consistent-hash sharding of sessions onto supervised worker processes,
-  heartbeat liveness, crash recovery from periodic checkpoints plus a
-  bounded op journal, request retry/timeout/backoff, and typed overload
+  heartbeat liveness, crash recovery from each session's base file and
+  batch log plus the journal of ops not yet durable, request
+  retry/timeout/backoff, and typed overload
   rejection (``repro serve --workers N``).
 
 See docs/SERVICE.md for the protocol reference and semantics.

@@ -23,15 +23,14 @@ serves a cluster unchanged.  Behind that surface:
   a dead process, or a broken pipe all mean the same thing: kill
   whatever is left and recover the slot.
 
-* **Recovery.**  Sessions checkpoint asynchronously every
-  ``checkpoint_every`` applied batches into the spool directory
-  (atomic tmp+rename, v4 format, plus a ``.meta`` sidecar recording the
-  highest op ``seq`` the checkpoint covers).  On recovery the
-  replacement worker re-opens each lost session from its latest
-  checkpoint and the front end replays the journal suffix
-  (``seq > covered``) in order — losing at most the un-checkpointed,
-  un-journaled tail, which is empty unless the bounded journal
-  overflowed (then the loss is *reported*, never silent).
+* **Recovery.**  Every session is durable in the spool directory: a
+  base file plus a log of the batches applied since, each logged before
+  its flush is acknowledged (:mod:`repro.service.session`).  Responses
+  carry the session's ``durable_seq`` and the front end forgets the ops
+  at or below it.  On recovery the replacement worker re-opens each lost
+  session from its base and log, and the front end replays what its
+  journal still holds, in order — nothing acknowledged is lost.  A full
+  journal *refuses* further updates (``OverloadedError``), never drops one.
 
 * **Exactly-once visibility.**  Mutating ops are journaled with a
   ``seq`` *before* dispatch; a dispatcher whose worker dies mid-flight
@@ -91,11 +90,8 @@ class ClusterConfig:
 
     #: Number of worker processes (= slots on the hash ring).
     workers: int = 2
-    #: Spool directory for per-session checkpoints (created if missing).
+    #: Spool directory for per-session bases and logs (created if missing).
     spool: str | None = None
-    #: Checkpoint each session every N applied batches (None disables
-    #: periodic checkpoints; recovery then replays the whole journal).
-    checkpoint_every: int | None = 8
     #: Seconds between supervisor heartbeat rounds.
     heartbeat_interval: float = 1.0
     #: Consecutive heartbeat misses before a worker is declared dead.
@@ -112,7 +108,8 @@ class ClusterConfig:
     backoff_cap: float = 2.0
     #: Max in-flight requests per worker before OverloadedError.
     queue_limit: int = 128
-    #: Bounded per-session journal length (ops kept for replay).
+    #: Bounded per-session journal length (ops not yet durable, kept for
+    #: replay; one more is refused).
     journal_limit: int = 1024
     #: Bounded per-session request-id dedup window.
     dedup_limit: int = 256
@@ -125,8 +122,6 @@ class ClusterConfig:
     def validate(self) -> None:
         if self.workers < 1:
             raise ServiceError("a cluster needs at least one worker")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ServiceError("checkpoint_every must be >= 1")
         if self.retries < 0:
             raise ServiceError("retries must be >= 0")
         if self.queue_limit < 1:
@@ -362,7 +357,6 @@ class ClusterService:
             "retries": 0,
             "heartbeat_misses": 0,
             "overloads": 0,
-            "journal_truncations": 0,
         }
         self._counters_lock = threading.Lock()
         self._stop = threading.Event()
@@ -431,23 +425,19 @@ class ClusterService:
                 record.last_recovery_error = str(exc)
 
     def _recover_session(self, record: SessionRecord, client: WorkerClient) -> None:
-        """Rebuild one session on ``client``: checkpoint restore + journal
-        suffix replay, recording per-seq outcomes for any dispatcher that
-        was mid-flight when the old worker died."""
+        """Rebuild one session on ``client``: the session restores itself
+        from its base and log, then the journal's tail is replayed, recording
+        per-seq outcomes for any dispatcher that was mid-flight when the
+        old worker died."""
         assert record.open_request is not None
-        covered = 0
         open_request = dict(record.open_request)
-        meta = self._read_checkpoint_meta(record.name)
-        if meta is not None:
-            covered = int(meta.get("seq", 0))
-            open_request["restore_from"] = self._checkpoint_path(record.name)
+        open_request["restore_from"] = open_request["checkpoint_path"]
         response = client.call(open_request, timeout=self.config.request_timeout)
-        if not response.get("ok") and "restore_from" in open_request:
-            # A torn/stale checkpoint must not keep the session dead:
-            # fall back to a from-scratch open and replay the whole
-            # journal instead.
+        if not response.get("ok"):
+            # A base or log that fails validation must not keep the
+            # session dead: open from scratch (which starts the spool
+            # afresh) and replay what the journal still holds.
             open_request.pop("restore_from")
-            covered = 0
             response = client.call(
                 open_request, timeout=self.config.request_timeout
             )
@@ -456,14 +446,13 @@ class ClusterService:
                 f"session {record.name!r} failed to re-open after recovery: "
                 f"{response.get('error')}"
             )
+        covered = response.get("durable_seq", 0)
+        with record.journal_lock:
+            # A dispatcher mid-flight on an op the log already held must
+            # not send it again.
+            record.replayed_through = max(record.replayed_through, covered)
         replayed = 0
-        entries = record.journal_snapshot()
-        if record.truncated_before > covered + 1:
-            # The journal overflowed past the checkpoint: ops in
-            # (covered, truncated_before) are unrecoverable.  Report the
-            # gap loudly rather than replaying a sequence with a hole.
-            self._bump("journal_truncations")
-        for seq, payload in entries:
+        for seq, payload in record.journal_snapshot():
             if seq <= covered:
                 continue
             outcome = client.call_line(
@@ -488,24 +477,10 @@ class ClusterService:
         safe = urllib.parse.quote(session, safe="")
         return os.path.join(self.config.spool, f"{safe}.ckpt")
 
-    def _read_checkpoint_meta(self, session: str) -> dict | None:
-        meta_path = self._checkpoint_path(session) + ".meta"
-        try:
-            with open(meta_path, encoding="utf-8") as fh:
-                meta = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if not os.path.exists(self._checkpoint_path(session)):
-            return None
-        return meta if isinstance(meta, dict) else None
-
     def _drop_spool(self, session: str) -> None:
-        for path in (
-            self._checkpoint_path(session),
-            self._checkpoint_path(session) + ".meta",
-        ):
+        for suffix in ("", ".log"):
             with contextlib.suppress(OSError):
-                os.remove(path)
+                os.remove(self._checkpoint_path(session) + suffix)
 
     # -- supervision -------------------------------------------------------
 
@@ -614,19 +589,15 @@ class ClusterService:
                 cached = record.cached_response(request_id)
                 if cached is not None:
                     return dict(cached)
-                seq = record.next_seq()
-                record.journal_op(seq, payload)
-                # Reading the checkpoint meta costs a disk hit, so only
-                # consult it once the journal has grown enough for the
-                # covered prefix to matter; the bounded blind-drop in
-                # prune_journal still runs every time.
-                meta = None
-                if len(record.journal) > 32:
-                    meta = self._read_checkpoint_meta(session)
-                record.prune_journal(meta.get("seq") if meta else None)
+                try:
+                    seq = record.journal_op(payload)
+                except OverloadedError:
+                    self._bump("overloads")
+                    raise
                 response = json.loads(
                     self._dispatch(record, payload, seq=seq, mutating=True)
                 )
+                record.prune_journal(response.get("durable_seq"))
                 response["id"] = request_id
                 response["seq"] = seq
                 record.cache_response(request_id, response)
@@ -634,11 +605,7 @@ class ClusterService:
 
         if op == "open":
             wire = dict(request, session=session)
-            if self.config.checkpoint_every is not None:
-                wire.setdefault("checkpoint_every", self.config.checkpoint_every)
-                wire.setdefault(
-                    "checkpoint_path", self._checkpoint_path(session)
-                )
+            wire.setdefault("checkpoint_path", self._checkpoint_path(session))
             response = json.loads(self._dispatch(record, json.dumps(wire)))
             if response.get("ok"):
                 wire.pop("id", None)
@@ -654,13 +621,12 @@ class ClusterService:
             return response
 
         if op == "restore":
-            # A restore rewrites the session's whole state: the journal
-            # before it is obsolete, and the spool must be refreshed so a
-            # crash right after the restore recovers the restored state.
+            # A restore rewrites the session's whole state, and the session
+            # rebases its spool onto it before answering: the journal
+            # before it is obsolete, which the answer's ``durable_seq`` says.
             with record.lock:
                 response = json.loads(self._dispatch(record, payload))
-                if response.get("ok"):
-                    record.prune_journal(record.seq)
+                record.prune_journal(response.get("durable_seq"))
                 return response
 
         # Nothing here needs a field of the answer: the worker echoes the

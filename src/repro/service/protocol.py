@@ -59,7 +59,6 @@ _CONFIG_FIELDS = (
     "self_check",
     "profile",
     "provenance",
-    "checkpoint_every",
     "checkpoint_path",
     "restore_from",
 )
@@ -265,6 +264,7 @@ class ServiceProtocol:
             "init_seconds": session.init_seconds,
             "snapshot_version": snap.version,
             "exported": sorted(snap.views),
+            "durable_seq": session.durable_seq,
         }
 
     def _op_update(self, request) -> dict:
@@ -279,6 +279,8 @@ class ServiceProtocol:
         )
         if request.get("flush"):
             result["flush"] = session.flush()
+        # Read after the flush: what the cluster front end may now forget.
+        result["durable_seq"] = session.durable_seq
         return result
 
     def _op_flush(self, request) -> dict:

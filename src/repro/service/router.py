@@ -10,14 +10,15 @@ session lives** and **what must be replayed** when its worker dies:
   spreads sessions evenly.  Slot membership is fixed for the life of the
   cluster — a crashed worker is *replaced in place*, so the mapping never
   moves a live session between slots.
-* :class:`SessionRecord` — one routed session's durable front-end state:
-  the (augmented) ``open`` request needed to rebuild it, a monotonically
-  increasing per-session op sequence, and a bounded journal of mutating
-  ops.  Recovery replays the journal suffix not covered by the session's
-  latest checkpoint, in sequence order, so the rebuilt worker state is
-  bit-equal to an uninterrupted run (replaying an already-covered prefix
-  is harmless: ops are absolute set-edits, and a suffix replayed in order
-  converges to the same final state).
+* :class:`SessionRecord` — one routed session's front-end state: the
+  (augmented) ``open`` request needed to rebuild it, a monotonically
+  increasing per-session op sequence, and a bounded journal of the
+  mutating ops the session has not yet reported durable (``durable_seq``
+  on its responses).  Recovery replays what the journal holds above the
+  recovered session's ``durable_seq``, in sequence order, so the rebuilt
+  worker state is bit-equal to an uninterrupted run (replaying a covered
+  op is harmless: ops are absolute set-edits).  A full journal *refuses*
+  the next op; it never drops one.
 * :class:`Router` — the session table plus the ring, shared by every
   front-end connection thread.
 
@@ -35,6 +36,8 @@ import hashlib
 import threading
 from bisect import bisect_right
 from collections import OrderedDict, deque
+
+from ..datalog.errors import OverloadedError
 
 __all__ = ["HashRing", "Router", "SessionRecord"]
 
@@ -91,11 +94,9 @@ class SessionRecord:
         self.lock = threading.RLock()
         self.journal_lock = threading.Lock()
         self.journal_limit = journal_limit
-        #: (seq, request line) for every journaled mutating op, oldest first.
+        #: (seq, request line) of every mutating op not yet known durable,
+        #: oldest first.
         self.journal: deque[tuple[int, str]] = deque()
-        #: Seqs dropped from the journal head without checkpoint coverage
-        #: are < this bound (0 = nothing dropped blind).
-        self.truncated_before = 0
         #: Highest seq covered by the most recent recovery replay, and the
         #: per-seq response lines that replay recorded for waiting dispatchers.
         self.replayed_through = 0
@@ -108,34 +109,28 @@ class SessionRecord:
 
     # -- journaling --------------------------------------------------------
 
-    def next_seq(self) -> int:
-        self.seq += 1
-        return self.seq
-
-    def journal_op(self, seq: int, payload: str) -> None:
-        """Append one mutating op; the caller prunes afterwards (pruning
-        may need the checkpoint meta, which the cluster owns)."""
+    def journal_op(self, payload: str) -> int:
+        """Give one mutating op the next ``seq`` and journal it; a full
+        journal refuses it (dropping one could lose it for good)."""
         with self.journal_lock:
-            self.journal.append((seq, payload))
+            if len(self.journal) >= self.journal_limit:
+                raise OverloadedError(
+                    f"session {self.name!r} has {len(self.journal)} updates "
+                    f"not yet durable (limit {self.journal_limit}); "
+                    "back off and resend"
+                )
+            self.seq += 1
+            self.journal.append((self.seq, payload))
+            return self.seq
 
-    def prune_journal(self, covered_seq: int | None) -> int:
-        """Drop journal entries recovery can never need; returns the count.
-
-        Entries with ``seq <= covered_seq`` (persisted by a checkpoint)
-        always go.  If the journal still exceeds its bound, the oldest
-        entries are dropped *blind* and ``truncated_before`` records the
-        gap — recovery then reports the loss instead of replaying a
-        sequence with a hole in it.
-        """
+    def prune_journal(self, durable_seq: int | None) -> int:
+        """Drop the entries recovery can no longer need, those with
+        ``seq <= durable_seq`` (None: the response named none); returns
+        the count."""
         dropped = 0
         with self.journal_lock:
-            if covered_seq is not None:
-                while self.journal and self.journal[0][0] <= covered_seq:
-                    self.journal.popleft()
-                    dropped += 1
-            while len(self.journal) > self.journal_limit:
-                seq, _ = self.journal.popleft()
-                self.truncated_before = seq + 1
+            while self.journal and self.journal[0][0] <= (durable_seq or 0):
+                self.journal.popleft()
                 dropped += 1
             # Outcomes are one-shot hand-offs to waiting dispatchers;
             # anything a dispatcher never collected ages out here.

@@ -21,27 +21,36 @@ Failure semantics (the contract the chaos tests pin down):
   batch — a poisoned batch trips the budget, rolls back, and is dropped
   like any other failure.
 
-``save``/``restore`` reuse the checkpoint format of
-:mod:`repro.engines.checkpoint` (v4): ``save`` flushes pending updates first
-so the file reflects everything enqueued; ``restore`` *discards* pending
-updates (they predate the state being restored) and publishes the restored
-state as a fresh snapshot version.
+Durability (docs/SERVICE.md, "Supervision and crash recovery"): a session
+opened with a ``checkpoint_path`` is a *base* file in the checkpoint format
+of :mod:`repro.engines.checkpoint` (v4) plus an append-only log of the
+batches applied since, each logged before its flush is acknowledged.
+``save`` writes such a base to a path of the caller's, flushing first;
+``restore`` loads one, *discards* pending updates (they predate the state
+being restored), publishes it as a fresh snapshot version and rebases the
+session's own spool onto it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 from ..analyses import ANALYSES
 from ..config import SolverConfig
 from ..corpus import PRESETS, load_subject
-from ..datalog.errors import ServiceError
+from ..datalog.errors import CheckpointError, ServiceError
 from ..engines import DRedLSolver, LaddderSolver, NaiveSolver, SemiNaiveSolver
-from ..engines.checkpoint import dump_state, load_checkpoint, write_checkpoint
+from ..engines.checkpoint import (
+    CheckpointLog,
+    dump_state,
+    load_base,
+    read_log,
+    write_checkpoint,
+)
 from ..metrics import SolverMetrics
 from ..robustness import GuardedSolver
 from .queue import CoalescingQueue, UpdateBatch
@@ -82,13 +91,11 @@ class SessionConfig:
     #: Per-tuple provenance capture (docs/PROVENANCE.md): enables the
     #: height-guided ``explain`` fast path and annotation checkpointing.
     provenance: bool = False
-    #: Checkpoint the solver every N successfully applied batches ...
-    checkpoint_every: int | None = None
-    #: ... into this file (atomic tmp+rename; a ``.meta`` JSON sidecar
-    #: records the covered op sequence number for journal replay).
+    #: Make the session durable: base file here, batch log at ``<path>.log``
+    #: (both started afresh unless ``restore_from`` names the same path).
     checkpoint_path: str | None = None
-    #: Build the session from a checkpoint instead of an initial solve
-    #: (cluster crash recovery: checkpoint load is the cheap path).
+    #: Build the session from this base and the log beside it instead of an
+    #: initial solve (cluster crash recovery, warm start).
     restore_from: str | None = None
 
     def validate(self) -> None:
@@ -107,13 +114,6 @@ class SessionConfig:
                 f"unknown engine {self.engine!r}; "
                 f"choose from {', '.join(sorted(ENGINES))}"
             )
-        if self.checkpoint_every is not None:
-            if self.checkpoint_every < 1:
-                raise ServiceError("checkpoint_every must be >= 1")
-            if not self.checkpoint_path:
-                raise ServiceError(
-                    "checkpoint_every requires a checkpoint_path"
-                )
 
 
 class Session:
@@ -141,20 +141,33 @@ class Session:
         self.instance = ANALYSES[config.analysis](subject)
         self.metrics = SolverMetrics(enabled=config.profile)
         t0 = time.perf_counter()
-        if config.restore_from is not None:
-            # Crash recovery / warm start: the checkpoint supplies the
-            # fixpoint, so construction costs a load instead of a solve.
-            self.solver = self._load(config.restore_from)
-            self.restored_from = str(config.restore_from)
+        #: Router-assigned op sequence tracking (cluster journal replay):
+        #: highest seq enqueued, highest seq covered by an applied batch
+        #: (written under ``_solver_lock``, read by the base writer), and
+        #: highest seq a crash can no longer lose: it is in the base or the
+        #: log, so the front end may forget the ops up to it.
+        self._enqueued_seq = self._applied_seq = self.durable_seq = 0
+        self.restored_from = config.restore_from and str(config.restore_from)
+        replay, log_end, covered = [], (0, 0), 0
+        base = config.restore_from
+        if base is not None and (
+            os.path.exists(base) or not os.path.exists(f"{base}.log")
+        ):
+            # Crash recovery / warm start: the base supplies the fixpoint,
+            # so construction costs a load instead of a solve (and neither
+            # file being there is the load's typed error).
+            self.solver, covered, self._enqueued_seq = self._load(base)
         else:
+            # No base; in a recovery, not yet: the crash came before the
+            # session's first one landed and the log holds every batch.
             inner = self.instance.make_solver(
                 self.engine_cls, solve=False,
                 metrics=self.metrics, config=self.solver_config,
             )
             self.solver = GuardedSolver(inner, fallback=config.fallback)
             self.solver.solve()
-            self.restored_from = None
-        self.init_seconds = time.perf_counter() - t0
+        if base is not None:
+            replay, *log_end = read_log(f"{base}.log", after=covered)
 
         #: Guards the queue, flush bookkeeping, and lifecycle flags.
         self._cond = threading.Condition()
@@ -173,32 +186,36 @@ class Session:
         self._closed = False
         self.failed_batches = 0
         self.last_error: str | None = None
-        #: Router-assigned op sequence tracking (cluster journal replay):
-        #: highest seq enqueued, and highest seq covered by an applied
-        #: batch (written under ``_solver_lock``, read by the checkpointer).
-        self._enqueued_seq = 0
-        self._applied_seq = 0
-        self._batches_since_checkpoint = 0
+        #: The durable half (None without a ``checkpoint_path``): the open
+        #: log and the size of the base it is measured against.
+        self._log: CheckpointLog | None = None
+        self._base_bytes = 0
+        self._base_lock = threading.Lock()
         self._checkpoint_thread: threading.Thread | None = None
         self.checkpoints_written = 0
         self.checkpoint_errors = 0
         self.last_checkpoint_error: str | None = None
         self._snapshot = take_snapshot(self.solver, 1, self.metrics)
         self.metrics.snapshots_published += 1
+        self._replay(replay)
+        self.init_seconds = time.perf_counter() - t0
+        if config.checkpoint_path:
+            self._open_spool(log_end)
         self._worker = threading.Thread(
             target=self._worker_loop, name=f"repro-session-{name}", daemon=True
         )
         self._worker.start()
 
-    def _load(self, path) -> GuardedSolver:
-        """A guarded solver restored from ``path``.  When the session
+    def _load(self, path) -> tuple[GuardedSolver, int, int]:
+        """A guarded solver restored from the base at ``path``, with the log
+        record and the router seq that base covers.  When the session
         captures provenance and the file has none, capture starts here:
         older tuples reconstruct via the full-search fallback."""
-        inner = load_checkpoint(
+        inner, covered, seq = load_base(
             self.engine_cls, self.instance.program, path,
             metrics=self.metrics, config=self.solver_config,
         )
-        return GuardedSolver(inner, fallback=self.config.fallback)
+        return GuardedSolver(inner, fallback=self.config.fallback), covered, seq
 
     # -- the write path ----------------------------------------------------
 
@@ -234,8 +251,8 @@ class Session:
         """Enqueue one update request; returns queue accounting, not the
         applied result — apply happens on the worker (use :meth:`flush` to
         wait for it).  ``seq`` is the cluster router's per-session op
-        sequence number; checkpoints record the highest applied one so
-        recovery knows where journal replay must start."""
+        sequence number; log records and bases carry the highest applied
+        one so recovery knows where journal replay must start."""
         with self._cond:
             self._require_open()
             if seq is not None and seq > self._enqueued_seq:
@@ -297,8 +314,8 @@ class Session:
                             return
                     self._cond.wait(self._queue.seconds_until_ready())
             outcome = self._apply(batch, seq_at_drain)
-            if outcome.get("ok"):
-                self._maybe_checkpoint()
+            if outcome.get("ok") and self._log is not None:
+                self._maybe_rebase()
             with self._cond:
                 self._applied_generation = batch.generation
                 self._last_outcome = outcome
@@ -322,10 +339,12 @@ class Session:
                 snapshot = take_snapshot(
                     self.solver, self._snapshot.version + 1, self.metrics
                 )
-                # Under the solver lock so the checkpointer reads a seq
-                # consistent with the solver state it serializes.
+                # Under the solver lock so the base writer reads a seq and
+                # a log position consistent with the state it serializes.
                 if seq_at_drain > self._applied_seq:
                     self._applied_seq = seq_at_drain
+                if self._log is not None:
+                    self._log_batch(batch, snapshot.version)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
         seconds = time.perf_counter() - t0
@@ -490,74 +509,126 @@ class Session:
 
     # -- persistence -------------------------------------------------------
 
-    def _maybe_checkpoint(self) -> None:
-        """Kick the async checkpointer every ``checkpoint_every`` applied
-        batches (called from the worker loop after a successful apply).
+    def _open_spool(self, log_end: tuple[int, int]) -> None:
+        """Open the log at ``checkpoint_path``: where recovery left it when
+        the session resumed from that very path, else empty, and then an
+        older base there describes another life of this name and goes."""
+        path = self.config.checkpoint_path
+        resumed = self.config.restore_from == path
+        # So does what a crash mid-write or mid-trim left behind.
+        for stale in [f"{path}.tmp", f"{path}.log.tmp"] + [path] * (not resumed):
+            Path(stale).unlink(missing_ok=True)
+        self._log = CheckpointLog(f"{path}.log", *(log_end if resumed else (0, 0)))
+        if resumed:
+            if os.path.exists(path):
+                self._base_bytes = os.path.getsize(path)
+            self._maybe_rebase()  # recovered from a log without a base
+        elif self.config.restore_from is not None:
+            self._rebase()  # the spool must hold what was restored from elsewhere
+
+    def _replay(self, records: list[dict]) -> None:
+        """Recovery's second half, before the worker starts: feed the logged
+        batches the base does not cover through the live write path.  The
+        queue coalesces them (a literal retyped 40 times replays once), so
+        what ``_apply`` guards and budgets is the log's net diff; it is in
+        the log already (``_log`` is not open yet)."""
+        for record in records:
+            self.update(record["insert"], record["delete"], seq=record["seq"])
+        if not self._queue.empty:
+            outcome = self._apply(self._queue.drain(), self._enqueued_seq)
+            if not outcome["ok"]:
+                raise CheckpointError(
+                    f"replaying the log of session {self.name!r} failed: "
+                    f"{outcome['error']}"
+                )
+        self._applied_generation = self._queue.generation
+        # Also when the log cancelled out and nothing was applied.
+        self._applied_seq = self.durable_seq = self._enqueued_seq
+
+    def _log_batch(self, batch: UpdateBatch, version: int) -> None:
+        """Append one applied batch to the log (under the solver lock,
+        before its flush is acknowledged).  A failure is recorded, never
+        raised: the batch stays published, ``durable_seq`` stays put (so the
+        front end keeps the op) and logging waits for a base to cover it."""
+        log = self._log
+        if log.broken:
+            return
+        try:
+            log.append({
+                "seq": self._applied_seq,
+                "version": version,
+                "insert": {p: list(rows) for p, rows in batch.insertions.items()},
+                "delete": {p: list(rows) for p, rows in batch.deletions.items()},
+            })
+        except Exception as exc:  # noqa: BLE001 - recorded for stats
+            self._checkpoint_failed(exc)
+        else:
+            self.durable_seq = self._applied_seq
+
+    def _maybe_rebase(self) -> None:
+        """Kick the base writer once the log has outgrown the base (no base
+        counts as size 0: a session's first batch writes its first one) or
+        broke; called from the worker loop after a successful apply.
 
         The write happens on its own thread; the next batch waits only
-        while that thread pickles the state under the solver lock.
-        If the previous checkpoint is still writing, this interval is
-        skipped rather than queued — the next one catches up."""
-        config = self.config
-        if not config.checkpoint_every or not config.checkpoint_path:
-            return
-        self._batches_since_checkpoint += 1
-        if self._batches_since_checkpoint < config.checkpoint_every:
+        while that thread pickles the state under the solver lock.  While
+        one is still writing, the trigger is skipped, not queued."""
+        log = self._log
+        if not log.broken and log.bytes <= self._base_bytes:
             return
         thread = self._checkpoint_thread
         if thread is not None and thread.is_alive():
             return
-        self._batches_since_checkpoint = 0
         self._checkpoint_thread = threading.Thread(
-            target=self._write_checkpoint,
+            target=self._rebase_quietly,
             name=f"repro-ckpt-{self.name}",
             daemon=True,
         )
         self._checkpoint_thread.start()
 
-    def checkpoint_meta_path(self) -> str:
-        return f"{self.config.checkpoint_path}.meta"
+    def _rebase(self) -> None:
+        """Write a new base of the current state, then drop the log records
+        it covers.
 
-    def _checkpoint_to(self, path) -> tuple[int, int, int]:
-        """The one checkpoint write path; returns ``(seq, version, bytes)``.
-
-        The solver lock is held only while the state is pickled, and
-        ``seq``/``version`` are read with it, so they describe the bytes
+        The solver lock is held only while the state is pickled; the log
+        position and ``seq`` are read with it, so they describe the bytes
         written even if batches land while the file is being checksummed
-        and renamed into place."""
-        with self._solver_lock:
-            seq, version = self._applied_seq, self._snapshot.version
-            body = dump_state(self.solver.solver)
-        return seq, version, write_checkpoint(body, path)
-
-    def _write_checkpoint(self) -> None:
-        """One atomic checkpoint + sidecar write; errors are recorded, not
-        raised (a failed periodic checkpoint must not kill the session —
-        the previous checkpoint file stays intact and recovery just
-        replays a longer journal tail)."""
-        try:
-            seq, version, size = self._checkpoint_to(self.config.checkpoint_path)
-            meta = {
-                "session": self.name,
-                "seq": seq,
-                "version": version,
-                "bytes": size,
-            }
-            meta_path = self.checkpoint_meta_path()
-            tmp = meta_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(meta, handle)
-            os.replace(tmp, meta_path)
+        and renamed into place.  The base names the last record it covers,
+        so a crash before or inside the trim recovers the same state."""
+        with self._base_lock:
+            log = self._log
+            with self._solver_lock:
+                seq, offset, healing = self._applied_seq, log.bytes, log.broken
+                body = dump_state(self.solver.solver, covers=(log.records, seq))
+            self._base_bytes = write_checkpoint(body, self.config.checkpoint_path)
             self.checkpoints_written += 1
+            with self._solver_lock:
+                log.trim(offset)
+                if healing:  # nothing appended since: the torn record went
+                    log.broken = False
+                if seq > self.durable_seq:
+                    self.durable_seq = seq
+
+    def _rebase_quietly(self) -> None:
+        """The background rebase: errors are recorded, not raised (the old
+        base and the whole log stay intact; the next batch tries again)."""
+        try:
+            self._rebase()
         except Exception as exc:  # noqa: BLE001 - recorded for stats
-            self.checkpoint_errors += 1
-            self.last_checkpoint_error = f"{type(exc).__name__}: {exc}"
+            self._checkpoint_failed(exc)
+
+    def _checkpoint_failed(self, exc: Exception) -> None:
+        self.checkpoint_errors += 1
+        self.last_checkpoint_error = f"{type(exc).__name__}: {exc}"
 
     def save(self, path) -> dict:
-        """Flush pending updates, then checkpoint the inner solver (atomic
-        write)."""
+        """Flush pending updates, then write a base of the inner solver to
+        ``path`` (atomic write; the solver lock covers the pickle only)."""
         self.flush()
-        _, version, size = self._checkpoint_to(path)
+        with self._solver_lock:
+            version = self._snapshot.version
+            body = dump_state(self.solver.solver)
+        size = write_checkpoint(body, path)
         return {"path": str(path), "bytes": size, "version": version}
 
     def restore(self, path) -> dict:
@@ -565,7 +636,9 @@ class Session:
 
         Pending (unapplied) updates are *discarded* — they were relative to
         the state being thrown away — after waiting out any batch already
-        in flight.  The restored state is published as a new version.
+        in flight.  The restored state is published as a new version, and a
+        durable session rebases its spool onto it before answering: a crash
+        right after must recover this state, not the one before.
         """
         with self._cond:
             self._require_open()
@@ -579,13 +652,21 @@ class Session:
             self._applied_generation = self._queue.generation
             self._cond.notify_all()
         with self._solver_lock:
-            self.solver = self._load(path)
+            self.solver = self._load(path)[0]
             snapshot = take_snapshot(
                 self.solver, self._snapshot.version + 1, self.metrics
             )
             self._snapshot = snapshot
             self.metrics.snapshots_published += 1
-        return {"version": snapshot.version, "dropped": dropped}
+            # Every op sent so far is behind the restored state.
+            self._applied_seq = self._enqueued_seq
+        if self._log is not None:
+            self._rebase()
+        return {
+            "version": snapshot.version,
+            "dropped": dropped,
+            "durable_seq": self.durable_seq,
+        }
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -596,6 +677,7 @@ class Session:
             generation = self._queue.generation
             applied = self._applied_generation
             in_flight = self._in_flight
+        log = self._log
         return {
             "in_flight": in_flight,
             "session": self.name,
@@ -617,10 +699,14 @@ class Session:
             "last_footprint": self._last_footprint,
             "checkpoint": {
                 "path": self.config.checkpoint_path,
-                "every": self.config.checkpoint_every,
+                "every": None,  # read by the frozen harness (ROADMAP item 1)
                 "written": self.checkpoints_written,
                 "errors": self.checkpoint_errors,
                 "last_error": self.last_checkpoint_error,
+                "base_bytes": self._base_bytes,
+                "log_bytes": log.bytes if log is not None else 0,
+                "log_records": log.records if log is not None else 0,
+                "durable_seq": self.durable_seq,
             },
             "queue": {
                 "flush_size": self.config.flush_size,
@@ -645,6 +731,8 @@ class Session:
                 f"session {self.name!r} worker failed to drain within "
                 f"{self.CLOSE_TIMEOUT:g}s"
             )
+        if self._log is not None:
+            self._log.close()
         return {"closed": True, "version": self._snapshot.version}
 
     @property

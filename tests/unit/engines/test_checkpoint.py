@@ -6,7 +6,16 @@ from repro.config import SolverConfig
 from repro.datalog import SolverError
 from repro.datalog.errors import CheckpointError
 from repro.engines import DRedLSolver, LaddderSolver, NaiveSolver, SemiNaiveSolver
-from repro.engines.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from repro.engines.checkpoint import (
+    MAGIC,
+    CheckpointLog,
+    dump_state,
+    load_base,
+    load_checkpoint,
+    read_log,
+    save_checkpoint,
+    write_checkpoint,
+)
 from repro.robustness import FaultInjected, inject
 
 from .helpers import (
@@ -170,6 +179,116 @@ class TestEnvelopeHardening:
         assert list(tmp_path.iterdir()) == [path]
         restored = load_checkpoint(LaddderSolver, tc_program(), path)
         assert restored.relation("tc") == frozenset({(1, 2), (2, 3), (1, 3)})
+
+
+class TestBatchLog:
+    """The log beside a session's base: numbered, checksummed lines that
+    :func:`read_log` validates before anything is replayed."""
+
+    RECORDS = [
+        {"seq": n, "version": n + 1, "insert": {"e": [[n, "ü"]]}, "delete": {}}
+        for n in range(1, 5)
+    ]
+
+    def _written(self, tmp_path, records=RECORDS):
+        log = CheckpointLog(tmp_path / "s.ckpt.log")
+        for record in records:
+            log.append(record)
+        log.close()
+        assert log.bytes == log.path.stat().st_size
+        return log.path
+
+    def test_roundtrip_and_coverage(self, tmp_path):
+        path = self._written(tmp_path)
+        assert read_log(path) == (self.RECORDS, 4, path.stat().st_size)
+        # A base that covers record 2 replays 3 and 4 ...
+        assert read_log(path, after=2)[0] == self.RECORDS[2:]
+        # ... one that covers them all replays nothing, and says where the
+        # numbering goes on.
+        assert read_log(path, after=4) == ([], 4, path.stat().st_size)
+
+    def test_empty_and_missing_logs_replay_nothing(self, tmp_path):
+        assert read_log(self._written(tmp_path, records=[]), after=7) == ([], 7, 0)
+        assert read_log(tmp_path / "absent.log", after=7) == ([], 7, 0)
+
+    def test_truncated_final_record_is_dropped_and_the_rest_replays(self, tmp_path):
+        path = self._written(tmp_path)
+        data = path.read_bytes()
+        whole = data[: data.rindex(b"\n", 0, -1) + 1]  # the first three lines
+        for cut in (len(whole) + 1, len(data) - 10, len(data) - 1):
+            path.write_bytes(data[:cut])
+            assert read_log(path) == (self.RECORDS[:3], 3, len(whole))
+        # Reopening at what the reader reported cuts the torn bytes off and
+        # goes on numbering from the last whole record.
+        log = CheckpointLog(path, records=3, size=len(whole))
+        log.append(self.RECORDS[3])
+        log.close()
+        assert read_log(path)[:2] == (self.RECORDS, 4)
+
+    def test_flipped_byte_in_a_middle_record_is_a_typed_error(self, tmp_path):
+        path = self._written(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[data.index(b"\n") + 20] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="after record 1 is corrupt"):
+            read_log(path)
+        # So is a final record that is whole but wrong: only a missing
+        # newline says "torn by the crash".
+        data = bytearray(self._written(tmp_path).read_bytes())
+        data[-3] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="after record 3 is corrupt"):
+            read_log(path)
+
+    def test_skipped_number_and_gap_after_the_base_are_typed_errors(self, tmp_path):
+        path = self._written(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + lines[2] + lines[3])
+        with pytest.raises(CheckpointError, match="numbered 3"):
+            read_log(path)
+        path.write_bytes(lines[2] + lines[3])
+        assert read_log(path, after=2)[0] == self.RECORDS[2:]
+        with pytest.raises(CheckpointError, match="starts at record 3"):
+            read_log(path, after=1)
+
+    def test_trim_keeps_the_tail_and_the_numbering(self, tmp_path):
+        path = self._written(tmp_path, self.RECORDS[:3])
+        covered = len(b"".join(path.read_bytes().splitlines(keepends=True)[:2]))
+        log = CheckpointLog(path, records=3, size=path.stat().st_size)
+        log.trim(covered)
+        log.append(self.RECORDS[3])
+        log.close()
+        assert read_log(path, after=2) == (
+            self.RECORDS[2:], 4, path.stat().st_size
+        )
+        assert log.bytes == path.stat().st_size
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ckpt.log"]
+
+    def test_injected_append_failure_tears_the_record_and_breaks_the_log(
+        self, tmp_path
+    ):
+        log = CheckpointLog(tmp_path / "s.ckpt.log")
+        log.append(self.RECORDS[0])
+        whole = log.bytes
+        with inject("log.append") as plan:
+            with pytest.raises(FaultInjected):
+                log.append(self.RECORDS[1])
+        assert plan.fired and log.broken and log.records == 1
+        assert whole < log.bytes == log.path.stat().st_size
+        log.close()
+        assert read_log(log.path) == (self.RECORDS[:1], 1, whole)
+
+    def test_base_names_what_it_covers(self, tmp_path):
+        solver = load(LaddderSolver, tc_program(), tc_facts({(1, 2), (2, 3)}))
+        path = tmp_path / "tc.ckpt"
+        write_checkpoint(dump_state(solver, covers=(17, 40)), path)
+        restored, record, seq = load_base(LaddderSolver, tc_program(), path)
+        assert (record, seq) == (17, 40)
+        assert restored.relation("tc") == solver.relation("tc")
+        # A file written without a log (``save``, the CLI, a parent build's
+        # fixture) covers nothing of any.
+        save_checkpoint(solver, path)
+        assert load_base(LaddderSolver, tc_program(), path)[1:] == (0, 0)
 
 
 class TestProvenancePayload:

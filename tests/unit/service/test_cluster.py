@@ -55,23 +55,25 @@ class TestSessionRecord:
 
     def test_seq_is_monotonic(self):
         record = self.record()
-        assert [record.next_seq() for _ in range(3)] == [1, 2, 3]
+        assert [record.journal_op("{}") for _ in range(3)] == [1, 2, 3]
 
     def test_prune_drops_checkpoint_covered_prefix(self):
         record = self.record()
-        for seq in (1, 2, 3):
-            record.journal_op(seq, {"seq": seq})
+        for _ in range(3):
+            record.journal_op("{}")
+        assert record.prune_journal(None) == 0  # a response naming no seq
         assert record.prune_journal(2) == 2
         assert [s for s, _ in record.journal_snapshot()] == [3]
-        assert record.truncated_before == 0  # covered drops are not blind
 
-    def test_prune_blind_drop_records_the_gap(self):
+    def test_full_journal_refuses_the_op(self):
         record = self.record(journal_limit=2)
-        for seq in range(1, 6):
-            record.journal_op(seq, {"seq": seq})
-        record.prune_journal(None)
-        assert [s for s, _ in record.journal_snapshot()] == [4, 5]
-        assert record.truncated_before == 4  # seqs 1..3 are unrecoverable
+        assert [record.journal_op("{}") for _ in range(2)] == [1, 2]
+        with pytest.raises(OverloadedError, match="not yet durable"):
+            record.journal_op("{}")
+        # Refused, not dropped: nothing was journaled and no seq was spent.
+        assert [s for s, _ in record.journal_snapshot()] == [1, 2]
+        record.prune_journal(1)
+        assert record.journal_op("{}") == 3
 
     def test_dedup_window_is_bounded_fifo(self):
         record = self.record(dedup_limit=2)
@@ -140,6 +142,9 @@ class _StubClient:
             {"id": request.get("id"), "ok": True, "echo": request.get("op")}
         )
 
+    def call(self, request, timeout):
+        return json.loads(self.call_line(json.dumps(request), timeout))
+
     def kill(self):
         self.alive = False
 
@@ -149,7 +154,6 @@ def stub_cluster(client: _StubClient, **overrides) -> ClusterService:
     subprocesses, no supervisor heartbeats, instant backoff."""
     config = ClusterConfig(
         workers=1,
-        checkpoint_every=None,
         heartbeat_interval=3600.0,
         backoff_base=0.0,
         backoff_cap=0.0,
@@ -177,7 +181,6 @@ def stub_cluster(client: _StubClient, **overrides) -> ClusterService:
         "retries": 0,
         "heartbeat_misses": 0,
         "overloads": 0,
-        "journal_truncations": 0,
     }
     service._counters_lock = threading.Lock()
     service._stop = threading.Event()
@@ -242,6 +245,60 @@ class TestDispatchPolicies:
         assert [seq for seq, _ in entries] == [1]
         assert json.loads(entries[0][1])["id"] == "u1"  # the request line
         assert client.calls[-1]["_seq"] == 1  # seq rides in the pipe tag
+
+    def test_journal_keeps_only_what_is_not_yet_durable(self):
+        # The worker's answers name the seq its base and log now cover; the
+        # front end forgets those ops and no others, and a session that
+        # stops reporting progress gets its updates refused, none dropped.
+        update = {"op": "update", "session": "s", "insert": {}}
+        client = _StubClient(script=[
+            {"ok": True, "durable_seq": 0},
+            {"ok": True, "durable_seq": 2},
+            {"ok": True, "durable_seq": 2},
+            {"ok": True},
+        ])
+        service = stub_cluster(client, journal_limit=2)
+        record = service.router.record("s")
+        held = []
+        for _ in range(4):
+            assert service.handle(dict(update))["ok"]
+            held.append([seq for seq, _ in record.journal_snapshot()])
+        assert held == [[1], [], [3], [3, 4]]
+        refused = service.handle(dict(update, id="late"))
+        assert refused["error"]["type"] == "OverloadedError"
+        assert len(client.calls) == 4 and record.seq == 4
+        assert service.counters["overloads"] == 1
+        # A restore answers with the seq its rebased spool covers.
+        client.script.append({"ok": True, "durable_seq": 4})
+        assert service.handle({"op": "restore", "session": "s", "path": "x"})["ok"]
+        assert record.journal_snapshot() == []
+
+    def test_recovery_replays_only_above_the_recovered_durable_seq(self):
+        client = _StubClient()
+        service = stub_cluster(client)
+        record = service.router.record("s")
+        record.open_request = {"op": "open", "session": "s",
+                               "checkpoint_path": "/spool/s.ckpt"}
+        for _ in range(3):
+            record.journal_op('{"op": "update", "session": "s"}')
+        client.script = [{"ok": True, "durable_seq": 2}]
+        service._recover_session(record, client)
+        # The re-open names the spool, and only seq 3 (plus the flush that
+        # makes it durable) follows: 1 and 2 came back from the log.
+        assert client.calls[0]["restore_from"] == "/spool/s.ckpt"
+        assert [c["_seq"] for c in client.calls[1:]] == [3, None]
+        assert service.counters["replayed_ops"] == 1
+        # A dispatcher that was mid-flight on seq 2 must not send it again.
+        outcome = service._dispatch(record, "{}", seq=2, mutating=True)
+        assert json.loads(outcome) == {"ok": True, "replayed": True, "seq": 2}
+        # A spool that fails validation: open again from scratch.
+        client.calls.clear()
+        client.script = [{"ok": False, "error": "CheckpointError"},
+                         {"ok": True, "durable_seq": 0}]
+        service._recover_session(record, client)
+        assert "restore_from" in client.calls[0]
+        assert "restore_from" not in client.calls[1]
+        assert [c["_seq"] for c in client.calls[2:]] == [1, 2, 3, None]
 
     def test_duplicate_request_id_returns_cached_response(self):
         client = _StubClient()
@@ -328,7 +385,7 @@ class TestFrontendOps:
 class TestRealWorkerSmoke:
     def test_two_workers_serve_and_close(self):
         config = ClusterConfig(
-            workers=2, checkpoint_every=None, heartbeat_interval=0.5
+            workers=2, heartbeat_interval=0.5
         )
         with ClusterService(config) as service:
             pids = service.worker_pids()
@@ -376,7 +433,6 @@ class TestRealWorkerSmoke:
         # of worker failing, so we only assert the restart counter moved.
         config = ClusterConfig(
             workers=1,
-            checkpoint_every=None,
             heartbeat_interval=0.1,
             heartbeat_misses=2,
             heartbeat_timeout=5.0,
@@ -517,7 +573,6 @@ class TestHopEquivalence:
         single = _StdioServer()
         config = ClusterConfig(
             workers=1,
-            checkpoint_every=None,
             heartbeat_interval=3600.0,
             spool=str(tmp_path_factory.mktemp("spool")),
             worker_env=_ONE_HASH_SEED,
@@ -571,7 +626,10 @@ class TestHopEquivalence:
     def test_stats_is_forwarded_in_canonical_form(self, pair):
         ours, theirs = self.both(pair, '{"op": "stats", "session": "a", "id": 1}')
         assert ours == json.dumps(json.loads(ours), sort_keys=True)
-        assert _scrub(json.loads(ours)) == _scrub(json.loads(theirs))
+        ours, theirs = json.loads(ours), json.loads(theirs)
+        # Only a cluster's session is durable: it alone has a spool to report.
+        assert ours.pop("checkpoint")["path"] and not theirs.pop("checkpoint")["path"]
+        assert _scrub(ours) == _scrub(theirs)
 
     def test_mutating_ops_are_equal_up_to_seq(self, pair):
         lines = [

@@ -243,6 +243,23 @@ class TestDispatch:
         assert not response["ok"]
         assert "unknown engine" in response["error"]["message"]
 
+    def test_retired_checkpoint_every_is_ignored_like_any_unknown_field(
+        self, protocol, tmp_path
+    ):
+        # The cadence knob is gone; a client that still sends it is served
+        # as if it had not (and an invalid value is no longer an error).
+        opened = open_default(
+            protocol, checkpoint_every=0, no_such_field=1,
+            checkpoint_path=str(tmp_path / "s.ckpt"),
+        )
+        assert opened["durable_seq"] == 0
+        stats = protocol.handle({"op": "stats", "session": "default"})
+        assert stats["checkpoint"]["every"] is None
+        updated = protocol.handle(
+            {"op": "update", "insert": INSERT, "flush": True, "seq": 3}
+        )
+        assert updated["ok"] and updated["durable_seq"] == 3
+
 
 class TestLineTransport:
     def test_handle_line_roundtrip(self, protocol):

@@ -7,6 +7,7 @@ batch, half-applied state, or an outage.
 """
 
 import gc
+import os
 import sys
 import threading
 import time
@@ -18,6 +19,7 @@ from repro.analyses import constant_propagation
 from repro.changes import literal_to_zero_changes
 from repro.corpus import load_subject
 from repro.datalog.errors import ServiceError
+from repro.engines.checkpoint import read_log
 from repro.metrics import TraceSink
 from repro.robustness import inject
 from repro.service import Session, SessionConfig
@@ -425,15 +427,13 @@ class TestSaveRestore:
 
 
 class TestCheckpointLockScope:
-    """A periodic checkpoint holds the solver lock while it pickles the
-    state and not while it writes the file (it used to hold it for both,
-    stalling every eighth batch by hundreds of milliseconds)."""
+    """A base write holds the solver lock while it pickles the state and
+    not while it writes the file (it used to hold it for both, stalling
+    the batch behind it by hundreds of milliseconds)."""
 
     def test_updates_publish_while_the_file_write_is_blocked(
         self, tmp_path, changes, monkeypatch
     ):
-        import json
-
         import repro.service.session as session_mod
 
         entered, release = threading.Event(), threading.Event()
@@ -445,13 +445,15 @@ class TestCheckpointLockScope:
             return real_write(body, path)
 
         monkeypatch.setattr(session_mod, "write_checkpoint", gated_write)
-        path = tmp_path / "periodic.ckpt"
-        session = make_session(checkpoint_every=1, checkpoint_path=str(path))
+        path = tmp_path / "spool.ckpt"
+        session = make_session(checkpoint_path=str(path))
         try:
             first, second = changes[0], changes[1]
             session.update(
                 insertions=first.insertions, deletions=first.deletions, seq=1
             )
+            # A session without a base counts as size 0: its first logged
+            # batch outgrows that and triggers the first base.
             assert session.flush()["version"] == 2
             digest_at_seq_1 = session.snapshot.digest()
             assert entered.wait(timeout=30)  # serialised, now stuck writing
@@ -481,21 +483,334 @@ class TestCheckpointLockScope:
             release.set()
             session._checkpoint_thread.join(timeout=30)
             assert not session._checkpoint_thread.is_alive()
-            assert session.checkpoints_written == 1
-            # The sidecar describes the bytes that were pickled, not the
-            # state the solver has moved on to since.
-            meta = json.loads((tmp_path / "periodic.ckpt.meta").read_text())
-            assert (meta["seq"], meta["version"]) == (1, 2)
-            assert meta["bytes"] == path.stat().st_size
-            restored = make_session(restore_from=str(path))
+            spool = session.stats()["checkpoint"]
+            assert spool["written"] == 1 and spool["errors"] == 0
+            assert spool["base_bytes"] == path.stat().st_size
+            # The base names the record and seq that were pickled, not the
+            # state the solver has moved on to since: the batch that landed
+            # during the write is still in the log.
+            assert (spool["log_records"], spool["durable_seq"]) == (2, 2)
+            records, last, size = read_log(f"{path}.log", after=1)
+            assert [r["seq"] for r in records] == [2] and last == 2
+            assert size == spool["log_bytes"] == (tmp_path / "spool.ckpt.log").stat().st_size
+            # The base alone is the state at seq 1 ...
+            (tmp_path / "base-only.ckpt").write_bytes(path.read_bytes())
+            restored = make_session(restore_from=str(tmp_path / "base-only.ckpt"))
             try:
                 assert restored.snapshot.digest() == digest_at_seq_1
                 assert restored.snapshot.digest() != session.snapshot.digest()
             finally:
                 close(restored)
+            # ... and base plus log is the live one.
+            assert _recovered_digest(path) == session.snapshot.digest()
         finally:
             release.set()
             close(session)
+
+
+def _recovered_digest(path, **overrides) -> str:
+    """What a crash right now would recover: a second session opened from
+    the spool files as they stand (copied, so the live one keeps its own)."""
+    import shutil
+
+    copy = path.with_name("crashed-" + path.name)
+    for suffix in ("", ".log"):
+        if os.path.exists(f"{path}{suffix}"):
+            shutil.copyfile(f"{path}{suffix}", f"{copy}{suffix}")
+    recovered = make_session(restore_from=str(copy), **overrides)
+    try:
+        return recovered.snapshot.digest()
+    finally:
+        close(recovered)
+
+
+def _await_base(session, written: int) -> dict:
+    deadline = time.monotonic() + 30
+    while session.stats()["checkpoint"]["written"] < written:
+        assert time.monotonic() < deadline, session.stats()["checkpoint"]
+        time.sleep(0.01)
+    session._checkpoint_thread.join(timeout=30)
+    return session.stats()["checkpoint"]
+
+
+class TestDurableLog:
+    """A durable session is a base file plus a log of applied batches
+    (docs/SERVICE.md, "Supervision and crash recovery")."""
+
+    def edit(self, session, change, seq):
+        session.update(
+            insertions=change.insertions, deletions=change.deletions, seq=seq
+        )
+        return session.flush()
+
+    def test_each_applied_batch_is_logged_before_its_flush_returns(
+        self, tmp_path, changes
+    ):
+        path = tmp_path / "s.ckpt"
+        session = make_session(checkpoint_path=str(path))
+        try:
+            assert session.stats()["checkpoint"] == {
+                "path": str(path), "every": None, "written": 0, "errors": 0,
+                "last_error": None, "base_bytes": 0, "log_bytes": 0,
+                "log_records": 0, "durable_seq": 0,
+            }
+            assert os.listdir(tmp_path) == ["s.ckpt.log"]  # no base in open
+            assert self.edit(session, changes[0], seq=5)["ok"]
+            # No waiting: the record is in the file when flush returns.
+            (record,), last, _ = read_log(f"{path}.log")
+            assert last == 1 and record["seq"] == 5 and record["version"] == 2
+            assert record["insert"] == {
+                pred: [list(row) for row in rows]
+                for pred, rows in changes[0].insertions.items()
+            }
+            assert session.durable_seq == 5
+            spool = _await_base(session, 1)
+            # The first batch wrote the one base a short session ever
+            # writes; it covers record 1, which the trim then dropped.
+            assert spool["written"] == 1 and spool["log_bytes"] == 0
+            for index, change in enumerate(changes[1:4], start=6):
+                assert self.edit(session, change, seq=index)["ok"]
+            spool = session.stats()["checkpoint"]
+            assert spool["written"] == 1  # the log is far below the base
+            assert (spool["log_records"], spool["durable_seq"]) == (4, 8)
+            assert 0 < spool["log_bytes"] < spool["base_bytes"]
+            assert _recovered_digest(path) == session.snapshot.digest()
+        finally:
+            close(session)
+        assert sorted(os.listdir(tmp_path))[-2:] == ["s.ckpt", "s.ckpt.log"]
+
+    def test_a_failed_batch_is_neither_logged_nor_published(
+        self, tmp_path, changes
+    ):
+        path = tmp_path / "s.ckpt"
+        session = make_session(checkpoint_path=str(path))
+        try:
+            session.update(insertions=changes[0].insertions, seq=1)
+            with inject("kernel.emit", at=1) as plan:
+                out = session.flush()
+            assert plan.fired and not out["ok"]
+            spool = session.stats()["checkpoint"]
+            assert (spool["log_records"], spool["durable_seq"]) == (0, 0)
+            assert session.snapshot.version == 1
+            assert _recovered_digest(path) == session.snapshot.digest()
+        finally:
+            close(session)
+
+    def test_failed_append_is_recorded_not_raised_and_the_next_base_heals(
+        self, tmp_path, changes
+    ):
+        path = tmp_path / "s.ckpt"
+        session = make_session(checkpoint_path=str(path))
+        try:
+            assert self.edit(session, changes[0], seq=1)["ok"]
+            _await_base(session, 1)
+            with inject("log.append") as plan:
+                out = self.edit(session, changes[1], seq=2)
+            # Applied and published; only not durable yet.
+            assert plan.fired and out["ok"] and out["version"] == 3
+            spool = _await_base(session, 2)
+            assert spool["errors"] == 1
+            assert "FaultInjected" in spool["last_error"]
+            # The torn half-record never made seq 2 durable; the base the
+            # failure triggered did, and took the torn bytes with it.
+            assert (spool["log_records"], spool["log_bytes"]) == (1, 0)
+            assert spool["durable_seq"] == 2
+            assert self.edit(session, changes[2], seq=3)["ok"]
+            assert session.durable_seq == 3
+            assert read_log(f"{path}.log", after=1)[1] == 2
+            assert _recovered_digest(path) == session.snapshot.digest()
+        finally:
+            close(session)
+
+    def test_durable_seq_waits_for_the_base_when_the_append_failed(
+        self, tmp_path, changes, monkeypatch
+    ):
+        import repro.service.session as session_mod
+
+        path = tmp_path / "s.ckpt"
+        session = make_session(checkpoint_path=str(path))
+        try:
+            assert self.edit(session, changes[0], seq=1)["ok"]
+            _await_base(session, 1)
+
+            def full_disk(body, path):
+                raise OSError("no space left on device")
+
+            monkeypatch.setattr(session_mod, "write_checkpoint", full_disk)
+            with inject("log.append"):
+                assert self.edit(session, changes[1], seq=2)["ok"]
+            session._checkpoint_thread.join(timeout=30)
+            assert self.edit(session, changes[2], seq=3)["ok"]
+            session._checkpoint_thread.join(timeout=30)
+            # Neither the log nor a base holds seq 2, so nothing after it
+            # may be reported durable either: the front end keeps both ops.
+            spool = session.stats()["checkpoint"]
+            assert spool["durable_seq"] == 1 and spool["errors"] == 3
+            assert "no space left" in spool["last_error"]
+            # What a crash now recovers is the state at seq 1: the torn
+            # record is dropped, the rest of the log replays.
+            assert _recovered_digest(path) != session.snapshot.digest()
+            monkeypatch.undo()
+            assert self.edit(session, changes[3], seq=4)["ok"]
+            assert _await_base(session, 2)["durable_seq"] == 4
+            assert _recovered_digest(path) == session.snapshot.digest()
+        finally:
+            close(session)
+
+    def test_restore_rebases_the_spool_before_it_answers(self, tmp_path, changes):
+        path, saved = tmp_path / "s.ckpt", tmp_path / "saved.ckpt"
+        session = make_session(checkpoint_path=str(path))
+        try:
+            assert self.edit(session, changes[0], seq=1)["ok"]
+            session.save(saved)
+            digest_at_save = session.snapshot.digest()
+            for seq, change in enumerate(changes[1:4], start=2):
+                assert self.edit(session, change, seq=seq)["ok"]
+            session.update(insertions=changes[4].insertions, seq=5)  # pending
+            answer = session.restore(saved)
+            # No waiting: new base, empty log, every earlier op behind it.
+            assert answer["durable_seq"] == 5 and answer["dropped"] == 1
+            spool = session.stats()["checkpoint"]
+            assert spool["log_bytes"] == 0 and spool["written"] == 2
+            assert _recovered_digest(path) == digest_at_save
+            assert self.edit(session, changes[1], seq=6)["ok"]
+            assert _recovered_digest(path) == session.snapshot.digest()
+        finally:
+            close(session)
+
+    def test_recovery_replays_the_net_diff_not_the_record_count(self, tmp_path):
+        instance = constant_propagation(load_subject("minijavac"))
+        statements = sorted(instance.facts["assignlit"])[:10]
+        path = tmp_path / "s.ckpt"
+        session = make_session(checkpoint_path=str(path))
+        try:
+            current = list(statements)
+            for seq in range(1, 201):
+                slot = seq % 10
+                old = current[slot]
+                current[slot] = (*old[:2], 1000 + seq)
+                session.update(
+                    insertions={"assignlit": [current[slot]]},
+                    deletions={"assignlit": [old]},
+                    seq=seq,
+                )
+                assert session.flush()["ok"]
+            spool = _await_base(session, 1)
+            # 200 batches, one of them inside the base.
+            assert spool["log_records"] == 200 and spool["written"] == 1
+            assert len(read_log(f"{path}.log", after=1)[0]) == 199
+            live = session.snapshot.digest()
+        finally:
+            close(session)
+        # Whatever the flush size: the whole log coalesces before it applies.
+        recovered = make_session(restore_from=str(path), flush_size=8)
+        try:
+            assert recovered.snapshot.digest() == live
+            stats = recovered.stats()
+            service = stats["metrics"]["service"]
+            # 199 records of one retype each: 398 ops over 10 statements
+            # whose net effect is 20 keys (old literal out, last one in).
+            net_keys = 20
+            assert service["batches_applied"] == 1 <= -(-net_keys // 8)
+            assert service["updates_enqueued"] == 398
+            assert service["updates_coalesced"] == 398 - net_keys
+            assert stats["checkpoint"]["durable_seq"] == stats["applied_seq"] == 200
+        finally:
+            close(recovered)
+    def test_crash_before_the_first_base_recovers_from_the_log_alone(
+        self, tmp_path, changes
+    ):
+        path = tmp_path / "s.ckpt"
+        session = make_session(checkpoint_path=str(path))
+        try:
+            for seq, change in enumerate(changes[:3], start=1):
+                assert self.edit(session, change, seq=seq)["ok"]
+            _await_base(session, 1)
+            live = session.snapshot.digest()
+            os.remove(path)  # as if the crash had come during its write
+            (tmp_path / "s.ckpt.log").write_bytes(
+                b"".join(_log_lines(changes[:3]))
+            )
+        finally:
+            close(session)
+        resumed = make_session(checkpoint_path=str(path), restore_from=str(path))
+        try:
+            assert resumed.snapshot.digest() == live
+            spool = resumed.stats()["checkpoint"]
+            assert (spool["log_records"], spool["durable_seq"]) == (3, 3)
+            # The log has outgrown the base that is not there: the missing
+            # base is written at once, and the session goes on appending.
+            assert _await_base(resumed, 1)["log_bytes"] == 0
+            assert self.edit(resumed, changes[3], seq=4)["ok"]
+            assert resumed.stats()["checkpoint"]["log_records"] == 4
+            assert _recovered_digest(path) == resumed.snapshot.digest()
+        finally:
+            close(resumed)
+
+    def test_corrupt_spool_fails_typed_and_a_fresh_open_starts_it_over(
+        self, tmp_path, changes
+    ):
+        from repro.datalog.errors import CheckpointError
+
+        path = tmp_path / "s.ckpt"
+        lines = _log_lines(changes[:3])
+        lines[1] = lines[1].replace(b'"seq":2', b'"seq":7')
+        (tmp_path / "s.ckpt.log").write_bytes(b"".join(lines))
+        with pytest.raises(CheckpointError, match="after record 1 is corrupt"):
+            make_session(checkpoint_path=str(path), restore_from=str(path))
+        # Neither file: nothing to restore from, as before.
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+            make_session(restore_from=str(tmp_path / "absent.ckpt"))
+        # The from-scratch fallback: same path, no restore_from.  Whatever
+        # an earlier life left at the path is gone, temp files included.
+        path.write_bytes(b"a base from another life")
+        (tmp_path / "s.ckpt.log.tmp").write_bytes(b"a crash mid-trim")
+        fresh = make_session(checkpoint_path=str(path))
+        try:
+            assert os.listdir(tmp_path) == ["s.ckpt.log"]
+            assert fresh.stats()["checkpoint"]["log_bytes"] == 0
+        finally:
+            close(fresh)
+
+    def test_restoring_from_elsewhere_rebases_the_own_spool(
+        self, tmp_path, changes
+    ):
+        saved, path = tmp_path / "saved.ckpt", tmp_path / "s.ckpt"
+        session = make_session()
+        try:
+            assert self.edit(session, changes[0], seq=None)["ok"]
+            session.save(saved)
+            digest = session.snapshot.digest()
+        finally:
+            close(session)
+        warm = make_session(restore_from=str(saved), checkpoint_path=str(path))
+        try:
+            spool = warm.stats()["checkpoint"]
+            assert spool["written"] == 1 and spool["base_bytes"] > 0
+            assert _recovered_digest(path) == digest == warm.snapshot.digest()
+        finally:
+            close(warm)
+
+
+def _log_lines(changes, first: int = 1) -> list[bytes]:
+    """The log lines a session would have written for ``changes``, one batch
+    each, through the product's own writer."""
+    import tempfile
+
+    from repro.engines.checkpoint import CheckpointLog
+
+    with tempfile.TemporaryDirectory() as scratch:
+        log = CheckpointLog(os.path.join(scratch, "log"), records=first - 1)
+        for number, change in enumerate(changes, start=first):
+            log.append({
+                "seq": number,
+                "version": number + 1,
+                "insert": {p: list(r) for p, r in change.insertions.items()},
+                "delete": {p: list(r) for p, r in change.deletions.items()},
+            })
+        log.close()
+        with open(log.path, "rb") as handle:
+            return handle.read().splitlines(keepends=True)
 
 
 class TestStats:

@@ -13,7 +13,11 @@ shape at every step.  The decisive checks are semantic, not cosmetic:
 * a published version is rendered once: the same ``query`` three times and
   one ``snapshot`` against one version answer byte-identical rows and the
   golden digest for ``stats.metrics.service.renders`` up by exactly one;
-* the server process exits 0 after a protocol-level ``shutdown``.
+* the server process exits 0 after a protocol-level ``shutdown``;
+* a second, clustered server (``--workers 2``) whose session-owning worker
+  is ``kill -9``ed answers the next ``query`` from the recovered session
+  with the golden digest, after exactly one worker restart, from a spool
+  that holds one base and one log per session and nothing else.
 
 Run as ``PYTHONPATH=src python tools/service_smoke.py``.  Exits non-zero
 with a diagnostic on the first divergence; CI runs this as the service
@@ -25,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -94,10 +99,10 @@ class Client:
         self.sock.close()
 
 
-def start_server() -> tuple[subprocess.Popen, str, int]:
+def start_server(*extra: str) -> tuple[subprocess.Popen, str, int]:
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *extra],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -105,6 +110,8 @@ def start_server() -> tuple[subprocess.Popen, str, int]:
         cwd=str(REPO),
     )
     banner = proc.stdout.readline()
+    if banner.startswith("repro serve cluster:"):  # the workers' pids
+        banner = proc.stdout.readline()
     match = re.search(r"listening on (\S+):(\d+)", banner)
     if not match:
         proc.kill()
@@ -227,12 +234,61 @@ def run(client: Client, ckpt: str) -> None:
     )
 
 
-def main() -> int:
-    proc, host, port = start_server()
+def await_spool(spool: str) -> None:
+    """One base and one log for the one session, and nothing else."""
+    deadline = time.monotonic() + 30
+    while sorted(os.listdir(spool)) != ["default.ckpt", "default.ckpt.log"]:
+        if time.monotonic() > deadline:
+            raise SmokeFailure(f"unexpected spool contents: {os.listdir(spool)}")
+        time.sleep(0.05)
+
+
+def run_cluster(client: Client, spool: str) -> None:
+    """The cluster leg: edits, ``kill -9`` of the worker that owns the
+    session, and the next read served by its replacement."""
+    expect(client.call(dict(OPEN)), {"ok": True, "durable_seq": 0}, "cluster open")
+    # Do, undo, do again: three logged batches that end on the golden state.
+    for seq, body in enumerate(("insert", "delete", "insert"), start=1):
+        expect(
+            client.call({"op": "update", body: INSERT, "flush": True}),
+            {"ok": True, "seq": seq, "durable_seq": seq},
+            f"cluster update {seq}",
+        )
+    # The first batch outgrew the absent base and wrote the only one.
+    await_spool(spool)
+    workers = client.call({"op": "stats"})["cluster"]["workers"].values()
+    (owner,) = (w["pid"] for w in workers if "default" in w["sessions"])
+    os.kill(owner, signal.SIGKILL)
+    expect(
+        client.call({"op": "query", "predicate": "val", "limit": 0}),
+        {"ok": True},
+        "query after kill -9",
+    )
+    expect(
+        client.call({"op": "snapshot"}),
+        {"ok": True, "digest": DIGEST_AFTER_INSERT},
+        "digest after recovery",
+    )
+    stats = client.call({"op": "stats"})
+    counters = stats["cluster"]["counters"]
+    if (counters["worker_restarts"], counters["sessions_recovered"]) != (1, 1):
+        raise SmokeFailure(f"expected one restart and one recovery: {counters}")
+    await_spool(spool)  # the recovered session went on with the same pair
+    expect(client.call({"op": "close"}), {"ok": True, "closed": True}, "close")
+    if os.listdir(spool):
+        raise SmokeFailure(f"close left the spool behind: {os.listdir(spool)}")
+    expect(
+        client.call({"op": "shutdown"}), {"ok": True, "closing": True}, "shutdown"
+    )
+
+
+def serve_and(extra: tuple[str, ...], script) -> int:
+    """Start a server, run ``script(client)`` against it and see it exit
+    cleanly; returns the ops the script made."""
+    proc, host, port = start_server(*extra)
     client = Client(host, port)
-    ckpt = tempfile.NamedTemporaryFile(suffix=".ckpt", delete=False).name
     try:
-        run(client, ckpt)
+        script(client)
         deadline = time.monotonic() + 120
         while proc.poll() is None and time.monotonic() < deadline:
             time.sleep(0.05)
@@ -240,16 +296,29 @@ def main() -> int:
             raise SmokeFailure(
                 f"server exit code {proc.returncode}: {proc.stdout.read()[-2000:]}"
             )
-        print(f"service smoke OK: {client.ops} ops, clean shutdown")
-        return 0
-    except SmokeFailure as exc:
-        print(f"service smoke FAILED: {exc}", file=sys.stderr)
-        return 1
+        return client.ops
     finally:
         client.close()
         if proc.poll() is None:
             proc.kill()
-        os.unlink(ckpt)
+
+
+def main() -> int:
+    try:
+        with tempfile.TemporaryDirectory() as scratch:
+            ckpt = os.path.join(scratch, "saved.ckpt")
+            ops = serve_and((), lambda client: run(client, ckpt))
+            print(f"service smoke OK: {ops} ops, clean shutdown")
+            spool = os.path.join(scratch, "spool")
+            ops = serve_and(
+                ("--workers", "2", "--spool", spool),
+                lambda client: run_cluster(client, spool),
+            )
+            print(f"cluster smoke OK: {ops} ops, one worker killed and replaced")
+        return 0
+    except SmokeFailure as exc:
+        print(f"service smoke FAILED: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":
