@@ -19,26 +19,20 @@ from repro.bench import (
     run_update_benchmark,
 )
 from repro.engines import LaddderSolver
-from repro.metrics import SolverMetrics
 
-from common import ANALYSIS_SERIES, SUBJECTS, make_changes, report, report_json, subject
+from common import ANALYSIS_SERIES, SUBJECTS, make_changes, report, subject
 
 
 def _series(analysis_name):
     build, generator = ANALYSIS_SERIES[analysis_name]
     rows = []
     checks = []
-    summaries = {}
     for subject_name in SUBJECTS:
         instance = build(subject(subject_name))
         changes = make_changes(generator, instance)
         run = run_update_benchmark(instance, LaddderSolver, changes)
         dist = Distribution.of(run.update_times())
         rows.append(distribution_row(subject_name, dist.row(unit=1e3)))
-        summaries[subject_name] = {
-            "init_ms": run.init_seconds * 1e3,
-            "updates_ms": dist.row(unit=1e3),
-        }
         checks.append(
             (
                 dist.median,
@@ -46,19 +40,12 @@ def _series(analysis_name):
                 fraction_below(run.update_times(), 1.0),
             )
         )
-    # A separate profiled pass on the first subject: enabled metrics perturb
-    # wall times, so the headline numbers above stay uninstrumented.
-    metrics = SolverMetrics()
-    instance = build(subject(SUBJECTS[0]))
-    run_update_benchmark(
-        instance, LaddderSolver, make_changes(generator, instance), metrics=metrics
-    )
-    return rows, checks, summaries, metrics.to_dict()
+    return rows, checks
 
 
 @pytest.mark.parametrize("analysis_name", list(ANALYSIS_SERIES))
 def test_sec71_update_times(benchmark, analysis_name):
-    rows, checks, summaries, profile = benchmark.pedantic(
+    rows, checks = benchmark.pedantic(
         _series, args=(analysis_name,), rounds=1, iterations=1
     )
     table = format_table(
@@ -67,15 +54,6 @@ def test_sec71_update_times(benchmark, analysis_name):
         title=f"Section 7.1 — Laddder update times (ms), {analysis_name}",
     )
     report(f"sec71_updates_{analysis_name}", table)
-    report_json(
-        f"sec71_updates_{analysis_name}",
-        {
-            "analysis": analysis_name,
-            "engine": "LaddderSolver",
-            "subjects": summaries,
-            "profile": {"subject": SUBJECTS[0], **profile},
-        },
-    )
     # The paper's claims, on our substrate: typical updates are
     # small-millisecond ("virtually all code changes within 10 ms" on the
     # JVM), the vast majority stay interactive (<100 ms), and the rare

@@ -8,17 +8,13 @@ Environment knobs (all optional):
   40 measured changes; the paper used 1000 on a JVM).
 * ``REPRO_BENCH_SCALE``    — global corpus scale factor (default 1.0).
 
-Each benchmark prints its paper-style table and also writes it to
-``benchmarks/results/<name>.txt`` so ``bench_output.txt`` plus that
-directory together hold the full reproduction record.  Machine-readable
-companions go to ``benchmarks/results/BENCH_<name>.json`` via
-:func:`report_json` — solver-metrics exports and summary numbers that
-downstream tooling can diff across runs without parsing ASCII tables.
+Each experiment prints its paper-style table and also writes it to
+``benchmarks/results/<name>.txt``, and nothing else: a table is an
+illustration recorded on one machine, not a gate (see ``README.md`` here).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -63,10 +59,3 @@ def report(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
-
-def report_json(name: str, payload: dict) -> Path:
-    """Persist a machine-readable result as ``BENCH_<name>.json``."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path

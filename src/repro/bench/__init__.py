@@ -1,6 +1,6 @@
 """Benchmark harness utilities: timing, distributions, memory, regression."""
 
-from .memory import deep_sizeof, solver_memory, traced_alloc
+from .memory import deep_sizeof
 from .regression import LogLogFit, fit_time_vs_impact
 from .stats import Distribution, fraction_below, percentile
 from .tables import DISTRIBUTION_HEADERS, distribution_row, format_table
@@ -24,7 +24,5 @@ __all__ = [
     "fraction_below",
     "percentile",
     "run_update_benchmark",
-    "solver_memory",
     "time_initialization",
-    "traced_alloc",
 ]

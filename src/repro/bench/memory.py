@@ -1,21 +1,15 @@
 """Memory measurement for RQ2 (Section 7.2).
 
 The paper measures reachable JVM heap before/after initializing the
-analysis.  We provide two equivalents:
-
-* :func:`deep_sizeof` — recursive ``sys.getsizeof`` over a solver's state
-  (the Python analogue of "reachable heap"),
-* :func:`traced_alloc` — ``tracemalloc`` delta across a callable.
-
-Plus the engine-reported :meth:`state_size` (abstract cells), which is
-allocator-independent and the most stable basis for engine comparisons.
+analysis.  :func:`deep_sizeof` — recursive ``sys.getsizeof`` over a
+solver's state — is the Python analogue of "reachable heap"; the
+engine-reported :meth:`state_size` (abstract cells) is allocator-independent
+and the most stable basis for engine comparisons.
 """
 
 from __future__ import annotations
 
 import sys
-import tracemalloc
-from typing import Callable
 
 
 def deep_sizeof(obj: object, _seen: set[int] | None = None) -> int:
@@ -45,21 +39,3 @@ def deep_sizeof(obj: object, _seen: set[int] | None = None) -> int:
             if hasattr(obj, slot):
                 size += deep_sizeof(getattr(obj, slot), _seen)
     return size
-
-
-def traced_alloc(fn: Callable[[], object]) -> tuple[object, int]:
-    """Run ``fn`` and return (result, net allocated bytes)."""
-    tracemalloc.start()
-    before, _ = tracemalloc.get_traced_memory()
-    result = fn()
-    after, _ = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return result, max(0, after - before)
-
-
-def solver_memory(solver) -> dict[str, float]:
-    """Both memory views of a solved solver."""
-    return {
-        "state_cells": solver.state_size(),
-        "deep_bytes": deep_sizeof(solver),
-    }

@@ -44,8 +44,12 @@ from .stream import EditStream, editor_for
 
 
 def reference_digest(program, facts) -> str:
-    """From-scratch semi-naive solve of ``facts``, digested."""
-    reference = SemiNaiveSolver(program)
+    """From-scratch semi-naive solve of ``facts``, digested.
+
+    The oracle runs on ``SolverConfig()`` — defaults, not the environment —
+    so a ``REPRO_*`` set for the engine under test cannot reach it.
+    """
+    reference = SemiNaiveSolver(program, config=SolverConfig())
     for pred, rows in facts.items():
         if rows and pred in reference.idb:
             continue  # extractor emitted a relation the rules derive

@@ -1,7 +1,7 @@
 """Short continuous-edit soaks: the CI-sized slice of tools/soak.py.
 
-The full-length streams live in the ``soak`` CI job and the
-``bench_edit_stream`` benchmark; these runs are long enough to cover the
+The full-length streams live in the ``robustness`` CI job
+(``tools/soak.py``); these runs are long enough to cover the
 regressions the harness was built to catch — notably the settled-timeline
 compaction zombie, which originally surfaced as a digest mismatch at the
 step-60 checkpoint of the seed-7 constprop stream.

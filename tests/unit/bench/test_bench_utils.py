@@ -15,9 +15,7 @@ from repro.bench import (
     fraction_below,
     percentile,
     run_update_benchmark,
-    solver_memory,
     time_initialization,
-    traced_alloc,
 )
 from repro.changes import Change
 from repro.engines import LaddderSolver
@@ -120,21 +118,6 @@ class TestMemory:
         for i in range(100):
             t.add(i, 1)
         assert deep_sizeof(t) > deep_sizeof(Timeline())
-
-    def test_traced_alloc(self):
-        result, allocated = traced_alloc(lambda: [0] * 100_000)
-        assert len(result) == 100_000
-        assert allocated > 100_000  # bytes
-
-    def test_solver_memory_view(self):
-        from repro.datalog import parse
-
-        solver = LaddderSolver(parse("t(X, Y) :- e(X, Y)."))
-        solver.add_facts("e", [(i, i + 1) for i in range(50)])
-        solver.solve()
-        view = solver_memory(solver)
-        assert view["state_cells"] > 0
-        assert view["deep_bytes"] > view["state_cells"]
 
 
 class TestTables:

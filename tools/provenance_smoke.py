@@ -16,22 +16,16 @@ every step:
 * the server exits 0 after a protocol-level ``shutdown``.
 
 Run as ``PYTHONPATH=src python tools/provenance_smoke.py``.  Exits
-non-zero with a diagnostic on the first divergence; CI runs this as the
-provenance smoke job.
+non-zero with a diagnostic on the first divergence; CI runs this in the
+``service`` job.  The client plumbing is ``tools/service_smoke.py``'s.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import re
-import socket
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from service_smoke import Client, SmokeFailure, expect, start_server
 
 OPEN = {
     "op": "open",
@@ -43,61 +37,6 @@ OPEN = {
     "flush_size": 100000,
     "flush_latency": 3600.0,
 }
-
-
-class SmokeFailure(AssertionError):
-    pass
-
-
-def expect(response: dict, golden: dict, step: str) -> dict:
-    """Assert every golden key is present with the exact golden value."""
-    for key, want in golden.items():
-        got = response.get(key, "<missing>")
-        if got != want:
-            raise SmokeFailure(
-                f"step {step!r}: expected {key}={want!r}, got {got!r}\n"
-                f"full response: {json.dumps(response, indent=2)}"
-            )
-    return response
-
-
-class Client:
-    def __init__(self, host: str, port: int):
-        self.sock = socket.create_connection((host, port), timeout=120)
-        self.file = self.sock.makefile("rwb")
-        self.ops = 0
-
-    def call(self, request: dict) -> dict:
-        request.setdefault("id", self.ops)
-        self.ops += 1
-        self.file.write(json.dumps(request).encode() + b"\n")
-        self.file.flush()
-        line = self.file.readline()
-        if not line:
-            raise SmokeFailure(f"server closed the connection on {request}")
-        return json.loads(line)
-
-    def close(self) -> None:
-        self.file.close()
-        self.sock.close()
-
-
-def start_server() -> tuple[subprocess.Popen, str, int]:
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-        cwd=str(REPO),
-    )
-    banner = proc.stdout.readline()
-    match = re.search(r"listening on (\S+):(\d+)", banner)
-    if not match:
-        proc.kill()
-        raise SmokeFailure(f"no listening banner, got {banner!r}")
-    return proc, match.group(1), int(match.group(2))
 
 
 def leaf_kinds(node: dict) -> set[str]:

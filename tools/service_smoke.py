@@ -20,8 +20,8 @@ shape at every step.  The decisive checks are semantic, not cosmetic:
   that holds one base and one log per session and nothing else.
 
 Run as ``PYTHONPATH=src python tools/service_smoke.py``.  Exits non-zero
-with a diagnostic on the first divergence; CI runs this as the service
-smoke job.
+with a diagnostic on the first divergence; CI runs this in the ``service``
+job.
 """
 
 from __future__ import annotations
