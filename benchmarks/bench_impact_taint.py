@@ -40,12 +40,9 @@ def _edit_series(instance):
 
 def _run(instance, series, guided):
     metrics = SolverMetrics()
-    solver = SemiNaiveSolver(
-        instance.program, metrics=metrics, config=SolverConfig(impact=guided)
+    solver = instance.make_solver(
+        SemiNaiveSolver, metrics=metrics, config=SolverConfig(impact=guided)
     )
-    for pred, rows in instance.facts.items():
-        solver.add_facts(pred, rows)
-    solver.solve()
     t0 = perf_counter()
     for deletions, insertions in series:
         solver.update(insertions=insertions, deletions=deletions)

@@ -6,18 +6,23 @@ the only performance gate.  These checks keep a renamed script, a deleted
 results file or a revived ``BENCH_*.json`` from leaving a stale citation.
 """
 
+import os
 import re
 from fnmatch import fnmatchcase
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
-LEFTOVERS = {".git", "__pycache__", ".pytest_cache", ".hypothesis", "out"}
+LEFTOVERS = {".git", "__pycache__", ".pytest_cache", ".hypothesis"}
 
-FILES = sorted(
-    str(path.relative_to(ROOT))
-    for path in ROOT.rglob("*")
-    if path.is_file() and not LEFTOVERS & set(path.relative_to(ROOT).parts)
-)
+
+def _files():
+    for folder, dirs, names in os.walk(ROOT):
+        dirs[:] = [d for d in dirs if d not in LEFTOVERS]  # never descended
+        for name in names:
+            yield os.path.relpath(os.path.join(folder, name), ROOT)
+
+
+FILES = sorted(_files())
 
 #: CHANGES.md and ROADMAP.md are history and may name what is gone.
 CITING = [
