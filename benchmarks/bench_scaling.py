@@ -3,9 +3,17 @@
 The core promise of incremental analysis (Section 1: results "in time
 proportional to the size of the code change, not the entire code base").
 We grow one subject through scale factors, and compare how initialization
-time and median update time scale with program size.  Reproduced claim:
-init grows roughly linearly with the subject while the median update stays
-flat (it tracks change impact, not code size).
+time and median update time scale with program size.  Reproduced claim,
+Section 1's contrast: init tracks the code base, the median update does not
+(it tracks change impact, not code size).
+
+Init is compared between the two larger subjects only.  Every solve first
+plans and compiles its ~70 rule kernels, a cost that does not depend on the
+subject's size (``compile_seconds`` of ``repro bench pointsto-kupdate pmd
+--scale S --profile-json``: 19.4 / 23.6 / 21.0 ms at S = 0.5 / 1 / 2 on one
+core of a 2-core Xeon VM, Python 3.11), so at 0.5x — 178 statements, a
+21.5 ms init there — that fixed cost is nine tenths of the init and hides
+how the fixpoint itself scales.
 """
 
 import pytest
@@ -60,10 +68,9 @@ def test_update_time_stays_flat_while_init_grows(benchmark):
         "change (Section 1's incremental promise)",
     )
     report("scaling", table)
-    size_growth = sizes[-1] / sizes[0]
-    init_growth = inits[-1] / inits[0]
+    # Init scales with the subject once the fixed kernel-compile cost is
+    # amortized (see the module docstring) ...
+    assert inits[-1] / inits[-2] > (sizes[-1] / sizes[-2]) / 2
+    # ... while the median update grows far slower than the code base does.
     median_growth = medians[-1] / max(medians[0], 1e-9)
-    # Init scales with the subject; the median update grows far slower than
-    # the code base does.
-    assert init_growth > size_growth / 2
-    assert median_growth < size_growth / 1.5
+    assert median_growth < (sizes[-1] / sizes[0]) / 1.5

@@ -14,7 +14,6 @@ incrementality, Section 8), and updates leave memory roughly unchanged.
 import pytest
 
 from repro.bench import deep_sizeof, format_table, run_update_benchmark
-from repro.config import BACKENDS, SolverConfig
 from repro.engines import LaddderSolver, SemiNaiveSolver
 
 from common import ANALYSIS_SERIES, SUBJECTS, make_changes, report, subject
@@ -51,41 +50,6 @@ def _measure():
     return rows, checks
 
 
-def _bytes_per_tuple():
-    """Storage accounting per backend: exact relation storage (row shells,
-    index postings, column vectors — :meth:`storage_bytes`) and the deep
-    size of the whole solver, per exported tuple."""
-    build, _ = ANALYSIS_SERIES["constprop"]
-    rows = []
-    checks = []
-    for subject_name in SUBJECTS:
-        per_backend = {}
-        for backend in BACKENDS:
-            instance = build(subject(subject_name))
-            solver = instance.make_solver(
-                SemiNaiveSolver, config=SolverConfig(backend=backend)
-            )
-            profile = solver.storage_profile()
-            profile["deep_bytes"] = deep_sizeof(solver)
-            per_backend[backend] = profile
-        obj, col = per_backend["object"], per_backend["columnar"]
-        tuples = obj["exported_tuples"]
-        rows.append(
-            [
-                subject_name,
-                tuples,
-                f"{obj['bytes_per_tuple']:.0f}",
-                f"{col['bytes_per_tuple']:.0f}",
-                f"{obj['deep_bytes'] / tuples:.0f}",
-                f"{col['deep_bytes'] / tuples:.0f}",
-                col["interned_constants"],
-                f"{col['intern_bytes'] / 1e3:.1f}",
-            ]
-        )
-        checks.append((obj, col))
-    return rows, checks
-
-
 def test_sec72_memory(benchmark):
     rows, checks = benchmark.pedantic(_measure, rounds=1, iterations=1)
     table = format_table(
@@ -103,26 +67,3 @@ def test_sec72_memory(benchmark):
         # non-incremental state ("large, but not prohibitive").
         assert before <= baseline * 25 + 1.0
 
-
-def test_sec72_bytes_per_tuple(benchmark):
-    rows, checks = benchmark.pedantic(_bytes_per_tuple, rounds=1, iterations=1)
-    table = format_table(
-        ["subject", "tuples", "store B/t obj", "store B/t col",
-         "deep B/t obj", "deep B/t col", "interned", "intern KB"],
-        rows,
-        title="Section 7.2 — bytes per exported tuple, object vs columnar "
-        "(constprop, SemiNaiveSolver)",
-    )
-    report("sec72_bytes_per_tuple", table)
-    for obj, col in checks:
-        # Both backends exported the same relations.
-        assert obj["exported_tuples"] == col["exported_tuples"]
-        # Relation-local storage (shells + postings + columns) stays in the
-        # same band: columns add 8 bytes/value, interning removes nothing
-        # at this level because handles live in tuple shells of equal size.
-        assert col["exported_bytes"] <= obj["exported_bytes"] * 1.6
-        # The whole-solver picture is where interning pays: every constant
-        # is stored once in the table and every other occurrence is a dense
-        # int, so the columnar solver's deep size must not exceed the
-        # object solver's (observed: 0.55x-0.65x).
-        assert col["deep_bytes"] <= obj["deep_bytes"] * 1.05

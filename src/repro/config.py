@@ -15,8 +15,6 @@ from typing import Mapping
 
 from .datalog.errors import SolverError
 
-BACKENDS = ("object", "columnar")
-
 
 def _flag(name: str, raw: str) -> bool:
     if raw not in ("", "0", "1"):
@@ -30,10 +28,8 @@ def _positive(name: str, raw: str) -> int | None:
     return int(raw) if raw else None
 
 
-#: field -> (environment name, parser); the other fields have none.  The
-#: backend's value is checked by ``SolverConfig.__post_init__``.
+#: field -> (environment name, parser); the other fields have none.
 _ENV = {
-    "backend": ("REPRO_BACKEND", lambda name, raw: raw.lower() or "object"),
     "provenance": ("REPRO_PROVENANCE", _flag),
     "self_check": ("REPRO_SELF_CHECK", _flag),
     "max_iterations": ("REPRO_MAX_ITERS", _positive),
@@ -46,8 +42,6 @@ class SolverConfig:
     """How a solver evaluates; what it computes never depends on it
     (exported views are bit-equal under every value)."""
 
-    #: Relation storage (docs/PERFORMANCE.md, "Storage backends").
-    backend: str = "object"
     #: Capture per-tuple (rule_id, height) annotations (docs/PROVENANCE.md).
     provenance: bool = False
     #: Validate engine invariants after every stratum (docs/ROBUSTNESS.md).
@@ -65,14 +59,6 @@ class SolverConfig:
     prune: bool = True
     #: Build the change-impact index; updates skip unaffected strata.
     impact: bool = True
-
-    def __post_init__(self):
-        # A typo falling back to the default would make comparisons lie.
-        if self.backend not in BACKENDS:
-            raise SolverError(
-                f"unknown SolverConfig.backend / REPRO_BACKEND "
-                f"{self.backend!r} (expected 'object' or 'columnar')"
-            )
 
     def with_request(self, provenance=False, self_check=False, deadline=None):
         """This configuration with what a request (an ``open`` op, CLI

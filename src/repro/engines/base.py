@@ -22,7 +22,7 @@ timestamps are never visible (paper Section 4.1, postprocessing).
 epoch is: normalise and stage the EDB diff, derive its static footprint,
 walk the strata bottom-up (impact skip, budget, self-check), fold each
 stratum's exported diff into the pending diff its downstream strata read,
-extern and publish :class:`UpdateStats`.  An engine is a *per-stratum
+publish :class:`UpdateStats`.  An engine is a *per-stratum
 strategy* plugged into that driver: :meth:`Solver._solve_stratum` and
 :meth:`Solver._update_stratum`, plus a ``STATE`` declaration of what it
 mutates (DESIGN.md, "One update pipeline").
@@ -30,6 +30,7 @@ mutates (DESIGN.md, "One update pipeline").
 
 from __future__ import annotations
 
+import hashlib
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -48,15 +49,20 @@ from ..robustness.guard import ASSIGNED, JOURNALED, PLAIN, declared_state
 from ..robustness.watchdog import Budget
 from .aggspec import AggSpec, compile_agg_specs
 from .compile import KernelCache
-from .intern import InternTable, intern_program, program_hash
 from .prepare import prepare
 from .relation import RelationStore
 
 FactChanges = Mapping[str, Iterable[tuple]]
 
-#: One stratum's exported diff: pred -> (added rows, removed rows), in the
-#: engine's internal row space.
+#: One stratum's exported diff: pred -> (added rows, removed rows).
 StratumDiff = dict[str, tuple[set[tuple], set[tuple]]]
+
+
+def program_hash(program: Program) -> str:
+    """Stable fingerprint of a program's rules (order-sensitive): what a
+    checkpoint records and a restoring solver must match."""
+    text = "\n".join(repr(rule) for rule in program.rules)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -115,12 +121,9 @@ class ComponentState:
 
     STATE = {"relations": JOURNALED}
 
-    def __init__(
-        self, component: Component, program: Program, arities: dict, backend: str
-    ):
+    def __init__(self, component: Component, program: Program, arities: dict):
         self.component = component
         self.arities = arities
-        self.backend = backend
         #: Probe-counting collector for relations created from here on;
         #: refreshed, like the stored state itself, by ``Solver._reset``.
         self.metrics: SolverMetrics | None = None
@@ -255,29 +258,18 @@ class Solver(ABC):
         self.arities = self.program.arities()
         self.edb = self.program.edb_predicates()
         self.idb = self.program.idb_predicates()
-        #: Storage backend (``SolverConfig.backend``).
-        self.backend = config.backend
-        #: Backend-independent fingerprint of the (pruned) program, captured
-        #: before interning rewrites the private copy — checkpoints compare
-        #: against this, never against the handle-space rule text.
+        #: Fingerprint of the (pruned) program that checkpoints compare.
         self._program_hash = program_hash(self.program)
-        #: Constant <-> handle table (columnar backend only).  The private
-        #: program copy is rewritten into handle space in place; every
-        #: public boundary externs through this table.
-        self.intern: InternTable | None = None
-        if self.backend == "columnar":
-            self.intern = InternTable(metrics=self.metrics)
-            intern_program(self.program, self.components, self.intern)
         self._facts: dict[str, set[tuple]] = {}
         self._solved = False
         #: The timeless exported store every engine publishes into and every
         #: stratum reads its upstream from.
-        self._exported = RelationStore(self.arities, backend=self.backend)
+        self._exported = RelationStore(self.arities)
         #: One state object per component (empty without COMPONENT_STATE).
         self._states: list[ComponentState] = []
         if self.COMPONENT_STATE is not None:
             self._states = [
-                self.COMPONENT_STATE(c, self.program, self.arities, self.backend)
+                self.COMPONENT_STATE(c, self.program, self.arities)
                 for c in self.components
             ]
         #: What the most recent update() returned.
@@ -286,9 +278,7 @@ class Solver(ABC):
         #: per (rule, pinned occurrence, bound set, emit mode) — see
         #: repro.engines.compile.  ``config.interpret`` swaps in run_plan-
         #: backed kernels with identical signatures (the test oracle).
-        self.kernels = KernelCache(
-            self.program, self.metrics, config.interpret, self.backend
-        )
+        self.kernels = KernelCache(self.program, self.metrics, config.interpret)
         #: Rules no registered delta source can feed — some positive body
         #: literal reads a forever-empty predicate, so their kernels are
         #: never requested from the cache (engines filter at bind time).
@@ -325,26 +315,6 @@ class Solver(ABC):
         None when collection is off (keeps ``matching`` branch-free-ish)."""
         return self.metrics if self.metrics.active else None
 
-    # -- intern boundary helpers -------------------------------------------
-
-    def _intern_row(self, row: tuple) -> tuple:
-        """Caller row -> internal row (identity on the object backend)."""
-        table = self.intern
-        return row if table is None else table.intern_row(row)
-
-    def _extern_row(self, row: tuple) -> tuple:
-        """Internal row -> caller representation."""
-        table = self.intern
-        return row if table is None else table.extern_row(row)
-
-    def _export_rows(self, rows: Iterable[tuple]) -> frozenset[tuple]:
-        """Internal rows -> the public frozenset view, externed as needed."""
-        table = self.intern
-        if table is None:
-            return frozenset(rows)
-        extern_row = table.extern_row
-        return frozenset(extern_row(row) for row in rows)
-
     # -- fact management ---------------------------------------------------
 
     def add_facts(self, pred: str, rows: Iterable[tuple]) -> None:
@@ -353,17 +323,17 @@ class Solver(ABC):
         bucket = self._facts.setdefault(pred, set())
         for row in rows:
             self._check_row(pred, row)
-            bucket.add(self._intern_row(tuple(row)))
+            bucket.add(tuple(row))
 
     def facts(self, pred: str) -> frozenset[tuple]:
-        return self._export_rows(self._facts.get(pred, ()))
+        return frozenset(self._facts.get(pred, ()))
 
     def replace_facts(self, facts: FactChanges) -> None:
         """Discard every staged fact and stage ``facts`` instead.
 
         The supported way to point an un-solved solver at a different EDB
         snapshot (test oracles, replay harnesses) — assigning ``_facts``
-        directly would bypass arity checks and constant interning."""
+        directly would bypass the arity checks."""
         self._facts = {}
         for pred, rows in facts.items():
             self.add_facts(pred, rows)
@@ -410,7 +380,6 @@ class Solver(ABC):
             for row in rows:
                 row = tuple(row)
                 self._check_row(pred, row)
-                row = self._intern_row(row)
                 if row in bucket:
                     bucket.discard(row)
                     dels.setdefault(pred, set()).add(row)
@@ -422,7 +391,6 @@ class Solver(ABC):
             for row in rows:
                 row = tuple(row)
                 self._check_row(pred, row)
-                row = self._intern_row(row)
                 if row not in bucket:
                     bucket.add(row)
                     ins.setdefault(pred, set()).add(row)
@@ -468,9 +436,7 @@ class Solver(ABC):
         active = self.metrics.active
         started = time.perf_counter() if active else 0.0
         self.budget.begin()
-        self._exported = RelationStore(
-            self.arities, metrics=self._store_metrics(), backend=self.backend
-        )
+        self._exported = RelationStore(self.arities, metrics=self._store_metrics())
         self._reset()
         if self.provenance is not None:
             self.provenance.clear_all()
@@ -546,9 +512,9 @@ class Solver(ABC):
             if pred not in exports:
                 continue
             if added:
-                stats.inserted[pred] = {self._extern_row(row) for row in added}
+                stats.inserted[pred] = set(added)
             if removed:
-                stats.deleted[pred] = {self._extern_row(row) for row in removed}
+                stats.deleted[pred] = set(removed)
         self.last_stats = stats
         if active:
             self.metrics.update_seconds += time.perf_counter() - started
@@ -626,7 +592,7 @@ class Solver(ABC):
     def relation(self, pred: str) -> frozenset[tuple]:
         """The exported (pruned, timeless) content of a predicate."""
         self._require_solved()
-        return self._export_rows(self._exported.get(pred).tuples)
+        return frozenset(self._exported.get(pred).tuples)
 
     def relations(self) -> dict[str, frozenset[tuple]]:
         """All exported predicates."""
@@ -639,29 +605,6 @@ class Solver(ABC):
         return self._exported.state_size() + sum(
             state.state_size() for state in self._states
         )
-
-    def storage_profile(self) -> dict:
-        """Bytes-per-tuple accounting of the exported stores (Section 7.2).
-
-        Counts exactly the storage the backend choice changes — row shells,
-        built index postings, materialized columns, and (columnar only) the
-        intern table holding the single canonical copy of each constant.
-        Engine-internal state (timelines, aggregation trees) is excluded;
-        the memory benchmark deep-sizes the whole solver for that.
-        """
-        relations = list(self._exported.relations.values())
-        tuples = sum(len(rel) for rel in relations)
-        total = sum(rel.storage_bytes() for rel in relations)
-        profile = {
-            "backend": self.backend,
-            "exported_tuples": tuples,
-            "exported_bytes": total,
-            "bytes_per_tuple": (total / tuples) if tuples else 0.0,
-        }
-        if self.intern is not None:
-            profile["interned_constants"] = len(self.intern)
-            profile["intern_bytes"] = self.intern.table_bytes()
-        return profile
 
     # -- robustness hooks ----------------------------------------------------
 

@@ -46,8 +46,7 @@ from typing import Type
 from ..config import SolverConfig
 from ..datalog.errors import CheckpointError
 from ..robustness import faults as _faults
-from .base import Solver, declared_state
-from .intern import program_hash
+from .base import Solver, declared_state, program_hash
 
 __all__ = [
     "save_checkpoint",
@@ -63,8 +62,9 @@ __all__ = [
 #: Envelope marker leading every checkpoint file.
 MAGIC = b"REPROCKPT"
 #: Checkpoint format version, the only one this build reads: the payload
-#: records the backend, the intern table and (docs/PROVENANCE.md) the
-#: annotation map; group state is pickled without its combine callable.
+#: records (docs/PROVENANCE.md) the annotation map; group state is pickled
+#: without its combine callable.  Files written while a second storage
+#: layout existed also carry ``backend`` and ``intern`` entries.
 VERSION = 4
 _HEADER = struct.Struct(f">{len(MAGIC)}sH32s")
 
@@ -80,11 +80,7 @@ def dump_state(solver: Solver, covers: tuple[int, int] | None = None) -> bytes:
         raise CheckpointError("cannot checkpoint an unsolved solver")
     payload = {
         "solver": type(solver).__name__,
-        # The pre-interning hash captured at construction: handle-space
-        # rule text differs per backend, the source program does not.
         "program": solver._program_hash,
-        "backend": solver.backend,
-        "intern": solver.intern.dump() if solver.intern is not None else None,
         # Data only — no compiled plans, no registered callables: exactly
         # what the engine and its component states declare in ``STATE``.
         "attrs": declared_state(solver),
@@ -190,13 +186,13 @@ def load_base(
             f"checkpoint was taken from {payload['solver']}, "
             f"not {solver_cls.__name__}"
         )
-    config = config or SolverConfig.from_env()
-    if payload["backend"] != config.backend:
+    if payload.get("backend", "object") != "object":
         raise CheckpointError(
-            f"checkpoint was taken under the {payload['backend']!r} storage "
-            f"backend but SolverConfig.backend is {config.backend!r}; restore "
-            f"under the matching backend or re-run the initial analysis"
+            f"{path} was taken under the {payload['backend']!r} storage "
+            f"backend, which this build no longer has; re-run the initial "
+            f"analysis"
         )
+    config = config or SolverConfig.from_env()
     annotations = payload["provenance"]
     if annotations is not None:
         config = replace(config, provenance=True)
@@ -206,14 +202,6 @@ def load_base(
             "checkpoint does not match the program (rules differ); "
             "re-run the initial analysis"
         )
-    if payload["intern"] is not None:
-        # The fresh solver's table holds exactly the program constants; the
-        # dump must extend it with the same first-touch order, reproducing
-        # the saved handle assignment that every pickled row relies on.
-        try:
-            solver.intern.restore(payload["intern"])
-        except ValueError as exc:
-            raise CheckpointError(f"intern table mismatch: {exc}") from exc
     for name, value in payload["attrs"].items():
         setattr(solver, name, value)
     # Fact-only predicates (ones no rule mentions) get their arity

@@ -157,18 +157,11 @@ class _KernelBuilder:
     ``cols`` index dictionaries into its prologue and probes them with
     inline keys; zero-bound scans read the cached ``scan_rows()`` snapshot;
     and the innermost enumeration is emitted as one batched list
-    comprehension (see ``batch_tail``) instead of a per-row loop.  The
-    storage backend decides the key format and nothing else
-    (:meth:`_key_expr`).
+    comprehension (see ``batch_tail``) instead of a per-row loop.
     """
 
     def __init__(
-        self,
-        program: Program,
-        rule: Rule,
-        plan: list[BodyItem],
-        backend: str = "object",
-        metrics=None,
+        self, program: Program, rule: Rule, plan: list[BodyItem], metrics=None
     ):
         self.program = program
         self.rule = rule
@@ -177,7 +170,6 @@ class _KernelBuilder:
         self._slots: dict[str, str] = {}
         self.bound: set[str] = set()
         self._temps = 0
-        self.columnar = backend == "columnar"
         #: Probe counters are compiled in only while collection is on —
         #: the increments sit in the innermost loops.
         self.counted = (
@@ -286,18 +278,6 @@ class _KernelBuilder:
             )
         return name
 
-    def _key_expr(self, exprs: list[str]) -> str:
-        """The inline index key over bound-column expressions, matching
-        :meth:`repro.engines.relation.ColumnIndexed._key_for` exactly: the
-        value tuple on object rows, the shift-or packed int on handle rows
-        (built indexes travel in checkpoints, so the format is persistent)."""
-        if not self.columnar:
-            return _tuple_expr(exprs)
-        key = exprs[0]
-        for expr in exprs[1:]:
-            key = f"(({key} << 32) | {expr})"
-        return key
-
     def _probe(self, rel: str, bound_exprs: list[tuple[int, str]]) -> str:
         """Emit one probe of ``rel`` on its bound columns and return the
         local holding the rows it found: the cached ``scan_rows()`` snapshot
@@ -310,7 +290,9 @@ class _KernelBuilder:
             g.emit(f"{src} = {rel}.scan_rows()")
         else:
             index = self.index_ref(rel, tuple(i for i, _ in bound_exprs))
-            key = self._key_expr([expr for _, expr in bound_exprs])
+            # The value tuple :meth:`ColumnIndexed._key_for` builds (built
+            # indexes travel in checkpoints, so the format is persistent).
+            key = _tuple_expr([expr for _, expr in bound_exprs])
             g.emit(f"{src} = {index}.get({key})")
         if counted is not None:
             g.emit(f"{counted}.join_probes += 1")
@@ -468,11 +450,10 @@ def compile_kernel(
     emit: str = "head",
     spec=None,
     var_order: tuple[str, ...] = (),
-    backend: str = "object",
     metrics=None,
 ) -> Callable:
     """Generate and ``exec`` one specialized kernel for ``plan``."""
-    builder = _KernelBuilder(program, rule, plan, backend=backend, metrics=metrics)
+    builder = _KernelBuilder(program, rule, plan, metrics=metrics)
     args = ["lookup"]
     if mode == "pinned":
         args.append("_row")
@@ -752,16 +733,9 @@ class KernelCache:
     #: shrank by this factor since compile time (``<= 0``: never; tests patch it).
     REPLAN_FACTOR = 4.0
 
-    def __init__(
-        self,
-        program: Program,
-        metrics=None,
-        interpret: bool = False,
-        backend: str = "object",
-    ):
+    def __init__(self, program: Program, metrics=None, interpret: bool = False):
         self.program = program
         self.metrics = metrics
-        self.backend = backend
         self.interpret = interpret
         self._kernels: dict[tuple, RuleKernel] = {}
         #: rule id -> keys of that rule's kernels (refresh never scans the
@@ -820,8 +794,7 @@ class KernelCache:
                 fn = compile_kernel(
                     self.program, rule, plan,
                     mode=mode, bound=bound_names, emit=emit, spec=spec,
-                    var_order=var_order, backend=self.backend,
-                    metrics=self.metrics,
+                    var_order=var_order, metrics=self.metrics,
                 )
         except BaseException:
             if metrics is not None:

@@ -48,7 +48,7 @@ from ..robustness import faults as _faults
 from .aggspec import AggSpec
 from .base import ASSIGNED, ComponentState, Solver, StratumDiff
 from .grounding import bind_pinned
-from .relation import IndexedRelation, make_relation
+from .relation import IndexedRelation
 
 _MISSING = object()
 
@@ -59,8 +59,8 @@ class _DredComponent(ComponentState):
     #: ``totals`` is mutated by plain dict assignment in the sweeps.
     STATE = {**ComponentState.STATE, "totals": ASSIGNED}
 
-    def __init__(self, component, program, arities, backend):
-        super().__init__(component, program, arities, backend)
+    def __init__(self, component, program, arities):
+        super().__init__(component, program, arities)
         #: head pred -> [(rule, head-bound variable names)] for re-derivation.
         self.rederive_rules: dict[str, list[tuple[Rule, frozenset[str]]]] = {}
         for rule in self.plain_rules:
@@ -75,7 +75,7 @@ class _DredComponent(ComponentState):
         self.totals: dict[str, dict[tuple, object]] = {p: {} for p in self.specs}
 
     def new_relation(self, arity: int) -> IndexedRelation:
-        return make_relation(arity, metrics=self.metrics, backend=self.backend)
+        return IndexedRelation(arity, metrics=self.metrics)
 
     def state_size(self) -> int:
         cells = sum(rel.state_size() for rel in self.relations.values())

@@ -127,28 +127,11 @@ def explain(
         row = tuple(row)
         if row not in solver.relation(pred):
             raise SolverError(f"{pred}{row} is not derived")
-        table = solver.intern
-        lookup = _lookup(solver)
-        if table is None:
-            return _explain(solver, lookup, pred, row, path=set(), depth=max_depth)
-        # Columnar backend: the solver's program and stores live in
-        # intern-handle space, so the search runs there (the membership
-        # check above guarantees every constant of ``row`` has a handle)
-        # and the finished tree is externalized for the caller.
-        tree = _explain(
-            solver, lookup, pred, table.lookup_row(row), path=set(),
-            depth=max_depth,
+        return _explain(
+            solver, _lookup(solver), pred, row, path=set(), depth=max_depth
         )
-        _extern_tree(tree, table)
-        return tree
     finally:
         metrics.provenance_seconds += perf_counter() - started
-
-
-def _extern_tree(node: Derivation, table) -> None:
-    node.row = table.extern_row(node.row)
-    for premise in node.premises:
-        _extern_tree(premise, table)
 
 
 def _explain(solver, lookup, pred, row, path, depth) -> Derivation:
@@ -288,20 +271,13 @@ class _ExportView(ColumnIndexed):
     reconstruction are dict lookups instead of full-relation scans.
     """
 
-    __slots__ = ("_rows", "arity", "_indexes", "metrics", "packed", "_scan_cache")
+    __slots__ = ("_rows", "arity", "_indexes", "metrics", "_scan_cache")
 
     def __init__(self, solver, pred):
-        if solver.intern is not None:
-            # Internal (handle-space) exported rows: the plans and registered
-            # tests being re-run here come from the interned program copy.
-            solver._require_solved()
-            self._rows = frozenset(solver._exported.get(pred).tuples)
-        else:
-            self._rows = solver.relation(pred)
+        self._rows = solver.relation(pred)
         self.arity = solver.arities.get(pred, 0)
         self._indexes = {}
         self.metrics = solver._store_metrics()
-        self.packed = solver.intern is not None
         self._scan_cache = None
 
     def _items(self):

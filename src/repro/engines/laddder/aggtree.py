@@ -63,8 +63,8 @@ class AggTree:
     def __bool__(self) -> bool:
         return self._root is not None
 
-    # Checkpoints never serialize the combine callable (it may close over
-    # the live intern table); the restorer calls :meth:`rebind`.
+    # Checkpoints never serialize the combine callable (registered callables
+    # need not pickle); the restorer calls :meth:`rebind`.
 
     def __getstate__(self):
         return (self._root, self._size)

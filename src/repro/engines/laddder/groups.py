@@ -44,11 +44,10 @@ class GroupState:
 
     # -- pickling (checkpoints) -------------------------------------------
     #
-    # ``_combine`` is a bound method of a registered aggregator (under the
-    # columnar backend: of an InternedAggregator holding the live intern
-    # table), and the journal belongs to an in-flight guard.  Neither may
-    # travel through a checkpoint — the restorer rebinds combine from the
-    # freshly constructed solver's own registry (:func:`rebind`).
+    # ``_combine`` is a bound method of a registered aggregator, and the
+    # journal belongs to an in-flight guard.  Neither may travel through a
+    # checkpoint — the restorer rebinds combine from the freshly constructed
+    # solver's own registry (:func:`rebind`).
 
     def __getstate__(self):
         return {

@@ -73,8 +73,8 @@ class _ComponentState(ComponentState):
 
     STATE = {**ComponentState.STATE, "groups": JOURNALED}
 
-    def __init__(self, component, program, arities, backend):
-        super().__init__(component, program, arities, backend)
+    def __init__(self, component, program, arities):
+        super().__init__(component, program, arities)
         deps: dict[str, set[str]] = {}
         for rule in component.rules:
             for literal in rule.body_literals():
@@ -102,15 +102,12 @@ class _ComponentState(ComponentState):
         self.groups: dict[str, dict[tuple, GroupState]] = {p: {} for p in self.specs}
 
     def new_relation(self, arity: int) -> TimedRelation:
-        return TimedRelation(
-            arity, metrics=self.metrics, packed=self.backend == "columnar"
-        )
+        return TimedRelation(arity, metrics=self.metrics)
 
     def adopt(self, entry: Mapping[str, object]) -> None:
         super().adopt(entry)
-        # Group state pickled without its combine callable (it may close
-        # over another solver's intern table): rebind to this solver's live
-        # aggregator registry.
+        # Group state pickled without its combine callable: rebind to this
+        # solver's live aggregator registry.
         for pred, per_pred in self.groups.items():
             combine = self.specs[pred].aggregator.combine
             for group in per_pred.values():
@@ -187,10 +184,6 @@ class LaddderSolver(Solver):
 
     def timeline(self, pred: str, row: tuple):
         """The differential count timeline of a tuple (Figure 5), if any."""
-        if self.intern is not None:
-            row = self.intern.lookup_row(row)
-            if row is None:
-                return None
         for state in self._states:
             if pred in state.component.predicates or pred in state.reads:
                 relation = state.relations.get(pred)
@@ -216,7 +209,7 @@ class LaddderSolver(Solver):
                     if first == NEVER:
                         continue
                     out.setdefault(int(first), []).append(
-                        (pred, self._extern_row(row), timeline.cumulative(int(first)))
+                        (pred, row, timeline.cumulative(int(first)))
                     )
         return {t: sorted(rows, key=repr) for t, rows in sorted(out.items())}
 

@@ -28,22 +28,16 @@ class TimedRelation(ColumnIndexed):
     """Tuples with differential count timelines and lazy column indexes."""
 
     __slots__ = (
-        "arity", "timelines", "_indexes", "metrics", "journal", "packed",
-        "_scan_cache", "_first",
+        "arity", "timelines", "_indexes", "metrics", "journal", "_scan_cache",
+        "_first",
     )
 
-    def __init__(
-        self,
-        arity: int,
-        metrics: "SolverMetrics | None" = None,
-        packed: bool = False,
-    ):
+    def __init__(self, arity: int, metrics: "SolverMetrics | None" = None):
         self.arity = arity
         self.timelines: dict[tuple, Timeline] = {}
         self._indexes: dict[tuple[int, ...], dict] = {}
         self.metrics = metrics
         self.journal: list | None = None
-        self.packed = packed
         self._scan_cache: tuple | None = None
         #: tuple -> cached first-existence timestamp; maintained on every
         #: timeline mutation so :meth:`first` — the single hottest probe of

@@ -32,9 +32,7 @@ class NaiveSolver(ResolvingSolver):
             metrics.stratum(index, component.predicates) if metrics.active else None
         )
         started = perf_counter() if stratum is not None else 0.0
-        local = RelationStore(
-            self.arities, metrics=self._store_metrics(), backend=self.backend
-        )
+        local = RelationStore(self.arities, metrics=self._store_metrics())
         specs = compile_agg_specs(component.rules, self.program)
 
         def lookup(pred: str) -> IndexedRelation:

@@ -11,33 +11,12 @@ The lazy-index maintenance lives in :class:`ColumnIndexed` so that
 instead of plain membership) shares one implementation instead of carrying
 a drifting copy.
 
-Storage backends
-----------------
-
-Two physical layouts hide behind the same interface (``SolverConfig.backend``):
-
-``object`` (the default)
-    rows are tuples of raw Python values; index keys are value tuples.
-
-``columnar``
-    rows are tuples of dense int handles from the solver's
-    :class:`repro.engines.intern.InternTable`; every relation is *packed*
-    — index keys are single machine ints (``row[c]`` for one column,
-    shift-or folds for several), which skips the per-probe key-tuple
-    allocation and hashes one int instead of a tuple.  Relations within
-    :data:`COLUMNAR_MAX_ARITY` additionally mirror their population into
-    struct-of-arrays columns (:class:`ColumnarRelation`) for cache-dense
-    scans and cheap byte accounting; wider relations stay tuple-backed but
-    keep the packed index keys so compiled kernels probe uniformly.
-
-Both layouts journal mutations identically, so ``GuardedSolver`` rollback
-is backend-agnostic.
+Rows are tuples of the caller's Python values and index keys are value
+tuples (docs/PERFORMANCE.md, "Storage").
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from typing import TYPE_CHECKING, Iterator
 
 from ..datalog.errors import SolverError
@@ -48,13 +27,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 #: Shared empty probe result — misses return one singleton, not fresh tuples.
 _EMPTY: tuple = ()
 
-#: Column shift for packed multi-column index keys.  Intern handles are
-#: list indices, far below 2**32, so shift-or folds are collision-free.
-_KEY_SHIFT = 32
 
-#: Widest relation that materializes struct-of-arrays columns under the
-#: columnar backend; wider ones keep packed keys over tuple storage.
-COLUMNAR_MAX_ARITY = 16
+def _set_slots(obj, state) -> None:
+    """``__setstate__`` of the pickled storage classes: restore the slots
+    the class declares.  Checkpoints written while a second storage layout
+    existed carry one more (a layout flag on relations, a layout name on
+    stores), always at this layout's value; it is skipped."""
+    cls = type(obj)
+    for name, value in state[1].items():
+        if hasattr(cls, name):
+            setattr(obj, name, value)
 
 
 class ColumnIndexed:
@@ -62,16 +44,15 @@ class ColumnIndexed:
 
     Concrete subclasses own the tuple population: they must define ``arity``,
     ``__contains__``, an ``_items()`` iterable of stored tuples, and the
-    ``_indexes``/``metrics``/``packed``/``_scan_cache`` attributes (kept in
-    subclass ``__slots__`` so each class controls its own layout).
+    ``_indexes``/``metrics``/``_scan_cache`` attributes (kept in subclass
+    ``__slots__`` so each class controls its own layout).
     Mutations must call :meth:`_register` / :meth:`_unregister` to keep
     built indexes and the scan cache current.
-
-    With ``packed`` set (the columnar backend), rows are int-handle tuples
-    and index keys are packed machine ints instead of key tuples.
     """
 
     __slots__ = ()
+
+    __setstate__ = _set_slots
 
     def _items(self):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -120,15 +101,8 @@ class ColumnIndexed:
             rows = self._scan_cache = tuple(self._items())
         return rows
 
-    def _key_for(self, item: tuple, cols: tuple[int, ...]):
-        """The index key of ``item`` on ``cols`` for this layout."""
-        if self.packed:
-            if len(cols) == 1:
-                return item[cols[0]]
-            key = 0
-            for c in cols:
-                key = (key << _KEY_SHIFT) | item[c]
-            return key
+    def _key_for(self, item: tuple, cols: tuple[int, ...]) -> tuple:
+        """The index key of ``item`` on ``cols``."""
         return tuple(item[c] for c in cols)
 
     def index_for(self, cols: tuple[int, ...]) -> dict:
@@ -182,30 +156,6 @@ class ColumnIndexed:
             for bucket in index.values()
         )
 
-    def postings_bytes(self) -> int:
-        """Approximate heap bytes held by the built indexes (containers and
-        keys; the rows themselves are shared with the population)."""
-        total = 0
-        for index in self._indexes.values():
-            total += sys.getsizeof(index)
-            for key, bucket in index.items():
-                total += sys.getsizeof(key) + sys.getsizeof(bucket)
-        return total
-
-    def storage_bytes(self) -> int:
-        """Approximate heap bytes of the stored rows plus built indexes.
-
-        Row *shells* (the tuple objects) are counted here; the values they
-        point at are shared — with the program AST on the object backend,
-        with the solver's intern table on the columnar one — and accounted
-        for separately (:meth:`.InternTable.table_bytes`, deep-sizeof in
-        the memory benchmark)."""
-        items = self._items()
-        total = sys.getsizeof(items) + self.postings_bytes()
-        for row in items:
-            total += sys.getsizeof(row)
-        return total
-
 
 class IndexedRelation(ColumnIndexed):
     """A mutable set of same-arity tuples with column indexes.
@@ -218,25 +168,15 @@ class IndexedRelation(ColumnIndexed):
     be one more allocation per journaled mutation.
     """
 
-    __slots__ = (
-        "arity", "tuples", "_indexes", "metrics", "journal", "packed",
-        "_scan_cache",
-    )
+    __slots__ = ("arity", "tuples", "_indexes", "metrics", "journal", "_scan_cache")
 
-    def __init__(
-        self,
-        arity: int,
-        metrics: "SolverMetrics | None" = None,
-        packed: bool = False,
-    ):
+    def __init__(self, arity: int, metrics: "SolverMetrics | None" = None):
         self.arity = arity
         self.tuples: set[tuple] = set()
-        # cols (sorted tuple of column positions) -> packed key or key tuple
-        # -> set of tuples
+        # cols (sorted tuple of column positions) -> key tuple -> set of tuples
         self._indexes: dict[tuple[int, ...], dict] = {}
         self.metrics = metrics
         self.journal: list | None = None
-        self.packed = packed
         self._scan_cache: tuple | None = None
 
     def __len__(self) -> int:
@@ -291,91 +231,6 @@ class IndexedRelation(ColumnIndexed):
         return len(self.tuples) + self._postings()
 
 
-class ColumnarRelation(IndexedRelation):
-    """Packed-key storage with struct-of-arrays column views.
-
-    The tuple set stays authoritative (membership, journaling and the
-    index buckets all speak row tuples); the ``arity`` dense ``array('q')``
-    columns are materialized **lazily** from the settled population on the
-    first :meth:`column`/:meth:`column_bytes` access after a mutation.
-    Mutations therefore cost exactly what the tuple-backed relation costs —
-    earlier revisions maintained the mirrors eagerly via swap-remove, which
-    made the columnar backend pay per ``add``/``discard`` for vectors only
-    the memory benchmarks and numpy consumers ever read.  Columns expose
-    zero-copy numpy int64 views where numpy is importable; the pure-python
-    layout is fully self-sufficient.
-    """
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, arity: int, metrics: "SolverMetrics | None" = None):
-        super().__init__(arity, metrics=metrics, packed=True)
-        #: ``(population snapshot, [array per column])`` — valid while the
-        #: snapshot is the relation's current :meth:`scan_rows` result.
-        self._columns: tuple[tuple, list[array]] | None = None
-
-    def _materialize(self) -> list[array]:
-        rows = self.scan_rows()
-        cached = self._columns
-        if cached is not None and cached[0] is rows:
-            return cached[1]
-        columns = [array("q") for _ in range(self.arity)]
-        for row in rows:
-            for column, value in zip(columns, row):
-                column.append(value)
-        self._columns = (rows, columns)
-        return columns
-
-    def column(self, i: int):
-        """Column ``i`` as a dense vector — a zero-copy numpy int64 view
-        when numpy is importable, the backing ``array('q')`` otherwise."""
-        backing = self._materialize()[i]
-        if not len(backing):
-            return backing
-        # Imported here: this is numpy's only use, the default object
-        # backend never reaches it, and the import costs every server
-        # process ~12 MB resident.
-        try:
-            import numpy
-        except ImportError:  # the pure-python path is mandatory
-            return backing
-        return numpy.frombuffer(backing, dtype=numpy.int64)
-
-    def column_bytes(self) -> int:
-        """Exact bytes held by the struct-of-arrays representation."""
-        return sum(
-            column.itemsize * len(column) for column in self._materialize()
-        )
-
-    def storage_bytes(self) -> int:
-        """Row shells and indexes plus the materialized column vectors."""
-        return super().storage_bytes() + self.column_bytes()
-
-
-def make_relation(
-    arity: int,
-    metrics: "SolverMetrics | None" = None,
-    backend: str = "object",
-) -> IndexedRelation:
-    """One relation of the requested backend.
-
-    The per-relation heuristic: under the columnar backend every relation
-    gets packed index keys (compiled kernels probe one uniform layout), and
-    relations within :data:`COLUMNAR_MAX_ARITY` columns also materialize
-    the struct-of-arrays mirrors — nullary and very wide relations skip
-    the mirrors but stay packed.
-    """
-    if backend == "columnar":
-        if 1 <= arity <= COLUMNAR_MAX_ARITY:
-            relation = ColumnarRelation(arity, metrics=metrics)
-        else:
-            relation = IndexedRelation(arity, metrics=metrics, packed=True)
-        if metrics is not None:
-            metrics.columnar_relations += 1
-        return relation
-    return IndexedRelation(arity, metrics=metrics)
-
-
 class RelationStore:
     """A name -> :class:`IndexedRelation` map with on-demand creation.
 
@@ -384,19 +239,17 @@ class RelationStore:
     rules or queries into wrong (empty) results instead of diagnostics.
     """
 
-    __slots__ = ("relations", "arities", "metrics", "journal", "backend")
+    __slots__ = ("relations", "arities", "metrics", "journal")
+
+    __setstate__ = _set_slots
 
     def __init__(
-        self,
-        arities: dict[str, int],
-        metrics: "SolverMetrics | None" = None,
-        backend: str = "object",
+        self, arities: dict[str, int], metrics: "SolverMetrics | None" = None
     ):
         self.arities = arities
         self.relations: dict[str, IndexedRelation] = {}
         self.metrics = metrics
         self.journal: list | None = None
-        self.backend = backend
 
     def get(self, pred: str) -> IndexedRelation:
         relation = self.relations.get(pred)
@@ -407,7 +260,7 @@ class RelationStore:
                     f"unknown predicate {pred!r}: not used by any rule and no "
                     f"facts were added for it"
                 )
-            relation = make_relation(arity, metrics=self.metrics, backend=self.backend)
+            relation = IndexedRelation(arity, metrics=self.metrics)
             self.relations[pred] = relation
             if self.journal is not None:
                 relation.journal = self.journal
@@ -425,6 +278,3 @@ class RelationStore:
 
     def tuple_count(self) -> int:
         return sum(len(rel) for rel in self.relations.values())
-
-    def storage_bytes(self) -> int:
-        return sum(rel.storage_bytes() for rel in self.relations.values())

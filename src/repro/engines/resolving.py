@@ -26,7 +26,7 @@ class ResolvingSolver(Solver):
 
     def _reset(self) -> None:
         #: The un-pruned inflationary fixpoint (``D_raw``) per derived pred.
-        self._raw = RelationStore(self.arities, backend=self.backend)
+        self._raw = RelationStore(self.arities)
         #: aggregated pred -> group key -> running total, for a fixpoint
         #: loop that folds aggregands incrementally (semi-naive); valid for
         #: the inputs the component was last solved from.
@@ -63,7 +63,7 @@ class ResolvingSolver(Solver):
         """The un-pruned inflationary fixpoint content (``D_raw``)."""
         self._require_solved()
         store = self._exported if pred in self.edb else self._raw
-        return self._export_rows(store.get(pred).tuples)
+        return frozenset(store.get(pred).tuples)
 
     def state_size(self) -> int:
         totals = sum(len(g) for g in self._totals.values())

@@ -38,9 +38,7 @@ class SemiNaiveSolver(ResolvingSolver):
             metrics.stratum(index, component.predicates) if metrics.active else None
         )
         started = perf_counter() if stratum is not None else 0.0
-        local = RelationStore(
-            self.arities, metrics=self._store_metrics(), backend=self.backend
-        )
+        local = RelationStore(self.arities, metrics=self._store_metrics())
         specs = compile_agg_specs(component.rules, self.program)
         plain_rules = [r for r in component.rules if not r.is_aggregation]
         if self.impact is not None:

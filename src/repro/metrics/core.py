@@ -152,8 +152,6 @@ class SolverMetrics:
         "engine",
         "join_probes",
         "join_probe_rows",
-        "interned_constants",
-        "columnar_relations",
         "batch_rows_emitted",
         "index_builds",
         "rules_fired",
@@ -218,13 +216,8 @@ class SolverMetrics:
         self.join_probes = 0
         self.join_probe_rows = 0
         self.index_builds = 0
-        # Storage-backend counters (see repro.engines.relation /
-        # docs/PERFORMANCE.md).  Interning and relation creation happen at
-        # construction / first touch — rare enough to record even while
-        # disabled; ``join_probe_rows`` and ``batch_rows_emitted`` follow
-        # the join-probe convention and only count while active.
-        self.interned_constants = 0
-        self.columnar_relations = 0
+        # ``join_probe_rows`` and ``batch_rows_emitted`` follow the
+        # join-probe convention and only count while active.
         self.batch_rows_emitted = 0
         self.rules_fired = 0
         self.tuples_derived = 0
@@ -417,8 +410,6 @@ class SolverMetrics:
                 "timelines_compacted": self.timelines_compacted,
             },
             "storage": {
-                "interned_constants": self.interned_constants,
-                "columnar_relations": self.columnar_relations,
                 "batch_rows_emitted": self.batch_rows_emitted,
             },
             "compile": {

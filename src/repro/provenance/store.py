@@ -20,9 +20,8 @@ Design points that keep capture nearly free:
 * Rules are identified by their index into ``program.rules`` (stable for
   a given program text across processes), so annotations survive
   checkpoint round-trips.
-* Rows are stored in the solver's internal row space (intern handles
-  under the columnar backend), matching the keys every engine already
-  has in hand at the insertion site.
+* Rows are stored as the value tuples every engine already has in hand
+  at the insertion site.
 * Engines whose physical insertion point has lost track of the deriving
   rule (worklist pops in DRed, queue drains in Laddder) record a
   transient :meth:`hint` at *push* time; :meth:`annotate` consumes it.
@@ -176,9 +175,7 @@ class ProvenanceStore:
 
     def dump(self) -> dict:
         """Pickle-friendly payload for checkpoints (rows are plain tuples
-        of scalars, or intern-handle int tuples under the columnar
-        backend — both round-trip, and handle assignment is reproduced
-        deterministically on restore)."""
+        of scalars)."""
         return {"annotations": dict(self.annotations), "clock": self.clock}
 
     def restore(self, payload: dict) -> None:

@@ -89,9 +89,8 @@ class WhyNotReport:
     row: tuple
     #: "frontier" (per-rule near-misses below), "input-fact-absent" (EDB
     #: predicate: the fix is inserting the fact itself),
-    #: "aggregate-mismatch" (the group exists with a different value),
-    #: "unknown-constants" (the row mentions constants the solver has
-    #: never seen), or "no-rule" (nothing can derive this predicate).
+    #: "aggregate-mismatch" (the group exists with a different value), or
+    #: "no-rule" (nothing can derive this predicate).
     reason: str
     frontier: list[RuleFrontier] = field(default_factory=list)
     #: Rules skipped because the ImpactIndex proved them forever-empty.
@@ -177,65 +176,14 @@ def _whynot(solver, pred: str, row: tuple, max_rules: int) -> WhyNotReport:
             )],
         )
 
+    lookup = _lookup(solver)
     agg_rule = solver._aggregation_rule(pred)
-    spec = None
-    agg_pos = None
     if agg_rule is not None:
         from ..engines.aggspec import AggSpec
 
         spec = AggSpec.compile(agg_rule, solver.program)
-        agg_pos = spec.agg_pos
-
-    table = solver.intern
-    internal = row
-    if table is not None:
-        # Per-value interning.  None is a wildcard, and the aggregate
-        # value position stays in caller space: a never-derived lattice
-        # value there deserves an aggregate-mismatch answer, not
-        # unknown-constants.
-        skip = {
-            i for i, v in enumerate(row) if v is None or i == agg_pos
-        }
-        handles = tuple(
-            None if i in skip else table.lookup_row((v,))
-            for i, v in enumerate(row)
-        )
-        if any(
-            h is None and i not in skip
-            for i, h in enumerate(handles)
-        ):
-            unknown = [
-                v for i, (v, h) in enumerate(zip(row, handles))
-                if h is None and i not in skip
-            ]
-            return WhyNotReport(
-                pred, row, "unknown-constants",
-                frontier=[RuleFrontier(
-                    rule=None, satisfied=0, total=0,
-                    missing=MissingPremise(
-                        "literal", pred, row,
-                        detail="the solver has never observed the "
-                               f"constant(s) {unknown!r}",
-                    ),
-                )],
-            )
-        internal = tuple(
-            row[i] if i in skip else handles[i][0]
-            for i in range(len(row))
-        )
-
-    lookup = _lookup(solver)
-
-    if agg_rule is not None:
-        report = _whynot_aggregate(
-            solver, lookup, pred, internal, agg_rule, spec
-        )
-    else:
-        report = _whynot_rules(solver, lookup, pred, internal, max_rules)
-    report.row = row  # caller-space, even under the columnar backend
-    if table is not None:
-        _extern_report(report, table)
-    return report
+        return _whynot_aggregate(lookup, pred, row, agg_rule, spec)
+    return _whynot_rules(solver, lookup, pred, row, max_rules)
 
 
 def _whynot_rules(solver, lookup, pred, row, max_rules) -> WhyNotReport:
@@ -310,26 +258,20 @@ def _describe_item(solver, item, witness) -> MissingPremise:
     return MissingPremise("constraint", None, (), detail=repr(item))
 
 
-def _whynot_aggregate(
-    solver, lookup, pred, row, agg_rule, spec
-) -> WhyNotReport:
+def _whynot_aggregate(lookup, pred, row, agg_rule, spec) -> WhyNotReport:
     key, value = spec.split_tuple(row)
     view = lookup(pred)
     existing = view.matching(spec.tuple_for(key, None))
     if existing:
         _, actual = spec.split_tuple(next(iter(existing)))
-        table = solver.intern
-        shown_actual = table.extern(actual) if table is not None else actual
-        # The requested value never left caller space (see _whynot).
-        shown_value = value
         return WhyNotReport(
             pred, row, "aggregate-mismatch",
             frontier=[RuleFrontier(
                 rule=agg_rule, satisfied=0, total=1,
                 missing=MissingPremise(
                     "aggregate", pred, spec.tuple_for(key, None),
-                    detail=f"the group's aggregate is {shown_actual!r}, "
-                           f"not {shown_value!r}",
+                    detail=f"the group's aggregate is {actual!r}, "
+                           f"not {value!r}",
                 ),
             )],
         )
@@ -361,12 +303,3 @@ def _whynot_aggregate(
         )],
     )
 
-
-def _extern_report(report: WhyNotReport, table) -> None:
-    def extern_pattern(pattern: tuple) -> tuple:
-        return tuple(
-            None if v is None else table.extern(v) for v in pattern
-        )
-
-    for entry in report.frontier:
-        entry.missing.pattern = extern_pattern(entry.missing.pattern)

@@ -264,12 +264,9 @@ class GuardedSolver:
         reference = SemiNaiveSolver(
             solver.source_program, metrics=solver.metrics, config=solver.config
         )
-        # Staged rows live in the donor's intern-handle space (columnar
-        # backend); externalize through the public view so the reference
-        # solver interns them itself, in its own first-touch order.
         for pred, rows in solver._facts.items():
             if rows:
-                reference.add_facts(pred, solver.facts(pred))
+                reference.add_facts(pred, rows)
         # Stage the epoch's change on top of the (rolled-back, pre-update)
         # facts, then solve once.
         reference._normalize_changes(insertions, deletions)

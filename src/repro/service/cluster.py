@@ -113,8 +113,8 @@ class ClusterConfig:
     journal_limit: int = 1024
     #: Bounded per-session request-id dedup window.
     dedup_limit: int = 256
-    #: Extra environment for worker subprocesses (tests set REPRO_BACKEND
-    #: or REPRO_FAULT here).
+    #: Extra environment for worker subprocesses (tests set REPRO_FAULT
+    #: here).
     worker_env: dict = field(default_factory=dict)
     #: Virtual nodes per slot on the hash ring.
     vnodes: int = 64

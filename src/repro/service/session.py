@@ -234,13 +234,7 @@ class Session:
         solver = self.solver.solver
         if pred not in solver.edb:
             return None
-        rows = solver._facts.get(pred, ())
-        if solver.intern is not None:
-            # Staged rows live in intern-handle space; probe without
-            # assigning handles (an unknown constant cannot be present).
-            interned = solver.intern.lookup_row(row)
-            return interned is not None and interned in rows
-        return row in rows
+        return row in solver._facts.get(pred, ())
 
     def update(
         self,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import BACKENDS, SolverConfig
+from repro.config import SolverConfig
 from repro.service.session import ENGINES
 
 
@@ -12,8 +12,8 @@ def engine_cls(request):
     return ENGINES[request.param]
 
 
-@pytest.fixture(params=BACKENDS)
-def config(request):
-    """A :class:`SolverConfig` per storage backend, defaults otherwise —
-    independent of the environment the suite runs under."""
-    return SolverConfig(backend=request.param)
+@pytest.fixture
+def config():
+    """The default :class:`SolverConfig`, independent of the environment
+    the suite runs under."""
+    return SolverConfig()

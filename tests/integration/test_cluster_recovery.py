@@ -3,7 +3,7 @@
 The headline scenario kill -9s a worker in the middle of a live edit
 stream and asserts the session resumes on a fresh worker with final
 exported-view digests **bit-equal** to a from-scratch semi-naive solve of
-the same edit sequence — for both storage backends.  Around it: the
+the same edit sequence.  Around it: the
 four crash points of the durability mechanism (base file + batch log,
 docs/SERVICE.md), a ``restore`` followed by a crash, the fault-injected
 dispatch smoke (retries absorb transient faults) and the SIGTERM
@@ -18,6 +18,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ import pytest
 from repro.analyses import constant_propagation
 from repro.changes.soak import reference_digest
 from repro.changes.stream import EditStream, editor_for
+from repro.config import SolverConfig
 from repro.corpus import load_subject
 from repro.robustness import faults
 from repro.service import ClusterConfig, ClusterService
@@ -52,19 +54,14 @@ def _await_dead(pid: int, timeout: float = 30.0) -> bool:
     return False
 
 
-@pytest.mark.parametrize("backend", ["object", "columnar"])
-def test_kill9_mid_edit_stream_recovers_bit_equal(backend):
+def test_kill9_mid_edit_stream_recovers_bit_equal():
     program = copy.deepcopy(load_subject("minijavac"))
     instance = constant_propagation(program)
     facts = {pred: set(rows) for pred, rows in instance.facts.items()}
     editor = editor_for(program, "constprop")
     stream = EditStream(editor, seed=11)
 
-    config = ClusterConfig(
-        workers=2,
-        heartbeat_interval=0.5,
-        worker_env={"REPRO_BACKEND": backend},
-    )
+    config = ClusterConfig(workers=2, heartbeat_interval=0.5)
     with ClusterService(config) as service:
         opened = service.handle(
             {
@@ -119,14 +116,14 @@ def test_kill9_mid_edit_stream_recovers_bit_equal(backend):
         assert counters["worker_restarts"] >= 1
         assert counters["sessions_recovered"] >= 1
         assert counters["replayed_ops"] >= 1
-        # The recovered worker resolved its configuration from its own
-        # environment; one session, so the merge reports the one dict.
-        assert stats["solver_config"]["backend"] == backend
+        # The recovered worker resolved its configuration from the
+        # environment it inherited; one session, so the merge reports the
+        # one dict.
+        assert stats["solver_config"] == asdict(SolverConfig.from_env())
 
     expected = reference_digest(instance.program, facts)
     assert snap["digest"] == expected, (
-        f"recovered session digest diverged from the from-scratch "
-        f"reference on backend {backend!r}"
+        "recovered session digest diverged from the from-scratch reference"
     )
 
 

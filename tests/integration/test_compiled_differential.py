@@ -6,8 +6,8 @@ be *identical* to the interpreted reference, both after the initial solve
 and along an incremental change sequence.
 
 The interpreter is selected per solver by ``SolverConfig.interpret``; every
-other field comes from the environment, so the CI jobs that re-run this
-suite under another backend or with self-checks on still multiply it.
+other field comes from the environment, so a run of this suite with
+provenance or self-checks on still multiplies it.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Two guarantees:
 
 * **Bit-equality** — impact-guided updates (the default) produce exactly
   the observations of a solver built with ``SolverConfig(impact=False)``, for
-  all four engines on both storage backends, across an edit series that
-  includes deletions.  Skipping strata outside the static footprint must
-  be observationally invisible.
+  all four engines, across an edit series that includes deletions.
+  Skipping strata outside the static footprint must be observationally
+  invisible.
 * **Footprint soundness** — over a seeded soak stream, every predicate an
   epoch actually changes is inside the static impact footprint of the
   predicates the edit touched.  The static over-approximation really is
@@ -31,14 +31,12 @@ SCALE = 0.4
 EPOCHS = 3
 
 
-def _observe(engine_cls, analysis_name, *, backend, impact):
+def _observe(engine_cls, analysis_name, *, impact):
     """Run solve + edit series; return every public observation."""
     build, generator = ANALYSES[analysis_name]
     instance = build(load_subject("minijavac", scale=SCALE))
     changes = generator(instance, EPOCHS, seed=23)[:EPOCHS]
-    solver = instance.make_solver(
-        engine_cls, config=SolverConfig(backend=backend, impact=impact)
-    )
+    solver = instance.make_solver(engine_cls, config=SolverConfig(impact=impact))
     assert (solver.impact is not None) == impact
     observations = [("solve", solver.relations())]
     for i, change in enumerate(changes):
@@ -51,16 +49,11 @@ def _observe(engine_cls, analysis_name, *, backend, impact):
     return observations, solver.metrics
 
 
-@pytest.mark.parametrize("backend", ["object", "columnar"])
 @pytest.mark.parametrize("analysis_name", list(ANALYSES))
 @pytest.mark.parametrize("engine_cls", ENGINES, ids=lambda e: e.__name__)
-def test_impact_guided_updates_bit_equal(engine_cls, analysis_name, backend):
-    guided, metrics = _observe(
-        engine_cls, analysis_name, backend=backend, impact=True
-    )
-    reference, _ = _observe(
-        engine_cls, analysis_name, backend=backend, impact=False
-    )
+def test_impact_guided_updates_bit_equal(engine_cls, analysis_name):
+    guided, metrics = _observe(engine_cls, analysis_name, impact=True)
+    reference, _ = _observe(engine_cls, analysis_name, impact=False)
     for got, want in zip(guided, reference):
         assert got == want, f"impact divergence at {want[0]}"
     assert metrics.impact_seconds >= 0.0

@@ -18,13 +18,10 @@ def test_reference_ignores_solver_environment(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(soak, "SemiNaiveSolver", Recording)
-    # Either would change the oracle if it resolved from the environment:
-    # a columnar reference cancels an intern-boundary bug on both sides,
-    # and one iteration cannot close a six-edge chain.
-    monkeypatch.setenv("REPRO_BACKEND", "columnar")
+    # This would change the oracle if it resolved from the environment:
+    # one iteration cannot close a six-edge chain.
     monkeypatch.setenv("REPRO_MAX_ITERS", "1")
 
     assert soak.reference_digest(PROGRAM, FACTS) == expected
     (reference,) = built
-    assert reference.backend == "object"
     assert reference.config == soak.SolverConfig()

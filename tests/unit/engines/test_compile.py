@@ -428,8 +428,8 @@ class TestOracleJoinOrdering:
 
 
 class TestOneLoweringOnEveryBundledRule:
-    """Every rule of every bundled analysis, both backends, every emit and
-    call mode the engines request: the generated source never goes through
+    """Every rule of every bundled analysis, every emit and call mode the
+    engines request: the generated source never goes through
     ``matching()``, and the kernel enumerates exactly what the ``run_plan``
     kernel does on the solved state."""
 
@@ -444,16 +444,12 @@ class TestOneLoweringOnEveryBundledRule:
         assert got == sorted(interp.fn(*args), key=repr)
         return len(got)
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
     @pytest.mark.parametrize("analysis", sorted(ANALYSES))
-    def test_compiled_equals_interpreted(self, analysis, backend):
+    def test_compiled_equals_interpreted(self, analysis):
         instance = ANALYSES[analysis](load_subject("minijavac"))
-        solver = instance.make_solver(
-            LaddderSolver, config=SolverConfig(backend=backend)
-        )
+        solver = instance.make_solver(LaddderSolver, config=SolverConfig())
         caches = [
-            KernelCache(solver.program, interpret=flag, backend=backend)
-            for flag in (False, True)
+            KernelCache(solver.program, interpret=flag) for flag in (False, True)
         ]
 
         def both(rule, **kwargs):

@@ -176,31 +176,7 @@ class TestHeightGuidedProvenance:
         assert leaf_kinds(d) == {"fact"}
 
 
-class TestColumnarAndSchema:
-    def test_columnar_round_trip(self):
-        solver = LaddderSolver(
-            tc_program(), config=SolverConfig(backend="columnar", provenance=True)
-        )
-        solver.add_facts("edge", {(1, 2), (2, 3)})
-        solver.solve()
-        assert solver.intern is not None
-        d = explain(solver, "tc", (1, 3))
-        # The finished tree is externalized: caller-space values.
-        assert d.row == (1, 3)
-        assert leaf_kinds(d) == {"fact"}
-        assert "edge(1, 2)" in d.format()
-
-    def test_columnar_aggregate_explanation(self):
-        facts = {"lit": {("x", 1), ("y", 2)}, "copy": {("z", "x"), ("z", "y")}}
-        solver = load(
-            LaddderSolver, const_prop_program(), facts,
-            config=SolverConfig(backend="columnar"),
-        )
-        d = explain(solver, "val", ("z", CONST.top()))
-        assert d.kind == "aggregate"
-        assert len(d.premises) == 2
-        assert leaf_kinds(d) == {"fact"}
-
+class TestSchemaAndMetrics:
     def test_to_dict_schema(self):
         solver = load(
             LaddderSolver, tc_program(), tc_facts({(1, 2), (2, 3)})

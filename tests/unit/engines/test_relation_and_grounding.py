@@ -12,11 +12,7 @@ from repro.engines.grounding import (
     run_plan,
     unify_tuple,
 )
-from repro.engines.relation import (
-    ColumnarRelation,
-    IndexedRelation,
-    RelationStore,
-)
+from repro.engines.relation import IndexedRelation, RelationStore
 
 
 class TestIndexedRelation:
@@ -81,8 +77,8 @@ class TestIndexedRelation:
 
 class TestLazyNumpy:
     def test_importing_the_service_does_not_import_numpy(self):
-        """numpy costs every server process ~12 MB resident and the default
-        object backend never uses it; only ``ColumnarRelation.column`` does."""
+        """numpy costs every server process ~12 MB resident and nothing
+        in the package uses it; no import may pull it in."""
         import subprocess
         import sys
 
@@ -92,19 +88,6 @@ class TestLazyNumpy:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert out.stdout.strip() == "False", out.stderr
-
-    def test_column_is_a_zero_copy_view(self):
-        numpy = pytest.importorskip("numpy")
-        relation = ColumnarRelation(2)
-        assert len(relation.column(0)) == 0  # empty: the backing array
-        relation.add((1, 10))
-        relation.add((2, 20))
-        column = relation.column(1)
-        assert isinstance(column, numpy.ndarray) and column.dtype == numpy.int64
-        assert sorted(column.tolist()) == [10, 20]
-        assert numpy.shares_memory(
-            column, numpy.frombuffer(relation._materialize()[1], dtype=numpy.int64)
-        )
 
 
 class TestRelationStore:

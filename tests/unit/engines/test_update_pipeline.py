@@ -185,9 +185,9 @@ def test_parent_written_checkpoint_restores_and_keeps_updating(
     engine_cls, program
 ):
     """``tests/fixtures/parent_<engine>.ckpt`` was written by the commit
-    before the shared container (plain-dict relation maps, object backend,
-    FACTS plus the arc c->d) — it must restore to the same snapshot and
-    update on."""
+    before the shared container (plain-dict relation maps, a payload that
+    still names its storage backend, FACTS plus the arc c->d) — it must
+    restore to the same snapshot and update on."""
     from pathlib import Path
 
     from repro.engines.base import Relations
@@ -196,7 +196,7 @@ def test_parent_written_checkpoint_restores_and_keeps_updating(
 
     if engine_cls.COMPONENT_STATE is None:
         pytest.skip("fixtures exist for the in-place engines")
-    config = SolverConfig.from_env(backend="object")
+    config = SolverConfig.from_env()
     name = {cls: n for n, cls in ENGINES.items()}[engine_cls]
     path = Path(__file__).parents[2] / "fixtures" / f"parent_{name}.ckpt"
     restored = load_checkpoint(engine_cls, program, path, config=config)

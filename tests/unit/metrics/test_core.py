@@ -155,11 +155,7 @@ class TestExport:
         }
         assert d["engine"] == "TestSolver"
         assert d["totals"]["join_probes"] == 10
-        assert set(d["storage"]) == {
-            "interned_constants",
-            "columnar_relations",
-            "batch_rows_emitted",
-        }
+        assert set(d["storage"]) == {"batch_rows_emitted"}
         assert set(d["robustness"]) == {
             "rollbacks",
             "fallback_resolves",

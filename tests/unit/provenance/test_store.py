@@ -90,8 +90,7 @@ class TestEngineCapture:
         solver.solve()
         prov = solver.provenance
         for row in solver.relation("tc"):
-            key = row if solver.intern is None else solver.intern.lookup_row(row)
-            assert prov.get("tc", key) is not None
+            assert prov.get("tc", row) is not None
 
     def test_annotations_track_updates(self, engine):
         solver = engine(tc_program(), config=SolverConfig.from_env(provenance=True))
@@ -99,18 +98,11 @@ class TestEngineCapture:
         solver.solve()
         solver.update(insertions={"edge": {(2, 3)}})
         prov = solver.provenance
-        key = (
-            (1, 3) if solver.intern is None
-            else solver.intern.lookup_row((1, 3))
-        )
-        assert prov.get("tc", key) is not None
+        assert prov.get("tc", (1, 3)) is not None
         solver.update(deletions={"edge": {(2, 3)}})
         stale = {
             row for (pred, row) in prov.annotations
-            if pred == "tc" and row not in (
-                solver._exported.get("tc").tuples
-                if solver.intern is not None else solver.relation("tc")
-            )
+            if pred == "tc" and row not in solver.relation("tc")
         }
         assert not stale
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import SolverConfig
 from repro.datalog import SolverError, parse
 from repro.engines import DRedLSolver, LaddderSolver, NaiveSolver, SemiNaiveSolver
 from repro.lattices import ConstantLattice
@@ -17,9 +16,8 @@ CONST = ConstantLattice()
 @pytest.mark.parametrize("engine", ENGINES)
 class TestFrontier:
     def test_one_missing_premise(self, engine):
-        # The unrelated (4, 5) edge keeps 4 a known constant under the
-        # columnar backend, so the report is a frontier on every backend.
-        solver = load(engine, tc_program(), tc_facts({(1, 2), (2, 3), (4, 5)}))
+        # 4 is a constant the solver has never seen: still a frontier.
+        solver = load(engine, tc_program(), tc_facts({(1, 2), (2, 3)}))
         report = whynot(solver, "tc", (1, 4))
         assert report.reason == "frontier"
         best = report.frontier[0]
@@ -73,8 +71,8 @@ class TestValidationAndKinds:
         assert "blocked by a present tuple" in report.format()
 
     def test_aggregate_empty_group(self):
-        # copy("z", "q") interns "z" without deriving any value for it:
-        # the group stays empty on every backend.
+        # copy("z", "q") mentions "z" without deriving any value for it:
+        # the group stays empty.
         solver = load(
             SemiNaiveSolver, const_prop_program(),
             {"lit": {("x", 1)}, "copy": {("z", "q")}},
@@ -94,7 +92,6 @@ class TestValidationAndKinds:
         assert "Const(1)" in report.frontier[0].missing.detail
 
     def test_to_dict_shape(self):
-        # (9, 9) keeps the constant 9 known under the columnar backend.
         solver = load(LaddderSolver, tc_program(), tc_facts({(1, 2), (9, 9)}))
         payload = whynot(solver, "tc", (1, 9)).to_dict()
         assert payload["pred"] == "tc"
@@ -112,26 +109,3 @@ class TestValidationAndKinds:
         whynot(solver, "tc", (1, 9))
         assert solver.metrics.provenance_whynots == 1
 
-
-class TestColumnarBackend:
-    def test_frontier_in_caller_space(self):
-        solver = load(
-            LaddderSolver, tc_program(), tc_facts({(1, 2), (2, 3)}),
-            config=SolverConfig(backend="columnar"),
-        )
-        assert solver.intern is not None
-        report = whynot(solver, "tc", (2, 1))
-        assert all(
-            all(v is None or not isinstance(v, int) or v in (1, 2, 3)
-                for v in e.missing.pattern)
-            for e in report.frontier
-        )
-
-    def test_unknown_constants_named(self):
-        solver = load(
-            LaddderSolver, tc_program(), tc_facts({(1, 2)}),
-            config=SolverConfig(backend="columnar"),
-        )
-        report = whynot(solver, "tc", (1, 99))
-        assert report.reason == "unknown-constants"
-        assert "99" in report.frontier[0].missing.detail

@@ -108,9 +108,8 @@ class TestDetectsCorruption:
         index = next(
             i for i, c in enumerate(solver.components) if "tc" in c.predicates
         )
-        row = solver._intern_row((1, 3))
-        solver._raw.get("tc").discard(row)
-        solver._exported.get("tc").discard(row)
+        solver._raw.get("tc").discard((1, 3))
+        solver._exported.get("tc").discard((1, 3))
         with pytest.raises(InvariantViolationError, match="closed|pruned"):
             check_component(solver, index)
 

@@ -20,10 +20,9 @@ DEFAULTS = asdict(SolverConfig())
 #: (environment, the fields it moves off their defaults)
 ENV_TABLE = [
     ({}, {}),
-    ({"REPRO_BACKEND": ""}, {}),
-    ({"REPRO_BACKEND": "object"}, {}),
-    ({"REPRO_BACKEND": "columnar"}, {"backend": "columnar"}),
-    ({"REPRO_BACKEND": " Columnar "}, {"backend": "columnar"}),
+    ({"REPRO_PROVENANCE": " 1 "}, {"provenance": True}),
+    ({"REPRO_MAX_ITERS": " 12 "}, {"max_iterations": 12}),
+    ({"REPRO_MAX_CHAIN": ""}, {}),
     ({"REPRO_PROVENANCE": ""}, {}),
     ({"REPRO_PROVENANCE": "0"}, {}),
     ({"REPRO_PROVENANCE": "1"}, {"provenance": True}),
@@ -34,16 +33,15 @@ ENV_TABLE = [
     ({"REPRO_MAX_ITERS": "7"}, {"max_iterations": 7}),
     ({"REPRO_MAX_CHAIN": "9"}, {"max_chain": 9}),
     (
-        {"REPRO_BACKEND": "columnar", "REPRO_SELF_CHECK": "1", "REPRO_MAX_ITERS": "3"},
-        {"backend": "columnar", "self_check": True, "max_iterations": 3},
+        {"REPRO_PROVENANCE": "1", "REPRO_SELF_CHECK": "1", "REPRO_MAX_ITERS": "3"},
+        {"provenance": True, "self_check": True, "max_iterations": 3},
     ),
-    # Names that are not configuration any more are not read at all.
+    # Names that are not configuration (or not any more) are not read.
+    ({"REPRO_BACKEND": "columnar"}, {}),
     ({"REPRO_FAULT": "kernel.emit", "REPRO_UNHEARD_OF": "x"}, {}),
 ]
 
 MALFORMED = [
-    ("REPRO_BACKEND", "colunmar"),
-    ("REPRO_BACKEND", "auto"),
     ("REPRO_PROVENANCE", "yes"),
     ("REPRO_SELF_CHECK", "true"),
     ("REPRO_SELF_CHECK", "2"),
@@ -65,12 +63,12 @@ class TestFromEnv:
             SolverConfig.from_env({name: raw})
 
     def test_overrides_win(self):
-        environ = {"REPRO_BACKEND": "columnar", "REPRO_PROVENANCE": "1"}
+        environ = {"REPRO_SELF_CHECK": "1", "REPRO_PROVENANCE": "1"}
         config = SolverConfig.from_env(
             environ, provenance=False, deadline=2.5, interpret=True
         )
         assert config == SolverConfig(
-            backend="columnar", deadline=2.5, interpret=True
+            self_check=True, deadline=2.5, interpret=True
         )
 
     def test_default_environ_is_the_process_environment(self, monkeypatch):
@@ -80,9 +78,7 @@ class TestFromEnv:
     def test_frozen_and_validated(self):
         config = SolverConfig()
         with pytest.raises(AttributeError):
-            config.backend = "columnar"
-        with pytest.raises(SolverError, match="SolverConfig.backend"):
-            replace(config, backend="colunmar")
+            config.provenance = True
         with pytest.raises(TypeError):
             SolverConfig.from_env({}, replan_factor=2.0)
 
@@ -121,16 +117,15 @@ class _GuardedEnviron(dict):
 
 
 def test_engines_read_no_environment(engine_cls, config, monkeypatch):
-    """Solve + update of every engine, both backends, with a hostile
-    environment installed: nothing below ``from_env`` looks at it."""
+    """Solve + update of every engine with a hostile environment
+    installed: nothing below ``from_env`` looks at it."""
     monkeypatch.setattr(
-        os, "environ", _GuardedEnviron(os.environ, REPRO_BACKEND="nonsense")
+        os, "environ", _GuardedEnviron(os.environ, REPRO_SELF_CHECK="nonsense")
     )
-    with pytest.raises(AssertionError, match="read REPRO_BACKEND"):
-        os.environ.get("REPRO_BACKEND")
+    with pytest.raises(AssertionError, match="read REPRO_SELF_CHECK"):
+        os.environ.get("REPRO_SELF_CHECK")
     solver = load(engine_cls, tc_program(), tc_facts({(1, 2), (2, 3)}), config)
     assert solver.config is config
-    assert solver.backend == config.backend
     solver.update(insertions={"edge": {(3, 4)}}, deletions={"edge": {(1, 2)}})
     assert solver.relation("tc") == frozenset({(2, 3), (3, 4), (2, 4)})
 
@@ -144,7 +139,6 @@ def test_no_environ_read_under_engines_or_watchdog():
 
 
 ODD = SolverConfig(
-    backend="columnar",
     provenance=True,
     self_check=True,
     max_iterations=50_000,
@@ -156,7 +150,7 @@ ODD = SolverConfig(
 
 def test_fields_reach_the_solver():
     solver = load(repro.LaddderSolver, tc_program(), tc_facts({(1, 2)}), ODD)
-    assert solver.intern is not None and solver.provenance is not None
+    assert solver.provenance is not None
     assert solver.self_check and solver.impact is None
     budget = solver.budget
     assert (budget.max_iterations, budget.max_chain, budget.deadline) == (
@@ -206,7 +200,7 @@ class TestSession:
             session.close()
 
     def test_config_survives_restore(self, tmp_path):
-        plain = self.open(SolverConfig(backend="columnar"))
+        plain = self.open(SolverConfig(max_iterations=50_000))
         try:
             path = tmp_path / "plain.ckpt"
             plain.save(path)
@@ -216,13 +210,14 @@ class TestSession:
         # session: both the warm start and ``restore`` build the solver with
         # the session's configuration.
         session = self.open(
-            SolverConfig(backend="columnar"),
+            SolverConfig(max_iterations=50_000),
             provenance=True, self_check=True, deadline=30.0,
             restore_from=str(path),
         )
         try:
             want = SolverConfig(
-                backend="columnar", provenance=True, self_check=True, deadline=30.0
+                max_iterations=50_000, provenance=True, self_check=True,
+                deadline=30.0,
             )
             assert session.solver.config == want
             assert session.solver.provenance is not None
@@ -231,6 +226,6 @@ class TestSession:
             assert inner.config == want
             assert inner.provenance is not None and inner.self_check
             assert inner.budget.deadline == 30.0
-            assert session.stats()["solver_config"]["backend"] == "columnar"
+            assert session.stats()["solver_config"]["max_iterations"] == 50_000
         finally:
             session.close()

@@ -84,9 +84,7 @@ def run(client: Client) -> None:
         {"ok": True, "predicate": "val"},
         "whynot",
     )["report"]
-    if absent["reason"] not in (
-        "frontier", "unknown-constants", "no-rule"
-    ):
+    if absent["reason"] not in ("frontier", "no-rule"):
         raise SmokeFailure(f"unexpected whynot reason: {absent['reason']}")
     edb = expect(
         client.call(
@@ -96,7 +94,7 @@ def run(client: Client) -> None:
         {"ok": True},
         "whynot edb",
     )["report"]
-    if edb["reason"] not in ("input-fact-absent", "unknown-constants"):
+    if edb["reason"] != "input-fact-absent":
         raise SmokeFailure(f"unexpected EDB whynot reason: {edb['reason']}")
 
     # rollback: verified suggestions, digest-stable probing.

@@ -48,11 +48,6 @@ def parse_args(argv=None):
     parser.add_argument("--checkpoint-every", type=int, default=25)
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument(
-        "--backend", default=None,
-        help="comma-separated storage backends to matrix over "
-        "(object, columnar; default: the environment's REPRO_BACKEND)",
-    )
-    parser.add_argument(
         "--impact", default=None,
         help="comma-separated impact-scheduling modes to matrix over "
         "(on, off; default: on)",
@@ -80,8 +75,7 @@ def summarize(record: dict) -> str:
     )
     return (
         f"{record['subject']}/{record['analysis']}/{record['engine']}"
-        f"[{record['config']['backend']},"
-        f"impact={'on' if record['config']['impact'] else 'off'}]: "
+        f"[impact={'on' if record['config']['impact'] else 'off'}]: "
         f"{'ok' if record['ok'] else 'FAIL'}  "
         f"steps={record['steps']} seed={record['seed']} "
         f"p50={latency['p50'] * 1e3:.1f}ms p95={latency['p95'] * 1e3:.1f}ms "
@@ -93,9 +87,6 @@ def summarize(record: dict) -> str:
 def main(argv=None) -> int:
     args = parse_args(argv)
     base = SolverConfig.from_env().with_request(self_check=args.self_check)
-    backends = [base.backend]
-    if args.backend:
-        backends = [b.strip() for b in args.backend.split(",") if b.strip()]
     impact_modes = ["on"]
     if args.impact:
         impact_modes = [m.strip() for m in args.impact.split(",") if m.strip()]
@@ -103,24 +94,23 @@ def main(argv=None) -> int:
             if mode not in ("on", "off"):
                 raise SystemExit(f"--impact modes are on/off, got {mode!r}")
     records = []
-    for backend in backends:
-        for impact_mode in impact_modes:
-            config = replace(base, backend=backend, impact=impact_mode == "on")
-            for analysis in args.analyses.split(","):
-                for engine in args.engines.split(","):
-                    record = soak(
-                        args.subject,
-                        analysis.strip(),
-                        engine=engine.strip(),
-                        steps=args.steps,
-                        seed=args.seed,
-                        checkpoint_every=args.checkpoint_every,
-                        scale=args.scale,
-                        config=config,
-                        drive_session=args.session,
-                    )
-                    records.append(record)
-                    print(summarize(record), flush=True)
+    for impact_mode in impact_modes:
+        config = replace(base, impact=impact_mode == "on")
+        for analysis in args.analyses.split(","):
+            for engine in args.engines.split(","):
+                record = soak(
+                    args.subject,
+                    analysis.strip(),
+                    engine=engine.strip(),
+                    steps=args.steps,
+                    seed=args.seed,
+                    checkpoint_every=args.checkpoint_every,
+                    scale=args.scale,
+                    config=config,
+                    drive_session=args.session,
+                )
+                records.append(record)
+                print(summarize(record), flush=True)
     if args.json:
         print(json.dumps(records, indent=2, default=str))
     failures = [r for r in records if not r["ok"]]
