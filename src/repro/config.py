@@ -57,8 +57,6 @@ class SolverConfig:
     interpret: bool = False
     #: Drop dead rules before planning (docs/STATIC_CHECKS.md).
     prune: bool = True
-    #: Build the change-impact index; updates skip unaffected strata.
-    impact: bool = True
 
     def with_request(self, provenance=False, self_check=False, deadline=None):
         """This configuration with what a request (an ``open`` op, CLI

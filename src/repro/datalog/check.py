@@ -761,9 +761,8 @@ def _check_perf(
     * DLC701 — cross-product join: a body whose positive literals fall into
       two or more variable-sharing islands enumerates their product.
     * DLC702 — delta-unreachable rule: no EDB delta can ever re-fire it, so
-      it only costs during from-scratch solves yet its delta machinery
-      would be compiled and consulted every epoch (the engines skip it; see
-      docs/PERFORMANCE.md).
+      it only fires during from-scratch solves (an update runs a stratum
+      only when something it reads changed; docs/PERFORMANCE.md).
     * DLC703 — singleton variable: bound once, never used; a wildcard
       avoids carrying the binding through the join.
     * DLC704 — self-widening recursion: a recursive component aggregates
@@ -847,8 +846,9 @@ def _check_perf(
                 f"{rule!r}: no input (EDB) delta can reach this rule; it "
                 f"only fires during from-scratch solves",
                 rule,
-                hint="expected for static configuration chains; the engines "
-                     "skip its delta machinery (docs/PERFORMANCE.md)",
+                hint="expected for static configuration chains; its body "
+                     "relations never change after the first solve "
+                     "(docs/PERFORMANCE.md)",
                 pred=rule.head.pred,
             )
 

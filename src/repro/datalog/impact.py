@@ -2,13 +2,10 @@
 
 The paper's whole evaluation (Sections 3 and 7.1) frames update cost as
 *update time vs. impact*: a small edit should cost in proportion to the
-facts it can actually affect.  The engines get most of the way there
-dynamically — DRedL and Laddder seed each stratum only from the deltas that
-reached it — but every update epoch still walks every stratum and keeps
-delta machinery compiled for every rule, even when the edited EDB
-predicates provably cannot reach most of the program.
-
-This module computes that reachability *once*, statically.  From the parsed
+facts it can actually affect.  At run time the update pipeline enforces
+that dynamically — a stratum runs only when a relation it reads changed
+(:meth:`repro.engines.base.Solver.update`).  This module states the same
+reachability *statically*, for diagnostics.  From the parsed
 (and normalized, and possibly dead-rule-pruned) program plus the dependency
 components :func:`repro.datalog.stratify.stratify` produced, an
 :class:`ImpactIndex` records, for every EDB predicate, its **forward impact
@@ -24,30 +21,18 @@ affect.  Edges are polarity- and stratum-annotated:
   group's whole output-run history — are visible in reports.
 
 Because dependency components are strongly connected, the forward closure
-that reaches any predicate of a component contains the whole component;
-impact footprints are therefore automatically component-closed, which is
-what makes whole-stratum skipping sound (a stratum outside the footprint
-receives no upstream delta and its fixpoint is unchanged by definition).
+that reaches any predicate of a component contains the whole component, so
+impact sets are component-closed.  Every predicate an epoch changes lies in
+the closure of the EDB predicates it touched (the property test in
+``tests/integration/test_impact.py``).
 
-Runtime threading (docs/PERFORMANCE.md; ``SolverConfig.impact``):
-
-* every engine's ``update`` derives the batch's touched-EDB footprint via
-  :meth:`ImpactIndex.footprint` and skips strata outside it
-  (``metrics.strata_skipped``);
-* kernel binding skips rules no registered delta source can reach
-  (:meth:`rule_viable` / :meth:`possibly_nonempty`;
-  ``metrics.rules_skipped_by_impact``);
-* the service layer reports the footprint of each applied batch in its
-  stats op (docs/SERVICE.md).
-
-The same graph powers the DLC7xx perf lints and ``repro check --impact``
+The graph powers the DLC7xx perf lints and ``repro check --impact``
 (:meth:`report`; docs/STATIC_CHECKS.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .ast import Rule
 from .program import Program
@@ -69,45 +54,12 @@ class ImpactEdge:
     stratum: int
 
 
-@dataclass(frozen=True)
-class Footprint:
-    """The slice of the program one update batch can possibly affect."""
-
-    #: EDB predicates with effective (non-no-op) changes in the batch.
-    touched: frozenset[str]
-    #: Touched predicates plus their forward impact closure.
-    predicates: frozenset[str]
-    #: Indices of the dependency components that must be (re)visited.
-    strata: frozenset[int]
-    #: Lattice-aggregated predicates inside the footprint.
-    lattice_merges: frozenset[str]
-    #: How many components the program has in total.
-    strata_total: int
-
-    @property
-    def strata_skipped(self) -> int:
-        return self.strata_total - len(self.strata)
-
-    def covers(self, pred: str) -> bool:
-        return pred in self.predicates
-
-    def to_dict(self) -> dict:
-        return {
-            "touched": sorted(self.touched),
-            "predicates": sorted(self.predicates),
-            "strata": sorted(self.strata),
-            "lattice_merges": sorted(self.lattice_merges),
-            "strata_total": self.strata_total,
-            "strata_skipped": self.strata_skipped,
-        }
-
-
 class ImpactIndex:
     """Per-EDB-predicate forward impact sets over an annotated pred graph.
 
     Construct once per (pruned) program; ``components`` must be the same
     bottom-up component list the engines evaluate, so stratum indices in
-    footprints line up with engine component indices.
+    reports line up with engine component indices.
     """
 
     def __init__(
@@ -154,35 +106,11 @@ class ImpactIndex:
                 )
             )
 
-        #: Delta sources: EDB predicates, plus any predicate facts can be
-        #: staged into (non-IDB predicates rules never mention behave like
-        #: EDB at runtime; they simply have no outgoing edges here).
-        self.delta_sources: frozenset[str] = self.edb
         #: Everything an EDB delta can reach (sources included).
         reach: set[str] = set(self.edb)
         for pred in self.edb:
             reach |= self._closure(pred)
         self.delta_reachable: frozenset[str] = frozenset(reach)
-
-        #: Predicates that can ever hold tuples: EDB predicates plus the
-        #: fixpoint of rules whose *positive* body literals are all
-        #: possibly-nonempty (a rule with no positive literals — a static
-        #: fact or a pure-negation rule — can always fire).  Kernel binding
-        #: uses this: a rule joining a forever-empty relation can never
-        #: enumerate anything, so its kernels need not be compiled.
-        possibly: set[str] = set(self.edb)
-        changed = True
-        while changed:
-            changed = False
-            for rule in program.rules:
-                if rule.head.pred in possibly:
-                    continue
-                if all(
-                    lit.pred in possibly for lit in rule.positive_literals()
-                ):
-                    possibly.add(rule.head.pred)
-                    changed = True
-        self.possibly_nonempty_preds: frozenset[str] = frozenset(possibly)
 
         #: Lazily filled forward-closure cache: EDB pred -> affected preds.
         self._impact_cache: dict[str, frozenset[str]] = {}
@@ -222,45 +150,6 @@ class ImpactIndex:
             self.stratum_of[p]
             for p in self.affected_predicates(pred)
             if p in self.stratum_of
-        )
-
-    def possibly_nonempty(self, pred: str) -> bool:
-        """Can ``pred`` ever hold a tuple (so deltas on it can exist)?"""
-        return pred in self.possibly_nonempty_preds
-
-    def rule_viable(self, rule: Rule) -> bool:
-        """Can ``rule`` ever enumerate a satisfying substitution?  False iff
-        some positive body literal reads a forever-empty predicate — then
-        every join through it is empty and the rule's kernels need never be
-        compiled.  (Negated literals do not constrain viability: an absent
-        atom satisfies them.)"""
-        return all(
-            lit.pred in self.possibly_nonempty_preds
-            for lit in rule.positive_literals()
-        )
-
-    def footprint(self, touched: Iterable[str]) -> Footprint:
-        """The program slice one batch touching ``touched`` can affect.
-
-        Unknown predicates (facts staged into relations no rule reads)
-        contribute nothing — they have no outgoing edges.  The result is
-        component-closed by construction (SCC strong connectivity), so
-        engines may skip whole strata outside ``strata`` without visiting
-        them at all.
-        """
-        touched_set = frozenset(touched)
-        predicates: set[str] = set(touched_set)
-        for pred in touched_set:
-            predicates |= self.affected_predicates(pred)
-        strata = frozenset(
-            self.stratum_of[p] for p in predicates if p in self.stratum_of
-        )
-        return Footprint(
-            touched=touched_set,
-            predicates=frozenset(predicates),
-            strata=strata,
-            lattice_merges=frozenset(predicates & self.aggregated),
-            strata_total=self.strata_total,
         )
 
     # -- reporting ---------------------------------------------------------
@@ -303,4 +192,4 @@ class ImpactIndex:
         }
 
 
-__all__ = ["Footprint", "ImpactEdge", "ImpactIndex"]
+__all__ = ["ImpactEdge", "ImpactIndex"]

@@ -157,18 +157,7 @@ def stratify(program: Program) -> list[Component]:
     for i, scc in enumerate(sccs):
         predicates = frozenset(scc)
         rules = [r for r in program.rules if r.head.pred in predicates]
-        upstream: set[str] = set()
-        recursive = False
-        for rule in rules:
-            for literal in rule.body_literals():
-                if literal.pred in predicates:
-                    recursive = True
-                else:
-                    upstream.add(literal.pred)
-        if not recursive and len(scc) == 1:
-            # A single predicate may still be self-recursive via a self-loop;
-            # covered above.  Otherwise it's a non-recursive stratum.
-            recursive = False
+        reads = {lit.pred for rule in rules for lit in rule.body_literals()}
         aggregated = frozenset(
             rule.head.pred for rule in rules if rule.is_aggregation
         )
@@ -177,8 +166,8 @@ def stratify(program: Program) -> list[Component]:
                 index=i,
                 predicates=predicates,
                 rules=rules,
-                upstream=frozenset(upstream),
-                recursive=recursive,
+                upstream=frozenset(reads - predicates),
+                recursive=not reads.isdisjoint(predicates),
                 aggregated=aggregated,
             )
         )

@@ -19,10 +19,10 @@ to the final aggregate per group; intermediate inflationary results and
 timestamps are never visible (paper Section 4.1, postprocessing).
 
 :meth:`Solver.solve` and :meth:`Solver.update` are written once, here.  An
-epoch is: normalise and stage the EDB diff, derive its static footprint,
-walk the strata bottom-up (impact skip, budget, self-check), fold each
-stratum's exported diff into the pending diff its downstream strata read,
-publish :class:`UpdateStats`.  An engine is a *per-stratum
+epoch is: normalise and stage the EDB diff, walk the strata bottom-up
+(skip a stratum none of whose inputs changed; budget, self-check), fold
+each stratum's exported diff into the pending diff its downstream strata
+read, publish :class:`UpdateStats`.  An engine is a *per-stratum
 strategy* plugged into that driver: :meth:`Solver._solve_stratum` and
 :meth:`Solver._update_stratum`, plus a ``STATE`` declaration of what it
 mutates (DESIGN.md, "One update pipeline").
@@ -39,7 +39,6 @@ from typing import Callable, Iterable, Iterator, Mapping
 from ..config import SolverConfig
 from ..datalog.ast import Literal, Rule
 from ..datalog.errors import BudgetExceededError, SolverError, ValidationError
-from ..datalog.impact import Footprint
 from ..datalog.normalize import normalize
 from ..datalog.planning import delta_occurrences
 from ..datalog.program import Program
@@ -153,12 +152,6 @@ class ComponentState:
         #: pred -> safe size interval (KernelCache.replan_guard); while all
         #: watched sizes stay inside, refresh cannot evict and is skipped.
         self.replan_guard: dict[str, tuple[float, float]] | None = None
-        self.reads = {
-            literal.pred
-            for rule in component.rules
-            for literal in rule.body_literals()
-        }
-        self.upstream_reads = frozenset(self.reads - component.predicates)
         #: Undo log installed by UpdateGuard for the duration of a guarded
         #: update; newly created relations inherit it and their creation is
         #: itself journaled.
@@ -239,21 +232,12 @@ class Solver(ABC):
         self.metrics = metrics if metrics is not None else SolverMetrics(enabled=False)
         self.metrics.engine = type(self).__name__
         # Shared pre-planning pass (repro.engines.prepare): static checks
-        # with the validate() first-error contract, dead-rule pruning
-        # (docs/STATIC_CHECKS.md), and the static change-impact index that
-        # update scheduling and kernel binding consult
-        # (docs/PERFORMANCE.md).  Exported views are unaffected either way.
-        prepared = prepare(self.program, prune=config.prune, impact=config.impact)
+        # with the validate() first-error contract and dead-rule pruning
+        # (docs/STATIC_CHECKS.md).  Exported views are unaffected either way.
+        prepared = prepare(self.program, prune=config.prune)
         self.components: list[Component] = prepared.components
-        #: Static change-impact index, or None with ``config.impact`` off.
-        self.impact = prepared.impact
-        #: Footprint of the most recent update() batch (None before the
-        #: first update, or while impact scheduling is disabled); the
-        #: service layer surfaces this in its stats op.
-        self.last_footprint: Footprint | None = None
         self.metrics.dead_rules_pruned += prepared.dead_rules_pruned
         self.metrics.check_seconds += prepared.check_seconds
-        self.metrics.impact_seconds += prepared.impact_seconds
         self.metrics.diagnostics_emitted += len(prepared.checked.diagnostics)
         self.arities = self.program.arities()
         self.edb = self.program.edb_predicates()
@@ -279,15 +263,6 @@ class Solver(ABC):
         #: repro.engines.compile.  ``config.interpret`` swaps in run_plan-
         #: backed kernels with identical signatures (the test oracle).
         self.kernels = KernelCache(self.program, self.metrics, config.interpret)
-        #: Rules no registered delta source can feed — some positive body
-        #: literal reads a forever-empty predicate, so their kernels are
-        #: never requested from the cache (engines filter at bind time).
-        if self.impact is not None:
-            self.metrics.rules_skipped_by_impact += sum(
-                1
-                for rule in self.program.rules
-                if not self.impact.rule_viable(rule)
-            )
         #: Fixpoint watchdog budgets (docs/ROBUSTNESS.md): iteration
         #: ceilings, wall-clock deadline, ascending-chain counter.
         self.budget = Budget(
@@ -408,27 +383,6 @@ class Solver(ABC):
                 undo.append((self._facts.pop, pred, None))
         return bucket
 
-    # -- impact-guided scheduling --------------------------------------------
-
-    def _impact_footprint(
-        self,
-        ins: Mapping[str, set[tuple]],
-        dels: Mapping[str, set[tuple]],
-    ) -> Footprint | None:
-        """The static footprint of one effective batch diff, or None when
-        impact scheduling is off (``config.impact``).  Records the
-        derivation time into ``metrics.impact_seconds`` and publishes the
-        result on :attr:`last_footprint` for the service stats op."""
-        index = self.impact
-        if index is None:
-            self.last_footprint = None
-            return None
-        t0 = time.perf_counter()
-        footprint = index.footprint(set(ins) | set(dels))
-        self.metrics.impact_seconds += time.perf_counter() - t0
-        self.last_footprint = footprint
-        return footprint
-
     # -- the pipeline --------------------------------------------------------
 
     def solve(self) -> None:
@@ -468,10 +422,11 @@ class Solver(ABC):
         started = time.perf_counter() if active else 0.0
         self.budget.begin()
         ins, dels = self._normalize_changes(insertions, deletions)
-        footprint = self._impact_footprint(ins, dels)
         #: pred -> (added, removed) so far this epoch: the EDB diff, then
         #: every visited stratum's exported diff — what downstream strata
-        #: seed from and what is published at the end.
+        #: seed from and what is published at the end.  Entries are made
+        #: for changed rows and a fold only moves rows between sides, so
+        #: every key here names a non-empty entry.
         pending: StratumDiff = {}
         for pred, rows in ins.items():
             pending.setdefault(pred, (set(), set()))[0].update(rows)
@@ -485,17 +440,14 @@ class Solver(ABC):
                 relation.discard(row)
 
         stats = UpdateStats()
-        for index in range(len(self.components)):
-            if footprint is not None and index not in footprint.strata:
-                # Statically outside the batch's impact set: no delta can
-                # reach this stratum (footprints are component-closed), so
-                # its retained fixpoint is what a full solve would recompute.
+        for index, component in enumerate(self.components):
+            if component.upstream.isdisjoint(pending):
+                # A stratum is a function of its upstream relations and its
+                # body-less heads: with no input changed, its retained
+                # fixpoint is what a full solve would recompute.
                 self.metrics.strata_skipped += 1
                 continue
-            outcome = self._update_stratum(index, pending)
-            if outcome is None:
-                continue
-            diff, work = outcome
+            diff, work = self._update_stratum(index, pending)
             self._run_self_check(index)
             stats.work += work
             for pred, (added, removed) in diff.items():
@@ -538,11 +490,11 @@ class Solver(ABC):
     @abstractmethod
     def _update_stratum(
         self, index: int, pending: StratumDiff
-    ) -> tuple[StratumDiff, int] | None:
+    ) -> tuple[StratumDiff, int]:
         """Bring component ``index`` up to date given the epoch's upstream
-        diff so far and publish into ``self._exported``; returns the
-        component's exported diff and a work count, or None when nothing
-        it reads changed."""
+        diff so far (at least one relation it reads changed) and publish
+        into ``self._exported``; returns the component's exported diff and
+        a work count."""
 
     def _epoch_metrics(self, update: bool) -> None:
         """Engine-specific gauges after a solve or update epoch."""

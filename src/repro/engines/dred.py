@@ -123,7 +123,7 @@ class DRedLSolver(Solver):
     def _solve_stratum(self, index: int) -> None:
         state = self._states[index]
         insertions = set()
-        for pred in state.upstream_reads:
+        for pred in state.component.upstream:
             for row in self._exported.get(pred).tuples:
                 insertions.add((pred, row))
         insertions.update(self._static_heads(state))
@@ -133,12 +133,10 @@ class DRedLSolver(Solver):
         state = self._states[index]
         seeds_ins: set[tuple[str, tuple]] = set()
         seeds_del: set[tuple[str, tuple]] = set()
-        for pred in state.upstream_reads & pending.keys():
+        for pred in state.component.upstream & pending.keys():
             added, removed = pending[pred]
             seeds_ins.update((pred, row) for row in added)
             seeds_del.update((pred, row) for row in removed)
-        if not seeds_ins and not seeds_del:
-            return None
         return self._run_component(state, seeds_ins, seeds_del, index)
 
     # -- the DRed delete/re-derive/insert loop -------------------------------
@@ -172,30 +170,12 @@ class DRedLSolver(Solver):
         if oracle is None:
             return
         kernels = self.kernels
-        impact = self.impact
-        # Impact-guided kernel pruning: occurrences pinned on a forever-
-        # empty predicate never see a delta, and re-derivation kernels for
-        # heads no EDB delta can reach are never consulted (over-deletion
-        # only propagates through the delta-reachable closure) — neither is
-        # worth compiling.  Non-viable rules join an empty relation and
-        # enumerate nothing either way.  Ross–Sagiv mode's cleanup sweep
-        # can over-delete along static-rule-fed chains no EDB delta
-        # reaches, so there the re-derivation filter widens to every
-        # possibly-nonempty predicate.
-        if impact is not None:
-            rederive_keep = (
-                impact.delta_reachable
-                if self.inflationary
-                else impact.possibly_nonempty_preds
-            )
         state.occ_kernels = {
             pred: [
                 (rule, literal, kernels.kernel(rule, pinned=occ, oracle=oracle).fn)
                 for rule, literal, occ in entries
-                if impact is None or impact.rule_viable(rule)
             ]
             for pred, entries in state.occurrences.items()
-            if impact is None or impact.possibly_nonempty(pred)
         }
         state.rederive_kernels = {
             pred: [
@@ -207,10 +187,8 @@ class DRedLSolver(Solver):
                     ).fn,
                 )
                 for rule, bound in entries
-                if impact is None or impact.rule_viable(rule)
             ]
             for pred, entries in state.rederive_rules.items()
-            if impact is None or pred in rederive_keep
         }
         state.recompute_kernels = {}
         state.extractors = {}

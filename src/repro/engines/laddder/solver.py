@@ -149,7 +149,7 @@ class LaddderSolver(Solver):
     def _solve_stratum(self, index: int) -> None:
         state = self._states[index]
         deltas = []
-        for pred in sorted(state.upstream_reads):
+        for pred in sorted(state.component.upstream):
             for row in self._exported.get(pred).tuples:
                 deltas.append((pred, row, 0, 1))
         for pred, head_row in self._static_heads(state):
@@ -161,14 +161,12 @@ class LaddderSolver(Solver):
     def _update_stratum(self, index: int, pending: StratumDiff):
         state = self._states[index]
         deltas = []
-        for pred in sorted(state.upstream_reads & pending.keys()):
+        for pred in sorted(state.component.upstream & pending.keys()):
             added, removed = pending[pred]
             for row in added:
                 deltas.append((pred, row, 0, 1))
             for row in removed:
                 deltas.append((pred, row, 0, -1))
-        if not deltas:
-            return None
         return self._compensate(state, deltas, index, compact=self.COMPACT)
 
     def _epoch_metrics(self, update: bool) -> None:
@@ -185,7 +183,7 @@ class LaddderSolver(Solver):
     def timeline(self, pred: str, row: tuple):
         """The differential count timeline of a tuple (Figure 5), if any."""
         for state in self._states:
-            if pred in state.component.predicates or pred in state.reads:
+            if pred in state.component.predicates | state.component.upstream:
                 relation = state.relations.get(pred)
                 if relation is not None and row in relation.timelines:
                     return relation.timelines[row].copy()
@@ -228,11 +226,6 @@ class LaddderSolver(Solver):
         if oracle is None:
             return
         kernels = self.kernels
-        impact = self.impact
-        # Impact-guided kernel pruning: occurrences pinned on a forever-
-        # empty predicate never see an existence change, and a rule joining
-        # a forever-empty relation never grounds a substitution — neither
-        # is worth compiling.
         state.occ_kernels = {
             pred: [
                 (
@@ -246,10 +239,8 @@ class LaddderSolver(Solver):
                     sum(other is rule for other, _, _ in entries) > 1,
                 )
                 for rule, _literal, occ in entries
-                if impact is None or impact.rule_viable(rule)
             ]
             for pred, entries in state.occurrences.items()
-            if impact is None or impact.possibly_nonempty(pred)
         }
         state.extractors = {
             spec.pred: kernels.extractor(spec) for spec in state.specs.values()

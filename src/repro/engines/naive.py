@@ -7,7 +7,7 @@ export (``D_exp``).  No deltas, no timestamps: this engine is deliberately
 simple and serves as the correctness oracle for every other engine.
 
 ``update`` (the shared pipeline, :mod:`repro.engines.resolving`) re-solves
-every affected component from scratch — the Soufflé-style non-incremental
+every component whose inputs changed from scratch — the Soufflé-style non-incremental
 behaviour the paper contrasts with — and reports the exported diff, exactly
 what the impact methodology of Section 3 measures.
 """
@@ -51,9 +51,6 @@ class NaiveSolver(ResolvingSolver):
             (rule, self.kernels.kernel(rule, oracle=oracle).fn)
             for rule in component.rules
             if not rule.is_aggregation
-            # Rules joining a forever-empty relation enumerate nothing;
-            # don't compile (or fire) their kernels at all.
-            and (self.impact is None or self.impact.rule_viable(rule))
         ]
         agg_kernels = {
             spec.pred: self.kernels.kernel(

@@ -4,7 +4,7 @@ Naive and semi-naive evaluation keep no support structure to maintain, so
 their per-stratum update is: forget the component's previous fixpoint and
 recompute it against current upstream state (the Soufflé-style behaviour
 the paper contrasts with).  Everything around that — staging the EDB diff,
-skipping strata outside the static footprint, the exported diff — is the
+skipping strata whose inputs did not change, the exported diff — is the
 shared pipeline of :mod:`repro.engines.base`; the two engines differ only
 in ``_solve_component``, the fixpoint loop itself.
 """

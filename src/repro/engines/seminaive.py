@@ -41,10 +41,6 @@ class SemiNaiveSolver(ResolvingSolver):
         local = RelationStore(self.arities, metrics=self._store_metrics())
         specs = compile_agg_specs(component.rules, self.program)
         plain_rules = [r for r in component.rules if not r.is_aggregation]
-        if self.impact is not None:
-            # Rules joining a forever-empty relation enumerate nothing;
-            # don't compile (or fire) their kernels at all.
-            plain_rules = [r for r in plain_rules if self.impact.rule_viable(r)]
 
         # Relation resolution is on every kernel's path, several probes per
         # call; once resolved, the relation object is stable for the rest of

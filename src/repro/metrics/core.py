@@ -175,7 +175,6 @@ class SolverMetrics:
         "dead_rules_pruned",
         "impact_seconds",
         "strata_skipped",
-        "rules_skipped_by_impact",
         "rollbacks",
         "fallback_resolves",
         "watchdog_trips",
@@ -245,13 +244,12 @@ class SolverMetrics:
         self.check_seconds = 0.0
         self.diagnostics_emitted = 0
         self.dead_rules_pruned = 0
-        # Impact-guided scheduling counters (see repro.datalog.impact /
-        # docs/PERFORMANCE.md).  Index construction happens once per solver
-        # and stratum skips are per-epoch events — both rare enough to
-        # record even while disabled, like the check counters.
+        # Strata an update epoch skipped because nothing they read changed
+        # (docs/PERFORMANCE.md): a per-epoch event, rare enough to record
+        # even while disabled, like the check counters.  ``impact_seconds``
+        # is always 0; it stays only for readers of the JSON export.
         self.impact_seconds = 0.0
         self.strata_skipped = 0
-        self.rules_skipped_by_impact = 0
         # Robustness counters (see repro.robustness / docs/ROBUSTNESS.md).
         # Guard/watchdog events are rare and worth keeping even while
         # disabled: a rollback you cannot see in a profile is a rollback
@@ -427,7 +425,6 @@ class SolverMetrics:
             "impact": {
                 "impact_seconds": self.impact_seconds,
                 "strata_skipped": self.strata_skipped,
-                "rules_skipped_by_impact": self.rules_skipped_by_impact,
             },
             "robustness": {
                 "rollbacks": self.rollbacks,

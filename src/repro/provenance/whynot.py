@@ -13,10 +13,6 @@ against exactly the state a client queries.  Prefix satisfiability is
 monotone (dropping the last plan item preserves any witness), so the
 longest satisfiable prefix is found by walking ``k`` from the full body
 downward and stopping at the first satisfiable slice.
-
-The PR 9 :class:`~repro.datalog.impact.ImpactIndex` prunes the rule set:
-rules that join a statically forever-empty relation cannot "almost fire"
-in any interesting way and are skipped (reported in ``pruned_rules``).
 """
 
 from __future__ import annotations
@@ -93,18 +89,11 @@ class WhyNotReport:
     #: "no-rule" (nothing can derive this predicate).
     reason: str
     frontier: list[RuleFrontier] = field(default_factory=list)
-    #: Rules skipped because the ImpactIndex proved them forever-empty.
-    pruned_rules: int = 0
 
     def format(self) -> str:
         lines = [f"{self.pred}{self.row} is not derived: {self.reason}"]
         for entry in self.frontier:
             lines.append(f"  - {entry.format()}")
-        if self.pruned_rules:
-            lines.append(
-                f"  ({self.pruned_rules} rule(s) statically pruned: they "
-                f"join a forever-empty relation)"
-            )
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -118,7 +107,6 @@ class WhyNotReport:
             "pred": self.pred,
             "row": values(self.row),
             "reason": self.reason,
-            "pruned_rules": self.pruned_rules,
             "frontier": [
                 {
                     "rule": None if entry.rule is None else repr(entry.rule),
@@ -187,17 +175,12 @@ def _whynot(solver, pred: str, row: tuple, max_rules: int) -> WhyNotReport:
 
 
 def _whynot_rules(solver, lookup, pred, row, max_rules) -> WhyNotReport:
-    impact = solver.impact
     frontier: list[RuleFrontier] = []
-    pruned = 0
     rules = solver.program.rules_for(pred)
     if not rules:
         return WhyNotReport(pred, row, "no-rule")
     for rule in rules:
         if rule.is_aggregation:
-            continue
-        if impact is not None and not impact.rule_viable(rule):
-            pruned += 1
             continue
         binding = _bind_head(rule, row)
         if binding is None:
@@ -207,10 +190,7 @@ def _whynot_rules(solver, lookup, pred, row, max_rules) -> WhyNotReport:
         if entry is not None:
             frontier.append(entry)
     frontier.sort(key=lambda e: (e.total - e.satisfied, -e.satisfied))
-    return WhyNotReport(
-        pred, row, "frontier", frontier=frontier[:max_rules],
-        pruned_rules=pruned,
-    )
+    return WhyNotReport(pred, row, "frontier", frontier=frontier[:max_rules])
 
 
 def _frontier_for(solver, lookup, rule, plan, binding) -> RuleFrontier | None:
@@ -247,13 +227,11 @@ def _describe_item(solver, item, witness) -> MissingPremise:
         if item.negated:
             return MissingPremise("negation", item.pred, pattern)
         detail = ""
-        impact = solver.impact
-        if item.pred in solver.edb and (
-            impact is not None and not impact.possibly_nonempty(item.pred)
-        ):
-            detail = "input relation is empty"
-        elif item.pred in solver.edb:
-            detail = "input fact absent"
+        if item.pred in solver.edb:
+            detail = (
+                "input fact absent" if solver.facts(item.pred)
+                else "input relation is empty"
+            )
         return MissingPremise("literal", item.pred, pattern, detail=detail)
     return MissingPremise("constraint", None, (), detail=repr(item))
 

@@ -58,8 +58,8 @@ class UpdateBatch:
 
     @property
     def touched(self) -> list[str]:
-        """The EDB predicates this batch edits — the input the engines feed
-        to the static change-impact index (docs/PERFORMANCE.md)."""
+        """The EDB predicates this batch edits (reported in each flush
+        outcome)."""
         return sorted(set(self.insertions) | set(self.deletions))
 
 

@@ -180,9 +180,6 @@ class Session:
         )
         self._flush_requested = False
         self._last_outcome: dict | None = None
-        #: Static impact footprint of the last applied batch (None until one
-        #: lands, or when ``SolverConfig.impact`` is off).
-        self._last_footprint: dict | None = None
         self._closed = False
         self.failed_batches = 0
         self.last_error: str | None = None
@@ -353,15 +350,8 @@ class Session:
             self._snapshot = snapshot  # publish: a single atomic store
             self.metrics.batches_applied += 1
             self.metrics.snapshots_published += 1
-            footprint = getattr(self.solver.solver, "last_footprint", None)
-            self._last_footprint = (
-                footprint.to_dict() if footprint is not None else None
-            )
             outcome.update(
-                ok=True,
-                version=snapshot.version,
-                impact=stats.impact,
-                footprint=self._last_footprint,
+                ok=True, version=snapshot.version, impact=stats.impact
             )
         else:
             self.failed_batches += 1
@@ -690,7 +680,6 @@ class Session:
             "applied_seq": self._applied_seq,
             "enqueued_seq": self._enqueued_seq,
             "restored_from": self.restored_from,
-            "last_footprint": self._last_footprint,
             "checkpoint": {
                 "path": self.config.checkpoint_path,
                 "every": None,  # read by the frozen harness (ROADMAP item 1)

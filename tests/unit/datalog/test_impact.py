@@ -43,66 +43,11 @@ class TestClosure:
 
     def test_closures_are_component_closed(self, index):
         for pred in index.edb:
-            footprint = index.footprint({pred})
-            for stratum in footprint.strata:
-                component = index.components[stratum]
-                if component.predicates & footprint.predicates:
-                    assert component.predicates <= (
-                        footprint.predicates | index.edb
-                    )
-
-
-class TestViability:
-    def test_fact_rules_are_viable(self, index):
-        by_head = {
-            rule.head.pred: rule
-            for rules in index._rules_by_head.values()
-            for rule in rules
-        }
-        assert index.rule_viable(by_head["config"])
-        assert index.rule_viable(by_head["mode"])
-        assert index.rule_viable(by_head["lonely"])
-
-    def test_rule_on_forever_empty_pred_is_not_viable(self):
-        program = parse("""
-        .export out.
-        out(X) :- ghost(X), ghost2(X, X).
-        ghost2(X, X) :- never(X).
-        never(X) :- ghost2(X, X).
-        """)
-        index = ImpactIndex(program)
-        # ghost is EDB (possibly nonempty); never/ghost2 are a cycle with
-        # no base case, so the out rule can never fire.
-        by_head = {rule.head.pred: rule for rule in program.rules}
-        assert not index.rule_viable(by_head["out"])
-        assert index.possibly_nonempty("ghost")
-        assert not index.possibly_nonempty("never")
-
-
-class TestFootprint:
-    def test_footprint_unions_touched_preds(self, index):
-        alone = index.footprint({"edge"})
-        both = index.footprint({"edge", "node"})
-        assert alone.predicates <= both.predicates
-        assert alone.strata <= both.strata
-        assert both.touched == frozenset({"edge", "node"})
-
-    def test_unknown_pred_footprint_is_empty(self, index):
-        footprint = index.footprint({"no_such_pred"})
-        assert footprint.strata == frozenset()
-        assert footprint.strata_skipped == footprint.strata_total
-
-    def test_covers_and_to_dict(self, index):
-        footprint = index.footprint({"edge"})
-        assert footprint.covers("reach")
-        assert not footprint.covers("mode")
-        payload = footprint.to_dict()
-        assert payload["touched"] == ["edge"]
-        assert payload["strata_skipped"] == footprint.strata_skipped
-        assert set(payload) == {
-            "touched", "predicates", "strata", "lattice_merges",
-            "strata_total", "strata_skipped",
-        }
+            affected = index.affected_predicates(pred)
+            strata = index.affected_strata(pred)
+            assert strata
+            for stratum in strata:
+                assert index.components[stratum].predicates <= affected
 
 
 class TestReport:

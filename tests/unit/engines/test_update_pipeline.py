@@ -92,9 +92,7 @@ def test_exported_edb_rows_are_reported(solver):
 
 def test_update_books_update_seconds_only(engine_cls, program):
     metrics = SolverMetrics(enabled=True)
-    solver = engine_cls(
-        program, metrics=metrics, config=SolverConfig.from_env(impact=False)
-    )
+    solver = engine_cls(program, metrics=metrics)
     solver.add_facts("arc", FACTS["arc"])
     solver.solve()
     solved = metrics.solve_seconds

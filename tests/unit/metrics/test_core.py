@@ -174,11 +174,7 @@ class TestExport:
             "diagnostics_emitted",
             "dead_rules_pruned",
         }
-        assert set(d["impact"]) == {
-            "impact_seconds",
-            "strata_skipped",
-            "rules_skipped_by_impact",
-        }
+        assert set(d["impact"]) == {"impact_seconds", "strata_skipped"}
         assert set(d["provenance"]) == {
             "provenance_annotations",
             "provenance_hits",

@@ -59,6 +59,33 @@ class TestValidationAndKinds:
         assert report.reason == "input-fact-absent"
         assert "insert the fact" in report.format()
 
+    def test_join_on_an_empty_input_relation(self):
+        # ``ghost`` is an input relation no fact was ever staged into: the
+        # frontier says so, instead of blaming one absent fact.
+        p = parse("out(X) :- node(X), ghost(X).")
+        solver = load(LaddderSolver, p, {"node": {(1,)}})
+        report = whynot(solver, "out", (1,))
+        assert report.reason == "frontier"
+        entry = report.frontier[0]
+        assert (entry.missing.pred, entry.missing.pattern) == ("ghost", (1,))
+        assert entry.missing.detail == "input relation is empty"
+        solver.update(insertions={"ghost": {(2,)}})
+        detail = whynot(solver, "out", (1,)).frontier[0].missing.detail
+        assert detail == "input fact absent"
+
+    def test_rule_joining_a_forever_empty_relation_is_in_the_frontier(self):
+        # ``never`` is derived only from itself: no tuple can ever exist.
+        p = parse("""
+            out(X) :- node(X), never(X).
+            never(X) :- never(X), node(X).
+        """)
+        solver = load(LaddderSolver, p, {"node": {(1,)}})
+        report = whynot(solver, "out", (1,))
+        assert report.reason == "frontier"
+        assert [(e.missing.pred, e.satisfied) for e in report.frontier] == [
+            ("never", 1)
+        ]
+
     def test_negation_blocking(self):
         p = parse("safe(X) :- node(X), !bad(X).")
         solver = load(

@@ -144,14 +144,13 @@ ODD = SolverConfig(
     max_iterations=50_000,
     max_chain=4_000,
     deadline=120.0,
-    impact=False,
 )
 
 
 def test_fields_reach_the_solver():
     solver = load(repro.LaddderSolver, tc_program(), tc_facts({(1, 2)}), ODD)
     assert solver.provenance is not None
-    assert solver.self_check and solver.impact is None
+    assert solver.self_check
     budget = solver.budget
     assert (budget.max_iterations, budget.max_chain, budget.deadline) == (
         50_000, 4_000, 120.0

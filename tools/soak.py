@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -48,11 +47,6 @@ def parse_args(argv=None):
     parser.add_argument("--checkpoint-every", type=int, default=25)
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument(
-        "--impact", default=None,
-        help="comma-separated impact-scheduling modes to matrix over "
-        "(on, off; default: on)",
-    )
-    parser.add_argument(
         "--self-check", action="store_true",
         help="run the guarded solver's invariant self-checks every epoch",
     )
@@ -74,8 +68,7 @@ def summarize(record: dict) -> str:
         f"{record['baseline_gauges'].get('timeline_excess', 0)}->{gauge}"
     )
     return (
-        f"{record['subject']}/{record['analysis']}/{record['engine']}"
-        f"[impact={'on' if record['config']['impact'] else 'off'}]: "
+        f"{record['subject']}/{record['analysis']}/{record['engine']}: "
         f"{'ok' if record['ok'] else 'FAIL'}  "
         f"steps={record['steps']} seed={record['seed']} "
         f"p50={latency['p50'] * 1e3:.1f}ms p95={latency['p95'] * 1e3:.1f}ms "
@@ -86,31 +79,23 @@ def summarize(record: dict) -> str:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    base = SolverConfig.from_env().with_request(self_check=args.self_check)
-    impact_modes = ["on"]
-    if args.impact:
-        impact_modes = [m.strip() for m in args.impact.split(",") if m.strip()]
-        for mode in impact_modes:
-            if mode not in ("on", "off"):
-                raise SystemExit(f"--impact modes are on/off, got {mode!r}")
+    config = SolverConfig.from_env().with_request(self_check=args.self_check)
     records = []
-    for impact_mode in impact_modes:
-        config = replace(base, impact=impact_mode == "on")
-        for analysis in args.analyses.split(","):
-            for engine in args.engines.split(","):
-                record = soak(
-                    args.subject,
-                    analysis.strip(),
-                    engine=engine.strip(),
-                    steps=args.steps,
-                    seed=args.seed,
-                    checkpoint_every=args.checkpoint_every,
-                    scale=args.scale,
-                    config=config,
-                    drive_session=args.session,
-                )
-                records.append(record)
-                print(summarize(record), flush=True)
+    for analysis in args.analyses.split(","):
+        for engine in args.engines.split(","):
+            record = soak(
+                args.subject,
+                analysis.strip(),
+                engine=engine.strip(),
+                steps=args.steps,
+                seed=args.seed,
+                checkpoint_every=args.checkpoint_every,
+                scale=args.scale,
+                config=config,
+                drive_session=args.session,
+            )
+            records.append(record)
+            print(summarize(record), flush=True)
     if args.json:
         print(json.dumps(records, indent=2, default=str))
     failures = [r for r in records if not r["ok"]]
