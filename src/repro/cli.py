@@ -263,8 +263,8 @@ def _parse_cli_row(args) -> tuple | None:
 def cmd_explain(args) -> int:
     """``explain``: derivations, why-not frontiers, rollback suggestions.
 
-    Default mode prints one derivation of a selected result tuple, using
-    the height-guided provenance fast path (docs/PROVENANCE.md).
+    Default mode prints a minimum-height derivation of a selected result
+    tuple, reconstructed on demand (docs/PROVENANCE.md).
     ``--whynot`` explains an *absent* tuple instead; ``--rollback`` adds
     verified input-edit suggestions that remove the selected tuple.
     """
@@ -272,9 +272,8 @@ def cmd_explain(args) -> int:
     from .service.snapshot import match_rows, order_rows
 
     _subject, instance = _build(args)
-    config = SolverConfig.from_env(provenance=True)
     try:
-        solver = instance.make_solver(ENGINES[args.engine], config=config)
+        solver = instance.make_solver(ENGINES[args.engine])
         row = _parse_cli_row(args)
 
         if args.whynot:

@@ -30,7 +30,6 @@ def _positive(name: str, raw: str) -> int | None:
 
 #: field -> (environment name, parser); the other fields have none.
 _ENV = {
-    "provenance": ("REPRO_PROVENANCE", _flag),
     "self_check": ("REPRO_SELF_CHECK", _flag),
     "max_iterations": ("REPRO_MAX_ITERS", _positive),
     "max_chain": ("REPRO_MAX_CHAIN", _positive),
@@ -42,8 +41,6 @@ class SolverConfig:
     """How a solver evaluates; what it computes never depends on it
     (exported views are bit-equal under every value)."""
 
-    #: Capture per-tuple (rule_id, height) annotations (docs/PROVENANCE.md).
-    provenance: bool = False
     #: Validate engine invariants after every stratum (docs/ROBUSTNESS.md).
     self_check: bool = False
     #: Watchdog budgets (repro.robustness.watchdog.Budget); None leaves the
@@ -58,12 +55,11 @@ class SolverConfig:
     #: Drop dead rules before planning (docs/STATIC_CHECKS.md).
     prune: bool = True
 
-    def with_request(self, provenance=False, self_check=False, deadline=None):
+    def with_request(self, self_check=False, deadline=None):
         """This configuration with what a request (an ``open`` op, CLI
         flags) asked for on top: a request switches features on, never off."""
         return replace(
             self,
-            provenance=self.provenance or provenance,
             self_check=self.self_check or self_check,
             deadline=self.deadline if deadline is None else deadline,
         )

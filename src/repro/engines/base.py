@@ -274,14 +274,6 @@ class Solver(ABC):
         #: Active undo log installed by repro.robustness.guard.UpdateGuard;
         #: None outside a guarded update.
         self._undo: list | None = None
-        #: Per-tuple (rule_id, height) annotations recorded at emit time,
-        #: from which repro.engines.explain reconstructs proof trees
-        #: (docs/PROVENANCE.md); None with ``config.provenance`` off.
-        self.provenance = None
-        if config.provenance:
-            from ..provenance.store import ProvenanceStore
-
-            self.provenance = ProvenanceStore(self.program, metrics=self.metrics)
         # Engine state starts out as an empty from-scratch solve would.
         self._reset()
 
@@ -392,8 +384,6 @@ class Solver(ABC):
         self.budget.begin()
         self._exported = RelationStore(self.arities, metrics=self._store_metrics())
         self._reset()
-        if self.provenance is not None:
-            self.provenance.clear_all()
         for pred, rows in self._fact_items():
             relation = self._exported.get(pred)
             for row in rows:
@@ -501,13 +491,10 @@ class Solver(ABC):
 
     def _static_heads(self, state: ComponentState) -> Iterator[tuple[str, tuple]]:
         """``(pred, row)`` heads of the component's body-less rules — part
-        of every from-scratch seed — hinted for provenance."""
-        prov = self.provenance
+        of every from-scratch seed."""
         for rule in state.static_rules:
             pred = rule.head.pred
             for head_row in self.kernels.kernel(rule).fn(state.rel):
-                if prov is not None:
-                    prov.hint(pred, head_row, rule)
                 yield pred, head_row
 
     def _stale_kernels(self, state: ComponentState) -> Callable[[str], int] | None:

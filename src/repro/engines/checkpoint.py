@@ -39,7 +39,6 @@ import os
 import pickle
 import struct
 import zlib
-from dataclasses import replace
 from pathlib import Path
 from typing import Type
 
@@ -61,10 +60,11 @@ __all__ = [
 
 #: Envelope marker leading every checkpoint file.
 MAGIC = b"REPROCKPT"
-#: Checkpoint format version, the only one this build reads: the payload
-#: records (docs/PROVENANCE.md) the annotation map; group state is pickled
-#: without its combine callable.  Files written while a second storage
-#: layout existed also carry ``backend`` and ``intern`` entries.
+#: Checkpoint format version, the only one this build reads: group state is
+#: pickled without its combine callable.  Files written while a second
+#: storage layout existed also carry ``backend`` and ``intern`` entries, and
+#: files written while provenance capture existed a ``provenance`` entry
+#: (ignored: docs/PROVENANCE.md).
 VERSION = 4
 _HEADER = struct.Struct(f">{len(MAGIC)}sH32s")
 
@@ -85,9 +85,6 @@ def dump_state(solver: Solver, covers: tuple[int, int] | None = None) -> bytes:
         # what the engine and its component states declare in ``STATE``.
         "attrs": declared_state(solver),
         "components": [declared_state(state) for state in solver._states] or None,
-        "provenance": (
-            solver.provenance.dump() if solver.provenance is not None else None
-        ),
     }
     if covers is not None:
         payload["log_record"], payload["seq"] = covers
@@ -167,9 +164,7 @@ def load_base(
     truncated file — raises :class:`CheckpointError`.  ``metrics``, when
     given, is attached to the restored solver (service sessions keep one
     collector alive across a restore).  The solver is built with ``config``
-    (a :class:`SolverConfig`; None: the environment's), with provenance
-    switched on if the file carries annotations — their capture cost is
-    already paid, and explain works immediately.
+    (a :class:`SolverConfig`; None: the environment's).
     """
     path = Path(path)
     body = _read_body(path)
@@ -192,11 +187,9 @@ def load_base(
             f"backend, which this build no longer has; re-run the initial "
             f"analysis"
         )
-    config = config or SolverConfig.from_env()
-    annotations = payload["provenance"]
-    if annotations is not None:
-        config = replace(config, provenance=True)
-    solver = solver_cls(program, metrics=metrics, config=config)
+    solver = solver_cls(
+        program, metrics=metrics, config=config or SolverConfig.from_env()
+    )
     if payload["program"] != solver._program_hash:
         raise CheckpointError(
             "checkpoint does not match the program (rules differ); "
@@ -218,8 +211,6 @@ def load_base(
         raise CheckpointError("checkpoint component count mismatch")
     for state, entry in zip(solver._states, components):
         state.adopt(entry)
-    if annotations is not None:
-        solver.provenance.restore(annotations)
     return solver, payload.get("log_record", 0), payload.get("seq", 0)
 
 

@@ -66,8 +66,8 @@ class _DredComponent(ComponentState):
         for rule in self.plain_rules:
             bound = frozenset(v.name for v in rule.head_variables())
             self.rederive_rules.setdefault(rule.head.pred, []).append((rule, bound))
-        #: head pred -> [(rule, shape.bind_head, exists-kernel)].
-        self.rederive_kernels: dict[str, list[tuple[Rule, object, object]]] = {}
+        #: head pred -> [(shape.bind_head, exists-kernel)].
+        self.rederive_kernels: dict[str, list[tuple[object, object]]] = {}
         self.recompute_kernels: dict[str, object] = {}
 
     def reset(self) -> None:
@@ -180,7 +180,6 @@ class DRedLSolver(Solver):
         state.rederive_kernels = {
             pred: [
                 (
-                    rule,
                     kernels.shape(rule).bind_head,
                     kernels.kernel(
                         rule, bound=bound, emit="exists", oracle=oracle
@@ -299,8 +298,6 @@ class DRedLSolver(Solver):
                     row = spec.tuple_for(key, exact)
                     if row not in state.rel(spec_pred):
                         to_insert.add((spec_pred, row))
-                        if self.provenance is not None:
-                            self.provenance.hint(spec_pred, row, spec.rule)
                 if not to_insert:
                     break
                 work += self._insertion_sweep(
@@ -349,8 +346,6 @@ class DRedLSolver(Solver):
                             row = spec.tuple_for(key, stored)
                             if row not in state.rel(spec_pred):
                                 pending_ins.add((spec_pred, row))
-                                if self.provenance is not None:
-                                    self.provenance.hint(spec_pred, row, spec.rule)
                         continue
                     if stored is not None:
                         old_row = spec.tuple_for(key, stored)
@@ -362,8 +357,6 @@ class DRedLSolver(Solver):
                         totals[key] = recomputed
                         new_row = spec.tuple_for(key, recomputed)
                         pending_ins.add((spec_pred, new_row))
-                        if self.provenance is not None:
-                            self.provenance.hint(spec_pred, new_row, spec.rule)
         else:
             raise self._budget_exceeded(
                 f"DRedL exceeded {max_rounds} delete/re-derive rounds in "
@@ -471,24 +464,18 @@ class DRedLSolver(Solver):
         # are restored when alternative support survives.  Upstream rows are
         # inputs (never derived) and aggregates are restored by group
         # reconciliation.
-        prov = self.provenance
         overdeleted_local: list[tuple[str, tuple]] = []
         for pred, row in removed:
             if rel(pred).discard(row):
                 if stratum is not None:
                     metrics.tuples_retracted += 1
                 record_remove(pred, row)
-                if prov is not None and pred in state.component.predicates:
-                    prov.forget(pred, row)
                 if pred in state.component.predicates and pred not in state.specs:
                     overdeleted_local.append((pred, row))
 
         for pred, row in sorted(overdeleted_local, key=repr):
-            supporting = self._rederivable(state, pred, row)
-            if supporting is not None:
+            if self._rederivable(state, pred, row):
                 pending_ins.add((pred, row))
-                if prov is not None:
-                    prov.hint(pred, row, supporting)
             work += 1
 
         for pred, row in negation_reinserts:
@@ -497,8 +484,6 @@ class DRedLSolver(Solver):
                     continue
                 for head_row in kernel(rel, row):
                     pending_ins.add((rule.head.pred, head_row))
-                    if prov is not None:
-                        prov.hint(rule.head.pred, head_row, rule)
                     work += 1
         return work
 
@@ -513,7 +498,6 @@ class DRedLSolver(Solver):
         being rebuilt is never torn down mid-flight.  Insertions into
         negated atoms seed the next round's deletions."""
         metrics = self.metrics
-        prov = self.provenance
         rel = state.rel
         work = 0
         worklist = list(seeds)
@@ -527,14 +511,10 @@ class DRedLSolver(Solver):
                 # cannot outlive the wall-clock budget.
                 self._poll_budget("DRedL insertion sweep")
             if not rel(pred).add(row):
-                if prov is not None:
-                    prov.drop_hint(pred, row)
                 if stratum is not None:
                     metrics.derivations(stratum, 0, 1)
                 continue
             work += 1
-            if prov is not None and pred in state.component.predicates:
-                prov.annotate(pred, row)
             if stratum is not None:
                 metrics.derivations(stratum, 1)
             record_add(pred, row)
@@ -552,8 +532,6 @@ class DRedLSolver(Solver):
                     enumerated += 1
                     if head_row not in head_rel:
                         worklist.append((head_pred, head_row))
-                        if prov is not None:
-                            prov.hint(head_pred, head_row, rule)
                 if stratum is not None:
                     metrics.rule_fired(
                         repr(rule), 0, 0, perf_counter() - t0,
@@ -584,8 +562,6 @@ class DRedLSolver(Solver):
                     total_row = spec.tuple_for(key, new_total)
                     if total_row not in rel(spec.pred):
                         worklist.append((spec.pred, total_row))
-                        if prov is not None:
-                            prov.hint(spec.pred, total_row, spec.rule)
                     continue
                 totals[key] = new_total
                 # The one loop in DRedL with no round guard: a strictly
@@ -595,21 +571,18 @@ class DRedLSolver(Solver):
                 self._chain_advance(spec.pred, key)
                 advanced_row = spec.tuple_for(key, new_total)
                 worklist.append((spec.pred, advanced_row))
-                if prov is not None:
-                    prov.hint(spec.pred, advanced_row, spec.rule)
         return work
 
-    def _rederivable(self, state, pred: str, row: tuple) -> "Rule | None":
-        """The first rule still deriving ``row`` in the current state, or
-        None when no alternative support survives."""
+    def _rederivable(self, state, pred: str, row: tuple) -> bool:
+        """Does some rule still derive ``row`` in the current state?"""
         rel = state.rel
-        for rule, bind_head, kernel in state.rederive_kernels.get(pred, ()):
+        for bind_head, kernel in state.rederive_kernels.get(pred, ()):
             binding = bind_head(row)
             if binding is None:
                 continue
             for _ in kernel(rel, binding):
-                return rule
-        return None
+                return True
+        return False
 
     def _recompute_total(self, state, spec: AggSpec, key: tuple):
         """Fold the group's surviving aggregands; None if the group is empty."""

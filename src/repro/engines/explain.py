@@ -7,22 +7,16 @@ solver by re-evaluating rules head-bound against the solver's exported
 relations (the same technique as DRed's re-derivation check, turned into a
 user-facing feature).
 
-With provenance capture enabled (``SolverConfig.provenance``,
-docs/PROVENANCE.md), the search is **height
-guided**: every derived tuple carries a ``(rule_id, height)`` annotation
-recorded at emit time, so reconstruction tries the annotated rule first
-and accepts the first grounding whose positive premises all precede the
-node on the insertion clock.  Descent along strictly decreasing heights is
-well-founded — no candidate enumeration, no cycle backtracking — making
-proof search linear in the size of the returned tree.  Annotations are
-hints, not ground truth: every accepted grounding is re-verified against
-the exported views, and a node whose hint does not pan out (incremental
-epochs can reorder the clock) falls back to the full search below.
-
-The fallback search is depth-bounded and cycle-safe: a premise already on
-the current path is reported as a ``(cycle)`` leaf rather than recursed
-into — for inflationary fixpoints a non-cyclic derivation always exists,
-but the first rule found may be the recursive one.
+Nothing is recorded while solving (docs/PROVENANCE.md).  The tree is a
+**minimum-height** one: a memoised bounded-provability check finds each
+node's least height by iterative deepening, and the node is built from a
+grounding whose positive premises are provable one level lower.  Heights
+strictly decrease along every such descent, so the tree has no cycles and
+needs no candidate enumeration; it reads the same on every engine and
+after any number of incremental epochs.  The recursion through aggregate
+tuples, which expand into all of their aggregands, is depth-bounded and
+cycle-safe: a tuple already on the current path is reported as a
+``(cycle)`` leaf rather than recursed into.
 """
 
 from __future__ import annotations
@@ -116,9 +110,9 @@ class Derivation:
 def explain(
     solver: Solver, pred: str, row: tuple, max_depth: int = 12
 ) -> Derivation:
-    """Reconstruct one derivation of ``row`` in ``pred`` from the exported
-    relations of a solved solver.  Raises :class:`SolverError` if the tuple
-    is not present."""
+    """Reconstruct a minimum-height derivation of ``row`` in ``pred`` from
+    the exported relations of a solved solver.  Raises :class:`SolverError`
+    if the tuple is not present."""
     solver._require_solved()
     metrics = solver.metrics
     metrics.provenance_explains += 1
@@ -127,139 +121,145 @@ def explain(
         row = tuple(row)
         if row not in solver.relation(pred):
             raise SolverError(f"{pred}{row} is not derived")
-        return _explain(
-            solver, _lookup(solver), pred, row, path=set(), depth=max_depth
-        )
+        return _Search(solver).tree(pred, row, max_depth, set())
     finally:
         metrics.provenance_seconds += perf_counter() - started
 
 
-def _explain(solver, lookup, pred, row, path, depth) -> Derivation:
-    if pred in solver.edb:
-        return Derivation(pred, row, "fact")
-    if (pred, row) in path:
-        return Derivation(pred, row, "cycle")
-    if depth <= 0:
-        return Derivation(pred, row, "depth")
-    path = path | {(pred, row)}
+class _Search:
+    """Minimum-height proof search over one solver's exported views.
 
-    agg_rule = solver._aggregation_rule(pred)
-    if agg_rule is not None:
-        return _explain_aggregate(solver, lookup, pred, row, agg_rule, path, depth)
+    ``provable(pred, row, d)`` holds when the tuple has a derivation of
+    height at most ``d``: an input fact or an aggregate tuple at any
+    ``d >= 1`` (aggregates are leaves here; :meth:`tree` expands them into
+    their aggregands), a derived tuple when some grounding of one of its
+    rules has every positive premise provable at ``d - 1``.  Each tuple's
+    groundings are enumerated once, and what a check learns is kept as two
+    bounds (least height known provable, greatest known not), so iterative
+    deepening never re-settles a tuple.
+    """
 
-    prov = getattr(solver, "provenance", None)
-    rules = solver.program.rules_for(pred)
-    annotation = prov.get(pred, row) if prov is not None else None
-    if annotation is not None:
-        rule_id, height = annotation
-        hinted = prov.rule_for(rule_id)
-        if hinted is not None and hinted.head.pred == pred:
-            rules = [hinted] + [r for r in rules if r is not hinted]
-        # Height-guided pass: accept the first grounding whose positive
-        # premises all strictly precede this node on the insertion clock.
-        # Heights then decrease along every recursion, so the descent is
-        # well-founded and needs no candidate enumeration — the linear-in-
-        # tree-size reconstruction of Zhao et al.
-        for rule in rules:
+    def __init__(self, solver: Solver):
+        self.solver = solver
+        self.lookup = _lookup(solver)
+        self.aggregates: dict[str, Rule] = {
+            rule.head.pred: rule
+            for rule in solver.program.rules
+            if rule.is_aggregation
+        }
+        self._plans: dict[int, list] = {}
+        self._groundings: dict[tuple, list] = {}
+        self._proved: dict[tuple, int] = {}
+        self._refuted: dict[tuple, int] = {}
+
+    def groundings(self, pred: str, row: tuple) -> list:
+        """``(rule, literals)`` per grounding of a rule deriving the tuple,
+        ``literals`` being ``(pred, row, negated)`` in body order."""
+        key = (pred, row)
+        found = self._groundings.get(key)
+        if found is None:
+            found = self._groundings[key] = list(self._ground(pred, row))
+        return found
+
+    def _ground(self, pred: str, row: tuple):
+        program = self.solver.program
+        for rule in program.rules_for(pred):
             binding = _bind_head(rule, row)
             if binding is None:
                 continue
-            plan = plan_body(rule, initially_bound=rule.head_variables())
-            for theta in run_plan(plan, solver.program, lookup, dict(binding)):
-                if not _descends(solver, prov, rule, theta, height):
-                    continue
-                solver.metrics.provenance_hits += 1
-                return Derivation(
-                    pred, row, "rule", rule=rule,
-                    premises=_premises(solver, lookup, rule, theta, path, depth),
+            plan = self._plans.get(id(rule))
+            if plan is None:
+                plan = self._plans[id(rule)] = plan_body(
+                    rule, initially_bound=rule.head_variables()
                 )
-        # The clock got reordered for this node (incremental re-insertion);
-        # annotations are hints, so fall through to the full search.
-        solver.metrics.provenance_fallbacks += 1
+            for theta in run_plan(plan, program, self.lookup, dict(binding)):
+                yield rule, tuple(
+                    (
+                        item.pred,
+                        tuple(term_value(t, theta) for t in item.atom.args),
+                        item.negated,
+                    )
+                    for item in rule.body
+                    if isinstance(item, Literal)
+                )
 
-    # Gather a few candidate derivations and prefer one without cycle
-    # leaves: the first rule found is often the recursive one, but a
-    # grounded (fact-rooted) derivation reads far better.
-    fallback: Derivation | None = None
-    candidates = 0
-    for rule in rules:
-        binding = _bind_head(rule, row)
-        if binding is None:
-            continue
-        plan = plan_body(rule, initially_bound=rule.head_variables())
-        for theta in run_plan(plan, solver.program, lookup, dict(binding)):
-            candidate = Derivation(
-                pred, row, "rule", rule=rule,
-                premises=_premises(solver, lookup, rule, theta, path, depth),
-            )
-            if not _has_cycle(candidate):
-                return candidate
-            if fallback is None:
-                fallback = candidate
-            candidates += 1
-            if candidates >= 8:
-                return fallback
-    if fallback is not None:
-        return fallback
-    # Present in the exported view but not re-derivable from exports alone
-    # (e.g. derived from pruned intermediates): report it as opaque.
-    return Derivation(pred, row, "depth")
-
-
-def _premises(solver, lookup, rule, theta, path, depth) -> list[Derivation]:
-    """Build the premise nodes for one grounded body substitution."""
-    premises = []
-    for item in rule.body:
-        if isinstance(item, Literal) and not item.negated:
-            grounded = tuple(term_value(t, theta) for t in item.atom.args)
-            premises.append(
-                _explain(solver, lookup, item.pred, grounded, path, depth - 1)
-            )
-        elif isinstance(item, Literal):
-            grounded = tuple(term_value(t, theta) for t in item.atom.args)
-            premises.append(
-                Derivation(f"!{item.pred}", grounded, "negation")
-            )
-    return premises
-
-
-def _descends(solver, prov, rule, theta, height) -> bool:
-    """Do all positive premises of this grounding strictly precede the
-    head on the insertion clock?  (EDB premises always do.)"""
-    for item in rule.body:
-        if not isinstance(item, Literal) or item.negated:
-            continue
-        if item.pred in solver.edb:
-            continue
-        grounded = tuple(term_value(t, theta) for t in item.atom.args)
-        annotation = prov.get(item.pred, grounded)
-        if annotation is None or annotation[1] >= height:
-            return False
-    return True
-
-
-def _has_cycle(node: Derivation) -> bool:
-    if node.kind == "cycle":
-        return True
-    return any(_has_cycle(p) for p in node.premises)
-
-
-def _explain_aggregate(solver, lookup, pred, row, rule, path, depth) -> Derivation:
-    from .aggspec import AggSpec
-
-    spec = AggSpec.compile(rule, solver.program)
-    key, _value = spec.split_tuple(row)
-    premises = []
-    for theta in run_plan(spec.plan, solver.program, lookup, {}):
-        theta_key, value = spec.key_and_value(theta)
-        if theta_key != key:
-            continue
-        literal: Literal = spec.plan[0]
-        grounded = tuple(term_value(t, theta) for t in literal.atom.args)
-        premises.append(
-            _explain(solver, lookup, literal.pred, grounded, path, depth - 1)
+    def supports(self, literals, d: int) -> bool:
+        """Does this grounding give its head a derivation of height at most
+        ``d >= 1``?  Every premise, negated ones included, is a level."""
+        return not literals or d >= 2 and all(
+            negated or self.provable(pred, row, d - 1)
+            for pred, row, negated in literals
         )
-    return Derivation(pred, row, "aggregate", rule=rule, premises=premises)
+
+    def provable(self, pred: str, row: tuple, d: int) -> bool:
+        if d < 1:
+            return False
+        if pred in self.solver.edb or pred in self.aggregates:
+            return True
+        key = (pred, row)
+        if self._proved.get(key, d + 1) <= d:
+            return True
+        if self._refuted.get(key, 0) >= d:
+            return False
+        for _rule, literals in self.groundings(pred, row):
+            if self.supports(literals, d):
+                self._proved[key] = min(d, self._proved.get(key, d))
+                return True
+        self._refuted[key] = max(d, self._refuted.get(key, d))
+        return False
+
+    def height(self, pred: str, row: tuple, bound: int) -> int | None:
+        """The tuple's minimum height if it is at most ``bound``."""
+        for d in range(self._refuted.get((pred, row), 0) + 1, bound + 1):
+            if self.provable(pred, row, d):
+                return d
+        return None
+
+    def tree(self, pred: str, row: tuple, budget: int, path: set) -> Derivation:
+        """A derivation whose every node sits one level above its premises'
+        minimum heights; ``budget`` levels are expanded below this node."""
+        if pred in self.solver.edb:
+            return Derivation(pred, row, "fact")
+        key = (pred, row)
+        if key in path:
+            return Derivation(pred, row, "cycle")
+        if budget <= 0:
+            return Derivation(pred, row, "depth")
+        path.add(key)
+        try:
+            agg_rule = self.aggregates.get(pred)
+            if agg_rule is not None:
+                return self._aggregate_tree(pred, row, agg_rule, budget, path)
+            # With no derivation within the budget, expand the first
+            # grounding greedily down to the bound instead.
+            height = self.height(pred, row, budget + 1)
+            for rule, literals in self.groundings(pred, row):
+                if height is None or self.supports(literals, height):
+                    return Derivation(pred, row, "rule", rule=rule, premises=[
+                        Derivation(f"!{p}", r, "negation") if negated
+                        else self.tree(p, r, budget - 1, path)
+                        for p, r, negated in literals
+                    ])
+            # Present in the exported view but not re-derivable from
+            # exports alone (e.g. derived from pruned intermediates).
+            return Derivation(pred, row, "depth")
+        finally:
+            path.discard(key)
+
+    def _aggregate_tree(self, pred, row, rule, budget, path) -> Derivation:
+        from .aggspec import AggSpec
+
+        solver = self.solver
+        spec = AggSpec.compile(rule, solver.program)
+        key, _value = spec.split_tuple(row)
+        literal: Literal = spec.plan[0]
+        premises = []
+        for theta in run_plan(spec.plan, solver.program, self.lookup, {}):
+            if spec.key_and_value(theta)[0] != key:
+                continue
+            grounded = tuple(term_value(t, theta) for t in literal.atom.args)
+            premises.append(self.tree(literal.pred, grounded, budget - 1, path))
+        return Derivation(pred, row, "aggregate", rule=rule, premises=premises)
 
 
 class _ExportView(ColumnIndexed):

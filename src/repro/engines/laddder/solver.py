@@ -269,7 +269,6 @@ class LaddderSolver(Solver):
         """
         self._bind_kernels(state)
         metrics = self.metrics
-        prov = self.provenance
         stratum = (
             metrics.stratum(index, state.component.predicates)
             if metrics.active
@@ -326,14 +325,6 @@ class LaddderSolver(Solver):
                 if fold:
                     touched.add((pred, row))
                 new_first = relation._first[row]
-                if prov is not None and pred in state.component.predicates:
-                    # First-existence transitions are the insert/retract
-                    # events of this engine: annotate on birth (the push-time
-                    # hint carries the rule), forget on collapse to NEVER.
-                    if old_first == NEVER and new_first != NEVER:
-                        prov.annotate(pred, row)
-                    elif old_first != NEVER and new_first == NEVER:
-                        prov.forget(pred, row)
                 if stratum is not None:
                     metrics.compensation(pred, row, t, delta)
                     if delta > 0:
@@ -380,7 +371,6 @@ class LaddderSolver(Solver):
         if not entries:
             return
         metrics = self.metrics
-        prov = self.provenance
         by_rule: dict[int, set] = {}
         neg_skip = (pred, row)
         relations = state.relations
@@ -415,8 +405,6 @@ class LaddderSolver(Solver):
                         (int(t_old), next(counter), head_pred, head_row, -1),
                     )
                 if t_new != NEVER:
-                    if prov is not None:
-                        prov.hint(head_pred, head_row, rule)
                     heapq.heappush(
                         queue,
                         (int(t_new), next(counter), head_pred, head_row, 1),
@@ -436,7 +424,6 @@ class LaddderSolver(Solver):
         """Route a collecting tuple's existence change into the sequential
         aggregator architecture and queue the resulting output-run diffs."""
         undo = self._undo
-        prov = self.provenance
         for spec in state.specs_by_collecting.get(pred, ()):
             if _faults.ACTIVE is not None:
                 _faults.fire("aggregate.combine")
@@ -471,8 +458,6 @@ class LaddderSolver(Solver):
                         queue, (int(t_out_old), next(counter), spec.pred, out_row, -1)
                     )
                 if t_out_new != NEVER:
-                    if prov is not None:
-                        prov.hint(spec.pred, out_row, spec.rule)
                     heapq.heappush(
                         queue, (int(t_out_new), next(counter), spec.pred, out_row, 1)
                     )

@@ -59,7 +59,6 @@ class NaiveSolver(ResolvingSolver):
             for spec in specs.values()
         }
 
-        prov = self.provenance
         max_iterations = self.budget.iterations(self.MAX_ITERATIONS)
         for iteration in range(max_iterations):
             self._poll_budget(f"naive fixpoint, component {index}")
@@ -73,16 +72,12 @@ class NaiveSolver(ResolvingSolver):
                     for head_row in kernel(lookup):
                         if target.add(head_row):
                             changed = True
-                            if prov is not None:
-                                prov.annotate(rule.head.pred, head_row, rule)
                 else:
                     t0 = perf_counter()
                     derived = dedup = 0
                     for head_row in kernel(lookup):
                         if target.add(head_row):
                             derived += 1
-                            if prov is not None:
-                                prov.annotate(rule.head.pred, head_row, rule)
                         else:
                             dedup += 1
                     metrics.rule_fired(
@@ -131,12 +126,8 @@ class NaiveSolver(ResolvingSolver):
             else:
                 groups[key] = value
         target = local.get(spec.pred)
-        prov = self.provenance
         advanced = 0
         for key, total in groups.items():
-            row = spec.tuple_for(key, total)
-            if target.add(row):
+            if target.add(spec.tuple_for(key, total)):
                 advanced += 1
-                if prov is not None:
-                    prov.annotate(spec.pred, row, spec.rule)
         return advanced

@@ -44,8 +44,6 @@ class ResolvingSolver(Solver):
             before[pred] = set(self._exported.get(pred).tuples)
             self._raw.get(pred).clear()
             self._totals.pop(pred, None)
-        if self.provenance is not None:
-            self.provenance.clear_preds(component.predicates)
         self._solve_component(component, index)
         diff: StratumDiff = {}
         for pred, old in before.items():

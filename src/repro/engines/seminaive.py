@@ -85,14 +85,10 @@ class SemiNaiveSolver(ResolvingSolver):
         #: increments); folded into ``metrics`` only when collection is on.
         counts = [0, 0]
 
-        prov = self.provenance
-
-        def derive(pred: str, row: tuple, next_delta: dict, rule=None) -> None:
+        def derive(pred: str, row: tuple, next_delta: dict) -> None:
             if lookup(pred).add(row):
                 next_delta.setdefault(pred, set()).add(row)
                 counts[0] += 1
-                if prov is not None:
-                    prov.annotate(pred, row, rule)
             else:
                 counts[1] += 1
 
@@ -112,7 +108,7 @@ class SemiNaiveSolver(ResolvingSolver):
                 _faults.fire("kernel.emit")
             t0, before = (perf_counter(), tuple(counts)) if stratum else (0.0, (0, 0))
             for head_row in kernel(lookup):
-                derive(rule.head.pred, head_row, delta, rule)
+                derive(rule.head.pred, head_row, delta)
             if stratum is not None:
                 fold_rule(rule, t0, before)
         for spec in specs.values():
@@ -142,7 +138,7 @@ class SemiNaiveSolver(ResolvingSolver):
                     head_pred = rule.head.pred
                     for row in rows:
                         for head_row in kernel(lookup, row):
-                            derive(head_pred, head_row, next_delta, rule)
+                            derive(head_pred, head_row, next_delta)
                     if stratum is not None:
                         fold_rule(rule, t0, before)
                 for spec in specs.values():
@@ -179,7 +175,7 @@ class SemiNaiveSolver(ResolvingSolver):
             else:
                 totals[key] = value
         for key, total in totals.items():
-            derive(spec.pred, spec.tuple_for(key, total), delta, spec.rule)
+            derive(spec.pred, spec.tuple_for(key, total), delta)
 
     def _advance_aggregation(self, spec, collect_rows, derive, next_delta) -> None:
         """Fold newly collected aggregands into running group totals; emit a
@@ -204,4 +200,4 @@ class SemiNaiveSolver(ResolvingSolver):
                 touched.add(key)
                 self._chain_advance(spec.pred, key)
         for key in touched:
-            derive(spec.pred, spec.tuple_for(key, totals[key]), next_delta, spec.rule)
+            derive(spec.pred, spec.tuple_for(key, totals[key]), next_delta)

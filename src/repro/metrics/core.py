@@ -188,9 +188,6 @@ class SolverMetrics:
         "snapshots_published",
         "renders",
         "max_pending",
-        "provenance_annotations",
-        "provenance_hits",
-        "provenance_fallbacks",
         "provenance_explains",
         "provenance_whynots",
         "provenance_seconds",
@@ -273,13 +270,8 @@ class SolverMetrics:
         #: predicate that was read); reads / renders is the reuse ratio.
         self.renders = 0
         self.max_pending = 0
-        # Provenance counters (see repro.provenance / docs/PROVENANCE.md).
-        # Annotation writes are one dict store per derived tuple — cheap
-        # enough to count unconditionally in the opt-in mode — and
+        # Provenance counters (see repro.provenance / docs/PROVENANCE.md):
         # explain/whynot reconstructions are interactive-rate events.
-        self.provenance_annotations = 0
-        self.provenance_hits = 0
-        self.provenance_fallbacks = 0
         self.provenance_explains = 0
         self.provenance_whynots = 0
         self.provenance_seconds = 0.0
@@ -445,9 +437,6 @@ class SolverMetrics:
                 "max_pending": self.max_pending,
             },
             "provenance": {
-                "provenance_annotations": self.provenance_annotations,
-                "provenance_hits": self.provenance_hits,
-                "provenance_fallbacks": self.provenance_fallbacks,
                 "provenance_explains": self.provenance_explains,
                 "provenance_whynots": self.provenance_whynots,
                 "provenance_seconds": self.provenance_seconds,

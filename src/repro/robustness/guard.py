@@ -124,10 +124,6 @@ class UpdateGuard:
         # entries (a new fact predicate fixes its arity in _check_row).
         self._dict_restores.append((solver.arities, dict(solver.arities)))
         self._attr_restores.append((solver, "last_stats", solver.last_stats))
-        # Provenance annotations (docs/PROVENANCE.md) roll back alongside
-        # the tuples they describe.
-        if solver.provenance is not None:
-            self._attach(solver.provenance)
 
         # The engine's own state, as the engine declares it.  Component
         # states also take the log themselves, so relations they create

@@ -58,7 +58,6 @@ _CONFIG_FIELDS = (
     "deadline",
     "self_check",
     "profile",
-    "provenance",
     "checkpoint_path",
     "restore_from",
 )

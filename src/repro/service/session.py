@@ -88,9 +88,6 @@ class SessionConfig:
     self_check: bool = False
     #: Enabled-mode metrics (per-stratum/per-rule tables; costs timers).
     profile: bool = False
-    #: Per-tuple provenance capture (docs/PROVENANCE.md): enables the
-    #: height-guided ``explain`` fast path and annotation checkpointing.
-    provenance: bool = False
     #: Make the session durable: base file here, batch log at ``<path>.log``
     #: (both started afresh unless ``restore_from`` names the same path).
     checkpoint_path: str | None = None
@@ -135,7 +132,7 @@ class Session:
         #: checkpoint restore and guard fallback alike.
         self.solver_config = (
             solver_config or SolverConfig.from_env()
-        ).with_request(config.provenance, config.self_check, config.deadline)
+        ).with_request(config.self_check, config.deadline)
         self.engine_cls = ENGINES[config.engine]
         subject = load_subject(config.subject, scale=config.scale, seed=config.seed)
         self.instance = ANALYSES[config.analysis](subject)
@@ -205,9 +202,7 @@ class Session:
 
     def _load(self, path) -> tuple[GuardedSolver, int, int]:
         """A guarded solver restored from the base at ``path``, with the log
-        record and the router seq that base covers.  When the session
-        captures provenance and the file has none, capture starts here:
-        older tuples reconstruct via the full-search fallback."""
+        record and the router seq that base covers."""
         inner, covered, seq = load_base(
             self.engine_cls, self.instance.program, path,
             metrics=self.metrics, config=self.solver_config,

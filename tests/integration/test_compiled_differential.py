@@ -7,7 +7,7 @@ and along an incremental change sequence.
 
 The interpreter is selected per solver by ``SolverConfig.interpret``; every
 other field comes from the environment, so a run of this suite with
-provenance or self-checks on still multiplies it.
+self-checks on still multiplies it.
 """
 
 from __future__ import annotations

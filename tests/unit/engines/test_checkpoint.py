@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.analyses import constant_propagation
 from repro.changes import literal_to_zero_changes
-from repro.config import SolverConfig
 from repro.corpus import load_subject
 from repro.datalog import SolverError
 from repro.datalog.errors import CheckpointError
@@ -330,39 +329,31 @@ class TestBatchLog:
 
 
 class TestProvenancePayload:
-    """Format v4: the optional provenance annotation payload."""
+    """Format v4 payloads written by older builds."""
 
-    def test_annotations_roundtrip(self, tmp_path):
-        solver = LaddderSolver(
-            tc_program(), config=SolverConfig.from_env(provenance=True)
-        )
-        solver.add_facts("edge", {(1, 2), (2, 3)})
-        solver.solve()
-        path = tmp_path / "tc.ckpt"
-        save_checkpoint(solver, path)
-        restored = load_checkpoint(
-            LaddderSolver,
-            tc_program(),
-            path,
-            config=SolverConfig.from_env(provenance=False),
-        )
-        # The restoring process did not opt in, but the paid-for
-        # annotations come back anyway, and the config says so.
-        assert restored.provenance is not None
-        assert restored.config.provenance
-        assert restored.provenance.annotations == solver.provenance.annotations
-        assert restored.provenance.clock == solver.provenance.clock
+    def test_parent_annotated_checkpoint_restores_and_keeps_updating(self):
+        """``tests/fixtures/parent_annotated.ckpt`` was written by the last
+        build with provenance capture, from an annotated Laddder solve of
+        ``tc`` over the edges below; its ``provenance`` entry is ignored."""
+        from pathlib import Path
 
-    def test_unannotated_checkpoint_restores_without_store(self, tmp_path):
-        # Neither process opts in: no annotations saved, none restored.
-        config = SolverConfig.from_env(provenance=False)
-        solver = LaddderSolver(tc_program(), config=config)
-        solver.add_facts("edge", {(1, 2)})
-        solver.solve()
-        path = tmp_path / "tc.ckpt"
-        save_checkpoint(solver, path)
-        restored = load_checkpoint(LaddderSolver, tc_program(), path, config=config)
-        assert restored.provenance is None
+        from repro.engines.checkpoint import _HEADER
+
+        path = Path(__file__).parents[2] / "fixtures" / "parent_annotated.ckpt"
+        payload = pickle.loads(path.read_bytes()[_HEADER.size:])
+        assert payload["provenance"]["annotations"]
+        restored = load_checkpoint(LaddderSolver, tc_program(), path)
+        live = load(
+            LaddderSolver, tc_program(),
+            tc_facts({(1, 2), (2, 3), (3, 1), (3, 4)}),
+        )
+        assert restored.relations() == live.relations()
+        for batch in (
+            {"insertions": {"edge": {(4, 5)}}},
+            {"deletions": {"edge": {(3, 1)}}},
+        ):
+            assert restored.update(**batch).inserted == live.update(**batch).inserted
+            assert restored.relations() == live.relations()
 
     def test_optimized_pickle_file_still_reads(self, tmp_path, config):
         """Files written before ``pickletools.optimize`` was dropped carry
@@ -392,19 +383,6 @@ class TestProvenancePayload:
         for path in (old, new):
             restored = load_checkpoint(LaddderSolver, fresh, path, config=config)
             assert take_snapshot(restored, 1).digest() == live
-
-    def test_provenance_enabled_restore_continues_capture(self, tmp_path):
-        donor = LaddderSolver(
-            tc_program(), config=SolverConfig.from_env(provenance=True)
-        )
-        donor.add_facts("edge", {(1, 2)})
-        donor.solve()
-        path = tmp_path / "tc.ckpt"
-        save_checkpoint(donor, path)
-        restored = load_checkpoint(LaddderSolver, tc_program(), path)
-        restored.update(insertions={"edge": {(2, 3)}})
-        assert restored.provenance.get("tc", (1, 3)) is not None
-
 
 @pytest.mark.parametrize("engine_cls", [LaddderSolver, SemiNaiveSolver])
 @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import SolverConfig
 from repro.datalog import SolverError, parse
 from repro.engines import LaddderSolver, NaiveSolver, explain
 from repro.lattices import C, ConstantLattice
@@ -17,8 +16,6 @@ from .helpers import (
 )
 
 CONST = ConstantLattice()
-#: Capture on, everything else as the suite's environment has it.
-PROVENANCE = SolverConfig.from_env(provenance=True)
 
 
 def leaf_kinds(node):
@@ -145,35 +142,43 @@ class TestLatticeExplanations:
 
 
 class TestHeightGuidedProvenance:
-    def test_annotated_solver_takes_fast_path(self):
-        solver = LaddderSolver(tc_program(), config=PROVENANCE)
-        solver.add_facts("edge", {(i, i + 1) for i in range(10)})
-        solver.solve()
+    """Nothing is captured while solving: every engine returns a
+    minimum-height tree, before and after incremental epochs."""
+
+    #: A 0 -> 10 chain with a shortcut 0 -> 5 and a back edge 10 -> 0, so
+    #: the recursive rule matches many groundings at every node.
+    CHAIN = {(i, i + 1) for i in range(10)} | {(0, 5), (10, 0)}
+
+    def test_minimum_height_on_every_engine(self, engine_cls):
+        solver = load(engine_cls, tc_program(), tc_facts(self.CHAIN))
         d = explain(solver, "tc", (0, 10))
         assert leaf_kinds(d) == {"fact"}
-        assert solver.metrics.provenance_hits > 0
+        # 0 -> 5 -> ... -> 10 is six edges: six tc levels over an edge leaf.
+        assert d.height() == 7
+        # tc(0, 0) closes the cycle along the shortest one, 0 -> 5 -> 10 -> 0.
+        assert explain(solver, "tc", (0, 0)).height() == 8
 
-    def test_tree_identical_with_and_without_annotations(self):
-        facts = tc_facts({(1, 2), (2, 3), (3, 4)})
-        plain = load(LaddderSolver, tc_program(), facts)
-        annotated = LaddderSolver(tc_program(), config=PROVENANCE)
-        annotated.add_facts("edge", facts["edge"])
-        annotated.solve()
-        for row in plain.relation("tc"):
-            a = explain(plain, "tc", row)
-            b = explain(annotated, "tc", row)
-            # Both are fact-rooted, verifiable trees of the same tuple;
-            # shapes may differ, roots and leaf kinds may not.
-            assert (a.pred, a.row) == (b.pred, b.row)
-            assert leaf_kinds(a) == leaf_kinds(b) == {"fact"}
+    def test_heights_agree_across_engines(self):
+        from repro.service.session import ENGINES
 
-    def test_fast_path_after_incremental_update(self):
-        solver = LaddderSolver(tc_program(), config=PROVENANCE)
-        solver.add_facts("edge", {(1, 2)})
-        solver.solve()
-        solver.update(insertions={"edge": {(2, 3), (3, 4)}})
-        d = explain(solver, "tc", (1, 4))
-        assert leaf_kinds(d) == {"fact"}
+        solvers = [
+            load(cls, tc_program(), tc_facts(self.CHAIN))
+            for cls in ENGINES.values()
+        ]
+        for row in solvers[0].relation("tc"):
+            heights = {explain(s, "tc", row).height() for s in solvers}
+            assert len(heights) == 1, (row, heights)
+
+    def test_minimum_height_after_incremental_update(self, engine_cls):
+        solver = load(
+            engine_cls, tc_program(), tc_facts({(i, i + 1) for i in range(10)})
+        )
+        assert explain(solver, "tc", (0, 10)).height() == 11
+        solver.update(insertions={"edge": {(0, 5)}})
+        assert explain(solver, "tc", (0, 10)).height() == 7
+        solver.update(deletions={"edge": {(0, 5)}}, insertions={"edge": {(2, 9)}})
+        d = explain(solver, "tc", (0, 10))
+        assert d.height() == 5 and leaf_kinds(d) == {"fact"}
 
 
 class TestSchemaAndMetrics:

@@ -176,9 +176,6 @@ class TestExport:
         }
         assert set(d["impact"]) == {"impact_seconds", "strata_skipped"}
         assert set(d["provenance"]) == {
-            "provenance_annotations",
-            "provenance_hits",
-            "provenance_fallbacks",
             "provenance_explains",
             "provenance_whynots",
             "provenance_seconds",

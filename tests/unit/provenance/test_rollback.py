@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import SolverConfig
 from repro.datalog import SolverError
 from repro.engines import DRedLSolver, LaddderSolver, NaiveSolver, SemiNaiveSolver
 from repro.provenance import suggest_rollbacks
@@ -68,9 +67,7 @@ class TestTaintAlarm:
         )
 
     def test_alarm_removal_matches_from_scratch(self, instance):
-        solver = instance.make_solver(
-            LaddderSolver, config=SolverConfig.from_env(provenance=True)
-        )
+        solver = instance.make_solver(LaddderSolver)
         alarm = next(
             row for row in solver.relation("sink_alert")
             if row[1] == "Main.main/x"

@@ -14,6 +14,8 @@ CONFIG = {
     "subject": "minijavac",
     "flush_size": 10_000,
     "flush_latency": 600.0,
+    # Sent by clients written while capture was opt-in: ignored like any
+    # unknown ``open`` field.
     "provenance": True,
 }
 
@@ -198,10 +200,10 @@ class TestConfigAndSessions:
         assert response["ok"]
         stats = protocol.handle({"op": "stats", "session": "p"})
         assert stats["ok"]
+        assert "provenance" not in stats["solver_config"]
 
     def test_ops_work_without_provenance_annotations(self, protocol):
-        # Reconstruction falls back to height-blind search when the
-        # session never opted in to capture.
+        # Nothing is captured by any session, whatever ``open`` sent.
         response = protocol.handle(
             {"op": "open", **{**CONFIG, "provenance": False}}
         )

@@ -20,12 +20,12 @@ DEFAULTS = asdict(SolverConfig())
 #: (environment, the fields it moves off their defaults)
 ENV_TABLE = [
     ({}, {}),
-    ({"REPRO_PROVENANCE": " 1 "}, {"provenance": True}),
+    ({"REPRO_SELF_CHECK": " 1 "}, {"self_check": True}),
     ({"REPRO_MAX_ITERS": " 12 "}, {"max_iterations": 12}),
     ({"REPRO_MAX_CHAIN": ""}, {}),
-    ({"REPRO_PROVENANCE": ""}, {}),
-    ({"REPRO_PROVENANCE": "0"}, {}),
-    ({"REPRO_PROVENANCE": "1"}, {"provenance": True}),
+    ({"REPRO_MAX_CHAIN": " 5 "}, {"max_chain": 5}),
+    ({"REPRO_SELF_CHECK": " 0 "}, {}),
+    ({"REPRO_MAX_ITERS": "1"}, {"max_iterations": 1}),
     ({"REPRO_SELF_CHECK": ""}, {}),
     ({"REPRO_SELF_CHECK": "0"}, {}),
     ({"REPRO_SELF_CHECK": "1"}, {"self_check": True}),
@@ -33,16 +33,17 @@ ENV_TABLE = [
     ({"REPRO_MAX_ITERS": "7"}, {"max_iterations": 7}),
     ({"REPRO_MAX_CHAIN": "9"}, {"max_chain": 9}),
     (
-        {"REPRO_PROVENANCE": "1", "REPRO_SELF_CHECK": "1", "REPRO_MAX_ITERS": "3"},
-        {"provenance": True, "self_check": True, "max_iterations": 3},
+        {"REPRO_MAX_CHAIN": "2", "REPRO_SELF_CHECK": "1", "REPRO_MAX_ITERS": "3"},
+        {"max_chain": 2, "self_check": True, "max_iterations": 3},
     ),
     # Names that are not configuration (or not any more) are not read.
     ({"REPRO_BACKEND": "columnar"}, {}),
+    ({"REPRO_PROVENANCE": "1"}, {}),
     ({"REPRO_FAULT": "kernel.emit", "REPRO_UNHEARD_OF": "x"}, {}),
 ]
 
 MALFORMED = [
-    ("REPRO_PROVENANCE", "yes"),
+    ("REPRO_SELF_CHECK", "yes"),
     ("REPRO_SELF_CHECK", "true"),
     ("REPRO_SELF_CHECK", "2"),
     ("REPRO_MAX_ITERS", "zero"),
@@ -63,9 +64,9 @@ class TestFromEnv:
             SolverConfig.from_env({name: raw})
 
     def test_overrides_win(self):
-        environ = {"REPRO_SELF_CHECK": "1", "REPRO_PROVENANCE": "1"}
+        environ = {"REPRO_SELF_CHECK": "1", "REPRO_MAX_CHAIN": "8"}
         config = SolverConfig.from_env(
-            environ, provenance=False, deadline=2.5, interpret=True
+            environ, max_chain=None, deadline=2.5, interpret=True
         )
         assert config == SolverConfig(
             self_check=True, deadline=2.5, interpret=True
@@ -78,7 +79,7 @@ class TestFromEnv:
     def test_frozen_and_validated(self):
         config = SolverConfig()
         with pytest.raises(AttributeError):
-            config.provenance = True
+            config.self_check = True
         with pytest.raises(TypeError):
             SolverConfig.from_env({}, replan_factor=2.0)
 
@@ -139,7 +140,6 @@ def test_no_environ_read_under_engines_or_watchdog():
 
 
 ODD = SolverConfig(
-    provenance=True,
     self_check=True,
     max_iterations=50_000,
     max_chain=4_000,
@@ -149,7 +149,6 @@ ODD = SolverConfig(
 
 def test_fields_reach_the_solver():
     solver = load(repro.LaddderSolver, tc_program(), tc_facts({(1, 2)}), ODD)
-    assert solver.provenance is not None
     assert solver.self_check
     budget = solver.budget
     assert (budget.max_iterations, budget.max_chain, budget.deadline) == (
@@ -169,7 +168,7 @@ def test_config_survives_guard_fallback(engine_cls):
     assert reference is not solver and solver.metrics.fallback_resolves == 1
     assert type(reference).__name__ == "SemiNaiveSolver"
     assert reference.config == solver.config == ODD
-    assert reference.provenance is not None and reference.self_check
+    assert reference.self_check
     assert reference.budget.max_iterations == 50_000
     assert (1, 4) in guarded.relation("tc")
 
@@ -185,14 +184,14 @@ class TestSession:
         return Session("cfg", SessionConfig(**fields), solver_config=solver_config)
 
     def test_request_goes_on_top_of_the_process_configuration(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROVENANCE", "1")
+        monkeypatch.setenv("REPRO_SELF_CHECK", "1")
         monkeypatch.setenv("REPRO_MAX_ITERS", "90000")
-        session = self.open(self_check=True, deadline=30.0)
+        session = self.open(self_check=False, deadline=30.0)
         try:
-            # provenance=False in the request is "not asked for", and the
+            # self_check=False in the request is "not asked for", and the
             # environment's opt-in stands.
-            want = SolverConfig.from_env(self_check=True, deadline=30.0)
-            assert want.provenance and want.max_iterations == 90_000
+            want = SolverConfig.from_env(deadline=30.0)
+            assert want.self_check and want.max_iterations == 90_000
             assert session.solver.config == want
             assert session.stats()["solver_config"] == asdict(want)
         finally:
@@ -205,25 +204,23 @@ class TestSession:
             plain.save(path)
         finally:
             plain.close()
-        # Saved without annotations, restored by a capturing, self-checking
-        # session: both the warm start and ``restore`` build the solver with
-        # the session's configuration.
+        # Saved unchecked, restored by a self-checking session: both the
+        # warm start and ``restore`` build the solver with the session's
+        # configuration.
         session = self.open(
             SolverConfig(max_iterations=50_000),
-            provenance=True, self_check=True, deadline=30.0,
+            self_check=True, deadline=30.0,
             restore_from=str(path),
         )
         try:
             want = SolverConfig(
-                max_iterations=50_000, provenance=True, self_check=True,
-                deadline=30.0,
+                max_iterations=50_000, self_check=True, deadline=30.0,
             )
             assert session.solver.config == want
-            assert session.solver.provenance is not None
             session.restore(path)
             inner = session.solver.solver
             assert inner.config == want
-            assert inner.provenance is not None and inner.self_check
+            assert inner.self_check
             assert inner.budget.deadline == 30.0
             assert session.stats()["solver_config"]["max_iterations"] == 50_000
         finally:

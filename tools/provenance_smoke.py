@@ -3,8 +3,7 @@
 
 Spawns a real ``repro serve`` subprocess on an ephemeral port and drives
 the three provenance operations (docs/PROVENANCE.md) through a socket
-against a provenance-enabled session, asserting the semantic contract at
-every step:
+against a plain session, asserting the semantic contract at every step:
 
 * a rendered row read back from ``query`` feeds ``explain`` verbatim and
   comes back as the root of a derivation grounded in input facts;
@@ -32,7 +31,6 @@ OPEN = {
     "analysis": "constprop",
     "subject": "minijavac",
     "engine": "laddder",
-    "provenance": True,
     # Manual flushing: the script controls exactly when batches apply.
     "flush_size": 100000,
     "flush_latency": 3600.0,
