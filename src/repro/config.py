@@ -52,8 +52,6 @@ class SolverConfig:
     #: Evaluate through the ``run_plan`` interpreter, the reference the
     #: compiled kernels are differentially tested against.
     interpret: bool = False
-    #: Drop dead rules before planning (docs/STATIC_CHECKS.md).
-    prune: bool = True
 
     def with_request(self, self_check=False, deadline=None):
         """This configuration with what a request (an ``open`` op, CLI

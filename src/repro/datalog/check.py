@@ -677,7 +677,7 @@ def live_slice(program: Program) -> tuple[list[Rule], list[Rule], set[str]]:
     Returns ``(live_rules, dead_rules, live_predicates)``.  A rule is live
     iff its head predicate is (transitively) read — positively or negatively
     — while deriving some exported predicate.  The engines prune dead rules
-    before planning/compiling (``SolverConfig.prune``).
+    before planning/compiling (:func:`repro.engines.prepare.prepare`).
     """
     by_head: dict[str, list[Rule]] = {}
     for rule in program.rules:

@@ -44,7 +44,7 @@ from ..datalog.planning import delta_occurrences
 from ..datalog.program import Program
 from ..datalog.stratify import Component
 from ..metrics import SolverMetrics
-from ..robustness.guard import ASSIGNED, JOURNALED, PLAIN, declared_state
+from ..robustness.guard import ASSIGNED, PLAIN, TRANSACTION
 from ..robustness.watchdog import Budget
 from .aggspec import AggSpec, compile_agg_specs
 from .compile import KernelCache
@@ -55,6 +55,12 @@ FactChanges = Mapping[str, Iterable[tuple]]
 
 #: One stratum's exported diff: pred -> (added rows, removed rows).
 StratumDiff = dict[str, tuple[set[tuple], set[tuple]]]
+
+
+def declared_state(owner) -> dict[str, object]:
+    """``attribute -> live value`` for everything ``owner`` (a solver or a
+    component state) declares in its ``STATE``."""
+    return {name: getattr(owner, name) for name in owner.STATE}
 
 
 def program_hash(program: Program) -> str:
@@ -118,7 +124,7 @@ class ComponentState:
     aggregation state (``reset``/``state_size``) and extend ``STATE``.
     """
 
-    STATE = {"relations": JOURNALED}
+    STATE = {"relations": PLAIN}
 
     def __init__(self, component: Component, program: Program, arities: dict):
         self.component = component
@@ -152,10 +158,6 @@ class ComponentState:
         #: pred -> safe size interval (KernelCache.replan_guard); while all
         #: watched sizes stay inside, refresh cannot evict and is skipped.
         self.replan_guard: dict[str, tuple[float, float]] | None = None
-        #: Undo log installed by UpdateGuard for the duration of a guarded
-        #: update; newly created relations inherit it and their creation is
-        #: itself journaled.
-        self.journal: list | None = None
 
     def reset(self) -> None:
         """Drop every stored tuple and aggregate (before a fresh solve)."""
@@ -175,9 +177,9 @@ class ComponentState:
                 f"{sorted(self.component.predicates)}"
             )
         relation = self.new_relation(arity)
-        if self.journal is not None:
-            relation.journal = self.journal
-            self.journal.append((self.relations.pop, pred, None))
+        undo = TRANSACTION.undo
+        if undo is not None:
+            undo.append((dict.pop, self.relations, pred, None))
         return relation
 
     @property
@@ -201,7 +203,7 @@ class Solver(ABC):
     #: Data state, declared once per engine: checkpoints persist exactly
     #: these attributes and UpdateGuard protects exactly these (per kind).
     #: ``_facts`` is journaled by :meth:`_normalize_changes` itself.
-    STATE = {"_facts": PLAIN, "_exported": JOURNALED, "_solved": PLAIN}
+    STATE = {"_facts": PLAIN, "_exported": PLAIN, "_solved": PLAIN}
 
     #: The :class:`ComponentState` subclass of an engine that maintains its
     #: strata in place; None for engines that re-solve them.
@@ -233,8 +235,8 @@ class Solver(ABC):
         self.metrics.engine = type(self).__name__
         # Shared pre-planning pass (repro.engines.prepare): static checks
         # with the validate() first-error contract and dead-rule pruning
-        # (docs/STATIC_CHECKS.md).  Exported views are unaffected either way.
-        prepared = prepare(self.program, prune=config.prune)
+        # (docs/STATIC_CHECKS.md).  Exported views are unaffected by it.
+        prepared = prepare(self.program)
         self.components: list[Component] = prepared.components
         self.metrics.dead_rules_pruned += prepared.dead_rules_pruned
         self.metrics.check_seconds += prepared.check_seconds
@@ -271,11 +273,13 @@ class Solver(ABC):
         #: Run invariant self-checks after every solved component when set;
         #: violations raise InvariantViolationError with a diagnostic dump.
         self.self_check = config.self_check
-        #: Active undo log installed by repro.robustness.guard.UpdateGuard;
-        #: None outside a guarded update.
-        self._undo: list | None = None
         # Engine state starts out as an empty from-scratch solve would.
         self._reset()
+
+    def fresh(self) -> "Solver":
+        """An unsolved solver of this engine on the same program, metrics
+        and configuration (what the guard's fallback re-solves with)."""
+        return type(self)(self.source_program, metrics=self.metrics, config=self.config)
 
     def _store_metrics(self) -> SolverMetrics | None:
         """The metrics object relation stores should count probes into, or
@@ -327,6 +331,9 @@ class Solver(ABC):
             # arity, so later rows — and the relation stores, which treat an
             # unknown predicate as an error — see a consistent declaration.
             self.arities[pred] = len(row)
+            undo = TRANSACTION.undo
+            if undo is not None:
+                undo.append((dict.pop, self.arities, pred, None))
         elif len(row) != expected:
             raise SolverError(
                 f"{pred} expects arity {expected}, got {len(row)}: {row!r}"
@@ -340,7 +347,7 @@ class Solver(ABC):
         inserting a present fact or deleting an absent one is a no-op."""
         ins: dict[str, set[tuple]] = {}
         dels: dict[str, set[tuple]] = {}
-        undo = self._undo
+        undo = TRANSACTION.undo
         for pred, rows in (deletions or {}).items():
             self._check_edb(pred)
             bucket = self._fact_bucket(pred, undo)
@@ -351,7 +358,7 @@ class Solver(ABC):
                     bucket.discard(row)
                     dels.setdefault(pred, set()).add(row)
                     if undo is not None:
-                        undo.append((bucket.add, row))
+                        undo.append((set.add, bucket, row))
         for pred, rows in (insertions or {}).items():
             self._check_edb(pred)
             bucket = self._fact_bucket(pred, undo)
@@ -362,7 +369,7 @@ class Solver(ABC):
                     bucket.add(row)
                     ins.setdefault(pred, set()).add(row)
                     if undo is not None:
-                        undo.append((bucket.discard, row))
+                        undo.append((set.discard, bucket, row))
         return ins, dels
 
     def _fact_bucket(self, pred: str, undo: list | None) -> set[tuple]:
@@ -372,7 +379,7 @@ class Solver(ABC):
         if bucket is None:
             bucket = self._facts[pred] = set()
             if undo is not None:
-                undo.append((self._facts.pop, pred, None))
+                undo.append((dict.pop, self._facts, pred, None))
         return bucket
 
     # -- the pipeline --------------------------------------------------------
@@ -621,7 +628,6 @@ __all__ = [
     "ASSIGNED",
     "ComponentState",
     "FactChanges",
-    "JOURNALED",
     "PLAIN",
     "Relations",
     "Solver",

@@ -33,6 +33,7 @@ JSON`` line each); the base's payload names the last log record and router
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -168,6 +169,20 @@ def load_base(
     """
     path = Path(path)
     body = _read_body(path)
+    # A restore allocates a whole solved state at once.  A full collection
+    # triggered meanwhile traverses every other live object of the process
+    # (the other sessions of a worker, say) and frees nothing restored, so
+    # collections wait until the restore returns.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _restore(solver_cls, program, path, body, metrics, config)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _restore(solver_cls, program, path, body, metrics, config):
     try:
         payload = pickle.loads(body)
     except Exception as exc:  # checksummed, so this indicates a format bug

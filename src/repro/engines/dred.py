@@ -118,6 +118,14 @@ class DRedLSolver(Solver):
             raise ValueError(f"unknown aggregation mode {aggregation!r}")
         self.inflationary = aggregation == "inflationary"
 
+    def fresh(self) -> "DRedLSolver":
+        return type(self)(
+            self.source_program,
+            "inflationary" if self.inflationary else "rosssagiv",
+            metrics=self.metrics,
+            config=self.config,
+        )
+
     # -- the per-stratum strategy ---------------------------------------------
 
     def _solve_stratum(self, index: int) -> None:

@@ -18,13 +18,19 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Callable
 
+from ...robustness.guard import TRANSACTION
 from .aggtree import AggTree
 
 
 class GroupState:
-    """Trees, totals, and output runs for one aggregation group."""
+    """Trees, totals, and output runs for one aggregation group.
 
-    __slots__ = ("_combine", "_times", "_trees", "_totals", "rollup_steps", "journal")
+    Under an open transaction, insert/remove journal their inverses.  Group
+    state is a pure function of the per-timestamp aggregand multisets, so
+    inverse replay restores trees *and* rolled-up totals.
+    """
+
+    __slots__ = ("_combine", "_times", "_trees", "_totals", "rollup_steps")
 
     def __init__(self, combine: Callable[[object, object], object]):
         self._combine = combine
@@ -33,33 +39,26 @@ class GroupState:
         self._totals: dict[int, object] = {}  # rolled-up R_i per timestamp
         #: instrumentation: total roll-up combine steps (ablation benches).
         self.rollup_steps = 0
-        #: undo-log list installed by UpdateGuard; insert/remove append their
-        #: inverses so a failed update can be replayed backwards.  Group
-        #: state is a pure function of the per-timestamp aggregand multisets,
-        #: so inverse replay restores trees *and* rolled-up totals.
-        self.journal: list | None = None
 
     def __bool__(self) -> bool:
         return bool(self._times)
 
     # -- pickling (checkpoints) -------------------------------------------
     #
-    # ``_combine`` is a bound method of a registered aggregator, and the
-    # journal belongs to an in-flight guard.  Neither may travel through a
-    # checkpoint — the restorer rebinds combine from the freshly constructed
-    # solver's own registry (:func:`rebind`).
+    # ``_combine`` is a bound method of a registered aggregator and may not
+    # travel through a checkpoint — the restorer rebinds it from the freshly
+    # constructed solver's own registry (:func:`rebind`).
 
     def __getstate__(self):
         return {
             name: getattr(self, name)
             for cls in type(self).__mro__
             for name in getattr(cls, "__slots__", ())
-            if name not in ("_combine", "journal")
+            if name != "_combine"
         }
 
     def __setstate__(self, state):
         self._combine = None
-        self.journal = None
         for name, value in state.items():
             setattr(self, name, value)
 
@@ -78,13 +77,15 @@ class GroupState:
             insort(self._times, timestamp)
         tree.insert(value)
         self._roll_from(timestamp)
-        if self.journal is not None:
-            self.journal.append((self.remove, timestamp, value))
+        undo = TRANSACTION.undo
+        if undo is not None:
+            undo.append((GroupState.remove, self, timestamp, value))
 
     def remove(self, timestamp: int, value: object) -> None:
         """Remove one aggregand that appeared at ``timestamp`` and re-roll."""
-        if self.journal is not None:
-            self.journal.append((self.insert, timestamp, value))
+        undo = TRANSACTION.undo
+        if undo is not None:
+            undo.append((GroupState.insert, self, timestamp, value))
         tree = self._trees[timestamp]
         tree.remove(value)
         if not tree:
@@ -202,12 +203,14 @@ class NaiveGroupState(GroupState):
             self._trees[timestamp] = AggTree(self._combine)  # placeholder key
             insort(self._times, timestamp)
         self._refold()
-        if self.journal is not None:
-            self.journal.append((self.remove, timestamp, value))
+        undo = TRANSACTION.undo
+        if undo is not None:
+            undo.append((NaiveGroupState.remove, self, timestamp, value))
 
     def remove(self, timestamp: int, value: object) -> None:
-        if self.journal is not None:
-            self.journal.append((self.insert, timestamp, value))
+        undo = TRANSACTION.undo
+        if undo is not None:
+            undo.append((NaiveGroupState.insert, self, timestamp, value))
         bucket = self._values[timestamp]
         bucket.remove(value)
         if not bucket:

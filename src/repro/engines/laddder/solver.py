@@ -45,7 +45,8 @@ from time import perf_counter
 from typing import Mapping
 
 from ...robustness import faults as _faults
-from ..base import JOURNALED, ComponentState, Solver, StratumDiff
+from ...robustness.guard import TRANSACTION
+from ..base import PLAIN, ComponentState, Solver, StratumDiff
 from .groups import GroupState
 from .state import TimedRelation
 from .timeline import NEVER
@@ -71,7 +72,7 @@ def _reaches(deps: dict[str, set[str]], start: str, target: str) -> bool:
 class _ComponentState(ComponentState):
     """Compiled plans plus runtime state for one dependency component."""
 
-    STATE = {**ComponentState.STATE, "groups": JOURNALED}
+    STATE = {**ComponentState.STATE, "groups": PLAIN}
 
     def __init__(self, component, program, arities):
         super().__init__(component, program, arities)
@@ -423,7 +424,7 @@ class LaddderSolver(Solver):
     ) -> None:
         """Route a collecting tuple's existence change into the sequential
         aggregator architecture and queue the resulting output-run diffs."""
-        undo = self._undo
+        undo = TRANSACTION.undo
         for spec in state.specs_by_collecting.get(pred, ()):
             if _faults.ACTIVE is not None:
                 _faults.fire("aggregate.combine")
@@ -436,8 +437,7 @@ class LaddderSolver(Solver):
             if group is None:
                 group = per_pred[key] = GroupState(spec.aggregator.combine)
                 if undo is not None:
-                    group.journal = undo
-                    undo.append((per_pred.pop, key, None))
+                    undo.append((dict.pop, per_pred, key, None))
             before = groups_before.setdefault(spec.pred, {})
             if key not in before:
                 before[key] = group.final() if group else _MISSING
@@ -486,8 +486,9 @@ class LaddderSolver(Solver):
                     added.add(spec.tuple_for(key, new_final))
                 if group is not None and not group:
                     del per_pred[key]
-                    if self._undo is not None:
-                        self._undo.append((per_pred.__setitem__, key, group))
+                    undo = TRANSACTION.undo
+                    if undo is not None:
+                        undo.append((dict.__setitem__, per_pred, key, group))
             if added or removed:
                 diff[pred] = (added, removed)
         for pred, entries in presence_before.items():

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
+from ...robustness.guard import TRANSACTION
 from ..relation import ColumnIndexed
 from .timeline import NEVER, Timeline
 
@@ -27,17 +28,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 class TimedRelation(ColumnIndexed):
     """Tuples with differential count timelines and lazy column indexes."""
 
-    __slots__ = (
-        "arity", "timelines", "_indexes", "metrics", "journal", "_scan_cache",
-        "_first",
-    )
+    __slots__ = ("arity", "timelines", "_indexes", "metrics", "_scan_cache", "_first")
 
     def __init__(self, arity: int, metrics: "SolverMetrics | None" = None):
         self.arity = arity
         self.timelines: dict[tuple, Timeline] = {}
         self._indexes: dict[tuple[int, ...], dict] = {}
         self.metrics = metrics
-        self.journal: list | None = None
         self._scan_cache: tuple | None = None
         #: tuple -> cached first-existence timestamp; maintained on every
         #: timeline mutation so :meth:`first` — the single hottest probe of
@@ -82,11 +79,11 @@ class TimedRelation(ColumnIndexed):
             placements = timeline.redirect_negative(timestamp, delta)
         else:
             placements = ((timestamp, delta),)
-        journal = self.journal
+        undo = TRANSACTION.undo
         for at, d in placements:
             timeline.add(at, d)
-            if journal is not None:
-                journal.append((TimedRelation._undo_delta, self, item, at, -d))
+            if undo is not None:
+                undo.append((TimedRelation._undo_delta, self, item, at, -d))
         self._first[item] = timeline.first()
         return timeline
 
@@ -117,10 +114,12 @@ class TimedRelation(ColumnIndexed):
         timeline = self.timelines.get(item)
         if timeline is None or len(timeline) < 2 or not timeline.is_settled():
             return 0
-        if self.journal is not None:
-            self.journal.append(
+        undo = TRANSACTION.undo
+        if undo is not None:
+            undo.append(
                 (
-                    self._restore_timeline,
+                    TimedRelation._restore_timeline,
+                    self,
                     item,
                     list(timeline._times),
                     list(timeline._deltas),

@@ -20,7 +20,7 @@ from ..datalog.validate import raise_on_error
 class PreparedProgram:
     """What :func:`prepare` learned; consumed by ``Solver.__init__``."""
 
-    #: The working program, dead-rule-pruned in place unless opted out.
+    #: The working program, dead-rule-pruned in place.
     program: Program
     checked: CheckResult
     #: Dependency components of the (pruned) program, bottom-up.
@@ -29,20 +29,20 @@ class PreparedProgram:
     check_seconds: float
 
 
-def prepare(program: Program, prune: bool) -> PreparedProgram:
+def prepare(program: Program) -> PreparedProgram:
     """Run static checks on ``program`` (already normalized) and prune dead
-    rules in place (``prune``).
+    rules in place.
 
     Raises the first error-severity diagnostic as a ``ValidationError``
     (the legacy ``validate()`` contract).  Exported views are unaffected by
-    pruning either way — dead rules cannot reach an export by definition.
+    pruning — dead rules cannot reach an export by definition.
     """
     t0 = time.perf_counter()
     checked = check_program(program)
     raise_on_error(checked)
     components: list[Component] = checked.components or []
     pruned = 0
-    if checked.dead_rules and prune:
+    if checked.dead_rules:
         program.rules = list(checked.live_rules)
         components = stratify(program)
         pruned = len(checked.dead_rules)

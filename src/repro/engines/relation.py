@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from ..datalog.errors import SolverError
+from ..robustness.guard import TRANSACTION
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from ..metrics import SolverMetrics
@@ -160,15 +161,15 @@ class ColumnIndexed:
 class IndexedRelation(ColumnIndexed):
     """A mutable set of same-arity tuples with column indexes.
 
-    When ``journal`` is set (a list, installed by
-    :class:`repro.robustness.guard.UpdateGuard`), every mutation appends its
-    inverse as a ``(callable, *args)`` entry; replaying the journal in
-    reverse restores the pre-update tuple population exactly.  The per-tuple
+    While a transaction is open on the thread
+    (:class:`repro.robustness.guard.UpdateGuard`), every mutation appends its
+    inverse to the undo log as a ``(function, *args)`` entry; replaying the
+    log in reverse restores the pre-update tuple population exactly.  The
     entries name the plain function and the relation: a bound method would
     be one more allocation per journaled mutation.
     """
 
-    __slots__ = ("arity", "tuples", "_indexes", "metrics", "journal", "_scan_cache")
+    __slots__ = ("arity", "tuples", "_indexes", "metrics", "_scan_cache")
 
     def __init__(self, arity: int, metrics: "SolverMetrics | None" = None):
         self.arity = arity
@@ -176,7 +177,6 @@ class IndexedRelation(ColumnIndexed):
         # cols (sorted tuple of column positions) -> key tuple -> set of tuples
         self._indexes: dict[tuple[int, ...], dict] = {}
         self.metrics = metrics
-        self.journal: list | None = None
         self._scan_cache: tuple | None = None
 
     def __len__(self) -> int:
@@ -197,8 +197,9 @@ class IndexedRelation(ColumnIndexed):
             return False
         self.tuples.add(item)
         self._register(item)
-        if self.journal is not None:
-            self.journal.append((IndexedRelation.discard, self, item))
+        undo = TRANSACTION.undo
+        if undo is not None:
+            undo.append((IndexedRelation.discard, self, item))
         return True
 
     def discard(self, item: tuple) -> bool:
@@ -207,13 +208,15 @@ class IndexedRelation(ColumnIndexed):
             return False
         self.tuples.discard(item)
         self._unregister(item)
-        if self.journal is not None:
-            self.journal.append((IndexedRelation.add, self, item))
+        undo = TRANSACTION.undo
+        if undo is not None:
+            undo.append((IndexedRelation.add, self, item))
         return True
 
     def clear(self) -> None:
-        if self.journal is not None and self.tuples:
-            self.journal.append((self._restore, set(self.tuples)))
+        undo = TRANSACTION.undo
+        if undo is not None and self.tuples:
+            undo.append((IndexedRelation._restore, self, set(self.tuples)))
         self.tuples.clear()
         self._indexes.clear()
         self._scan_cache = None
@@ -239,7 +242,7 @@ class RelationStore:
     rules or queries into wrong (empty) results instead of diagnostics.
     """
 
-    __slots__ = ("relations", "arities", "metrics", "journal")
+    __slots__ = ("relations", "arities", "metrics")
 
     __setstate__ = _set_slots
 
@@ -249,7 +252,6 @@ class RelationStore:
         self.arities = arities
         self.relations: dict[str, IndexedRelation] = {}
         self.metrics = metrics
-        self.journal: list | None = None
 
     def get(self, pred: str) -> IndexedRelation:
         relation = self.relations.get(pred)
@@ -262,9 +264,9 @@ class RelationStore:
                 )
             relation = IndexedRelation(arity, metrics=self.metrics)
             self.relations[pred] = relation
-            if self.journal is not None:
-                relation.journal = self.journal
-                self.journal.append((self.relations.pop, pred, None))
+            undo = TRANSACTION.undo
+            if undo is not None:
+                undo.append((dict.pop, self.relations, pred, None))
         return relation
 
     def __contains__(self, pred: str) -> bool:

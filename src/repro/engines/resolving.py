@@ -15,14 +15,14 @@ from abc import abstractmethod
 
 from ..datalog.stratify import Component
 from .aggspec import AggSpec, prune_aggregated
-from .base import ASSIGNED, JOURNALED, Solver, StratumDiff
+from .base import ASSIGNED, PLAIN, Solver, StratumDiff
 from .relation import RelationStore
 
 
 class ResolvingSolver(Solver):
     """Per stratum: clear, re-run the fixpoint, prune, export."""
 
-    STATE = {**Solver.STATE, "_raw": JOURNALED, "_totals": ASSIGNED}
+    STATE = {**Solver.STATE, "_raw": PLAIN, "_totals": ASSIGNED}
 
     def _reset(self) -> None:
         #: The un-pruned inflationary fixpoint (``D_raw``) per derived pred.

@@ -8,10 +8,10 @@ update cannot leave the solver half-mutated.  This package supplies:
   with named sites in every engine's hot path, so tests can *prove* the
   recovery paths below actually fire;
 * :mod:`repro.robustness.guard` — transactional update application:
-  :class:`GuardedSolver` runs ``update`` against an undo log of touched
-  relations/timelines/groups and on any exception rolls the solver back to
-  a bit-equal pre-update state, then optionally degrades gracefully by
-  re-solving from scratch with the reference semi-naive engine;
+  :class:`GuardedSolver` runs ``update`` against a per-thread undo log of
+  touched relations/timelines/groups and on any exception rolls the solver
+  back to a bit-equal pre-update state, then optionally degrades gracefully
+  by re-solving from scratch with a fresh solver of the same engine;
 * :mod:`repro.robustness.watchdog` — per-solve iteration and wall-clock
   budgets plus strictly-ascending-chain divergence detection, raising a
   typed :class:`BudgetExceededError` instead of hanging;

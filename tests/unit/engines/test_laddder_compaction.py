@@ -18,6 +18,7 @@ import pytest
 from repro.datalog import parse
 from repro.engines import LaddderSolver, SemiNaiveSolver
 from repro.engines.laddder.state import TimedRelation
+from repro.robustness.guard import TRANSACTION
 
 from tests.unit.engines.helpers import load, tc_program
 
@@ -140,13 +141,15 @@ class TestJournal:
         relation.add_delta(row, 1, 1)
         relation.add_delta(row, 3, 1)
         journal: list = []
-        relation.journal = journal
-        relation.add_delta(row, 5, 1)
-        relation.compact(row)
-        assert list(relation.timelines[row].entries()) == [(1, 3)]
-        relation.add_delta(row, 4, -1, redirect=True)
-        assert list(relation.timelines[row].entries()) == [(1, 2)]
-        relation.journal = None
+        TRANSACTION.undo = journal
+        try:
+            relation.add_delta(row, 5, 1)
+            relation.compact(row)
+            assert list(relation.timelines[row].entries()) == [(1, 3)]
+            relation.add_delta(row, 4, -1, redirect=True)
+            assert list(relation.timelines[row].entries()) == [(1, 2)]
+        finally:
+            TRANSACTION.undo = None
         for fn, *args in reversed(journal):
             fn(*args)
         assert list(relation.timelines[row].entries()) == [(1, 1), (3, 1)]

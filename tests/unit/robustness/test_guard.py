@@ -155,8 +155,9 @@ class TestFallback:
         guarded = GuardedSolver(solver, fallback=True)
         with inject("kernel.emit"):
             guarded.update(insertions={"edge": {(2, 3)}})
-        assert isinstance(guarded.solver, SemiNaiveSolver)
-        # Subsequent updates keep working on the adopted engine.
+        # A fresh solver of the same engine, not the failed one.
+        assert type(guarded.solver) is engine and guarded.solver is not solver
+        # Subsequent updates keep working on the adopted solver.
         guarded.update(insertions={"edge": {(3, 4)}})
         assert (1, 4) in guarded.relation("tc")
 

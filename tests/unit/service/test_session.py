@@ -657,6 +657,39 @@ class TestDurableLog:
         finally:
             close(session)
 
+    def test_a_fallback_keeps_the_engine_so_the_spool_reopens(
+        self, tmp_path, changes
+    ):
+        path = tmp_path / "s.ckpt"
+        session = make_session(checkpoint_path=str(path), fallback=True)
+        try:
+            session.update(
+                insertions=changes[0].insertions,
+                deletions=changes[0].deletions,
+                seq=1,
+            )
+            with inject("kernel.emit", at=3) as plan:
+                assert session.flush()["ok"]
+            assert plan.fired and session.metrics.fallback_resolves == 1
+            # The base this batch triggers is written from the rebuilt solver.
+            _await_base(session, 1)
+            assert self.edit(session, changes[1], seq=2)["ok"]
+        finally:
+            close(session)
+        reopened = make_session(checkpoint_path=str(path), restore_from=str(path))
+        reference = make_session()
+        try:
+            assert type(reopened.solver.solver) is reopened.engine_cls
+            for change in changes[:2]:
+                reference.update(
+                    insertions=change.insertions, deletions=change.deletions
+                )
+            assert reference.flush()["ok"]
+            assert reopened.snapshot.digest() == reference.snapshot.digest()
+        finally:
+            close(reopened)
+            close(reference)
+
     def test_restore_rebases_the_spool_before_it_answers(self, tmp_path, changes):
         path, saved = tmp_path / "s.ckpt", tmp_path / "saved.ckpt"
         session = make_session(checkpoint_path=str(path))

@@ -166,7 +166,7 @@ def test_config_survives_guard_fallback(engine_cls):
         guarded.update(insertions={"edge": {(3, 4)}})
     reference = guarded.solver
     assert reference is not solver and solver.metrics.fallback_resolves == 1
-    assert type(reference).__name__ == "SemiNaiveSolver"
+    assert type(reference) is engine_cls  # a fallback keeps its engine
     assert reference.config == solver.config == ODD
     assert reference.self_check
     assert reference.budget.max_iterations == 50_000
