@@ -12,13 +12,13 @@ surface state-accretion bugs:
   differential-count entries and the longest single timeline.
   ``timeline_entries - timeline_tuples`` (the *excess* over one entry
   per tuple) tracks the live multi-support structure: exact move-pair
-  cancellation (plus compaction of non-recursive predicates) keeps it
-  oscillating around the program's structural level instead of growing
-  with edit count.  The harness gates on that *flatness* — a
-  least-squares slope fitted to the excess-vs-step series must not
-  project more growth over the whole stream than one baseline's worth
-  of excess.  A leak of even a fraction of an entry per edit fails the
-  gate; structural oscillation passes.
+  cancellation keeps it oscillating around the program's structural
+  level instead of growing with edit count.  The harness samples the
+  excess after every step and gates on its *flatness* — a least-squares
+  slope fitted to the excess-vs-step series must not project more growth
+  over the whole stream than one baseline's worth of excess.  A leak of
+  even a fraction of an entry per edit fails the gate; structural
+  oscillation passes.
 * ``state_size`` (every engine): the engine's own cell-count gauge.
 * queue/pending high-water marks (when a session is driven).
 
@@ -150,7 +150,6 @@ def soak(
     step_seconds: list[float] = []
     checkpoints: list[dict] = []
     excess_series: list[int] = []
-    excess_steps: list[int] = []
     try:
         for index in range(steps):
             step = stream.step()
@@ -166,6 +165,9 @@ def soak(
                     insertions=step.change.insertions,
                     deletions=step.change.deletions,
                 )
+            gauges = engine_gauges(solver.solver)
+            if "timeline_excess" in gauges:
+                excess_series.append(gauges["timeline_excess"])
             if (index + 1) % checkpoint_every and index + 1 != steps:
                 continue
 
@@ -176,16 +178,13 @@ def soak(
                 "reference": expected,
                 "digest": digest,
                 "match": digest == expected,
-                "gauges": engine_gauges(solver.solver),
+                "gauges": gauges,
             }
             if session is not None:
                 session.flush()
                 record["session_digest"] = session.snapshot.digest()
                 record["session_match"] = record["session_digest"] == expected
             checkpoints.append(record)
-            if "timeline_excess" in record["gauges"]:
-                excess_series.append(record["gauges"]["timeline_excess"])
-                excess_steps.append(index + 1)
     finally:
         session_stats = None
         if session is not None:
@@ -204,11 +203,12 @@ def soak(
     digests_ok = all(
         c["match"] and c.get("session_match", True) for c in checkpoints
     )
-    # Flatness gate: the slope of excess-vs-step, projected over the whole
-    # stream, must not exceed one baseline's worth of excess (floor 16 for
-    # near-zero baselines).  Structural oscillation has slope ~0; a leak
-    # of even a fraction of an entry per edit projects far past this.
-    drift = _slope([float(s) for s in excess_steps],
+    # Flatness gate: the slope of excess-vs-step (sampled after every
+    # step), projected over the whole stream, must not exceed one
+    # baseline's worth of excess (floor 16 for near-zero baselines).
+    # Structural oscillation has slope ~0; a leak of even a fraction of an
+    # entry per edit projects far past this.
+    drift = _slope([float(s) for s in range(1, len(excess_series) + 1)],
                    [float(e) for e in excess_series]) * steps
     allowance = max(16.0, float(baseline.get("timeline_excess", 0)))
     excess_ok = not excess_series or drift <= allowance
@@ -224,9 +224,6 @@ def soak(
         "edit_counts": stream.counts,
         "baseline_gauges": baseline,
         "final_gauges": engine_gauges(solver.solver),
-        "timelines_compacted": getattr(
-            solver.solver.metrics, "timelines_compacted", 0
-        ),
         "latency_seconds": {
             "mean": sum(step_seconds) / len(step_seconds) if step_seconds else 0.0,
             "p50": _percentile(ordered, 0.50),

@@ -54,49 +54,10 @@ from .timeline import NEVER
 _MISSING = object()
 
 
-def _reaches(deps: dict[str, set[str]], start: str, target: str) -> bool:
-    """True iff ``target`` is reachable from ``start`` in the pred graph."""
-    seen: set[str] = set()
-    stack = list(deps.get(start, ()))
-    while stack:
-        pred = stack.pop()
-        if pred == target:
-            return True
-        if pred in seen:
-            continue
-        seen.add(pred)
-        stack.extend(deps.get(pred, ()))
-    return False
-
-
 class _ComponentState(ComponentState):
     """Compiled plans plus runtime state for one dependency component."""
 
     STATE = {**ComponentState.STATE, "groups": PLAIN}
-
-    def __init__(self, component, program, arities):
-        super().__init__(component, program, arities)
-        deps: dict[str, set[str]] = {}
-        for rule in component.rules:
-            for literal in rule.body_literals():
-                deps.setdefault(rule.head.pred, set()).add(literal.pred)
-        #: Predicates whose tuples can never support themselves (no
-        #: dependency cycle through them).  Only these are eligible for
-        #: settled-timeline compaction: for a self-supporting predicate
-        #: the per-support firing positions are the well-foundedness
-        #: mechanism that unwinds cyclic derivations on retraction, so
-        #: folding them can leave zombie tuples (see
-        #: :meth:`repro.engines.laddder.timeline.Timeline.compact`).
-        #: Because components are SCCs, any predicate sharing a component
-        #: is on a cycle, and a foldable predicate's body atoms are all
-        #: upstream and timeless — its supports fire together at
-        #: timestamp 1, so its timelines are born single-entry and the
-        #: epoch-end fold is a sound backstop rather than a hot path.
-        self.foldable = frozenset(
-            pred
-            for pred in component.predicates
-            if not _reaches(deps, pred, pred)
-        )
 
     def reset(self) -> None:
         super().reset()
@@ -135,14 +96,6 @@ class LaddderSolver(Solver):
     #: below this; exceeding it indicates divergence (see Section 4.3).
     MAX_TIMESTAMP = 100_000
 
-    #: Settled-timeline compaction after each update epoch, for predicates
-    #: with no dependency cycle through themselves — the sound residue of
-    #: the long-haul soak investigation (see repro.engines.laddder.timeline
-    #: and docs/SOAK.md): folding recursive histories is unsound, and
-    #: foldable timelines are born single-entry, so this is a backstop.
-    #: Tests turn it off to pin bit-equality with the uncompacted engine.
-    COMPACT = True
-
     COMPONENT_STATE = _ComponentState
 
     # -- the per-stratum strategy ---------------------------------------------
@@ -155,8 +108,6 @@ class LaddderSolver(Solver):
                 deltas.append((pred, row, 0, 1))
         for pred, head_row in self._static_heads(state):
             deltas.append((pred, head_row, 0, 1))
-        # Never compacted: fresh state holds the full Figure 4/5 iteration
-        # trace, which ``trace()`` and the paper-fidelity tests read.
         self._compensate(state, deltas, index)
 
     def _update_stratum(self, index: int, pending: StratumDiff):
@@ -168,7 +119,7 @@ class LaddderSolver(Solver):
                 deltas.append((pred, row, 0, 1))
             for row in removed:
                 deltas.append((pred, row, 0, -1))
-        return self._compensate(state, deltas, index, compact=self.COMPACT)
+        return self._compensate(state, deltas, index)
 
     def _epoch_metrics(self, update: bool) -> None:
         metrics = self.metrics
@@ -253,21 +204,8 @@ class LaddderSolver(Solver):
         state: _ComponentState,
         deltas: list[tuple[str, tuple, int, int]],
         index: int = 0,
-        compact: bool = False,
     ) -> tuple[dict[str, tuple[set[tuple], set[tuple]]], int]:
-        """Drain one component's queue; returns (exported diff, work).
-
-        With ``compact`` (update epochs under :attr:`COMPACT`), timelines
-        of *foldable* predicates — those that cannot support themselves
-        through a dependency cycle — are folded to
-        ``{first: total}`` once the queue drains, and their negative
-        deltas cancel against the nearest folded support
-        (:meth:`TimedRelation.add_delta` with ``redirect``).  Recursive
-        predicates keep their full support histories: the positions are
-        load-bearing for cyclic retraction (folding them absorbs the
-        first-existence move that unwinds a cycle, leaving zombie
-        tuples).
-        """
+        """Drain one component's queue; returns (exported diff, work)."""
         self._bind_kernels(state)
         metrics = self.metrics
         stratum = (
@@ -283,7 +221,6 @@ class LaddderSolver(Solver):
 
         presence_before: dict[str, dict[tuple, bool]] = {}
         groups_before: dict[str, dict[tuple, object]] = {}
-        touched: set[tuple[str, tuple]] = set()
         work = 0
 
         max_timestamp = self.budget.iterations(self.MAX_TIMESTAMP)
@@ -319,12 +256,9 @@ class LaddderSolver(Solver):
                     presence_before.setdefault(pred, {}).setdefault(
                         row, old_first != NEVER
                     )
-                fold = compact and pred in state.foldable
                 if _faults.ACTIVE is not None:
                     _faults.fire("timeline.append")
-                relation.add_delta(row, t, delta, redirect=fold)
-                if fold:
-                    touched.add((pred, row))
+                relation.add_delta(row, t, delta)
                 new_first = relation._first[row]
                 if stratum is not None:
                     metrics.compensation(pred, row, t, delta)
@@ -347,12 +281,6 @@ class LaddderSolver(Solver):
             if stratum is not None:
                 metrics.derivations(stratum, batch_derived)
                 metrics.round_delta(stratum, batch_derived)
-
-        if compact:
-            for key in touched:
-                relation = state.relations.get(key[0])
-                if relation is not None:
-                    metrics.timelines_compacted += relation.compact(key[1])
 
         if stratum is not None:
             diff = self._exported_component_diff(

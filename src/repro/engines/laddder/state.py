@@ -57,33 +57,17 @@ class TimedRelation(ColumnIndexed):
 
     # -- timeline maintenance ----------------------------------------------
 
-    def add_delta(
-        self, item: tuple, timestamp: int, delta: int, redirect: bool = False
-    ) -> Timeline:
-        """Merge a count delta; registers the tuple in indexes if new.
-
-        With ``redirect`` (compaction mode), a negative delta cancels
-        against the nearest positive support at or below ``timestamp``
-        (:meth:`Timeline.redirect_negative`) instead of landing at the
-        targeted timestamp unconditionally — compaction folds support
-        positions downward, so that is where the matching ``+1`` now
-        lives.  Each actual placement is journaled individually, keeping
-        rollback replay exact.
-        """
+    def add_delta(self, item: tuple, timestamp: int, delta: int) -> Timeline:
+        """Merge a count delta; registers the tuple in indexes if new."""
         timeline = self.timelines.get(item)
         if timeline is None:
             timeline = Timeline()
             self.timelines[item] = timeline
             self._register(item)
-        if redirect and delta < 0 and timeline:
-            placements = timeline.redirect_negative(timestamp, delta)
-        else:
-            placements = ((timestamp, delta),)
+        timeline.add(timestamp, delta)
         undo = TRANSACTION.undo
-        for at, d in placements:
-            timeline.add(at, d)
-            if undo is not None:
-                undo.append((TimedRelation._undo_delta, self, item, at, -d))
+        if undo is not None:
+            undo.append((TimedRelation._undo_delta, self, item, timestamp, -delta))
         self._first[item] = timeline.first()
         return timeline
 
@@ -100,43 +84,6 @@ class TimedRelation(ColumnIndexed):
         """
         self.add_delta(item, timestamp, delta)
         self.cleanup(item)
-
-    def compact(self, item: tuple) -> int:
-        """Fold a settled multi-entry timeline into ``{first: total}``.
-
-        The inverse is a verbatim restore of the pre-compaction entry
-        lists — compaction is a representation change, not a content
-        change, so snapshotting the two short lists is both exact and
-        cheaper than journaling per-entry deltas.  Returns the number of
-        entries removed (0 when the timeline was absent, single-entry, or
-        not settled).
-        """
-        timeline = self.timelines.get(item)
-        if timeline is None or len(timeline) < 2 or not timeline.is_settled():
-            return 0
-        undo = TRANSACTION.undo
-        if undo is not None:
-            undo.append(
-                (
-                    TimedRelation._restore_timeline,
-                    self,
-                    item,
-                    list(timeline._times),
-                    list(timeline._deltas),
-                )
-            )
-        return timeline.compact()
-
-    def _restore_timeline(self, item: tuple, times: list, deltas: list) -> None:
-        """Journal replay target: reinstate pre-compaction entry lists."""
-        timeline = self.timelines.get(item)
-        if timeline is None:
-            timeline = Timeline()
-            self.timelines[item] = timeline
-            self._register(item)
-        timeline._times[:] = times
-        timeline._deltas[:] = deltas
-        self._first[item] = timeline.first()
 
     def first(self, item: tuple) -> float:
         """First-existence timestamp of ``item``, or ``NEVER``."""

@@ -1,4 +1,4 @@
-r"""Differential count timelines (Figure 5).
+"""Differential count timelines (Figure 5).
 
 Laddder tracks, per tuple, at which fixpoint iteration (timestamp) each of
 its derivations appeared.  The *differential count* timeline is the sparse
@@ -12,35 +12,12 @@ iteration), so cumulative existence is a single step and
 characterizes it.  Negative entries appear only transiently inside an
 epoch's compensation queue, never in a settled timeline.
 
-Compaction (the long-haul soak fix, and its soundness boundary)
----------------------------------------------------------------
-
-Settled existence being a single step means a settled timeline's entries
-beyond the first carry no *exported* information — they record at which
-later iterations additional derivations fired.  After an update epoch
-settles the solver :meth:`compact`\ s touched timelines into the single
-entry ``{first: total}``, and
-:meth:`redirect_negative` re-pairs later ``-1`` corrections — whose
-firing-time targets may name a timestamp whose ``+1`` was folded into an
-earlier entry — by cancelling against the nearest positive entry at or
-below the target.
-
-Compaction is restricted to predicates that cannot support themselves
-through a dependency cycle.  For recursive predicates the positions are
-*load-bearing*: a tuple kept alive by a cycle carries its external
-anchor at one timestamp and the cyclic echo strictly later (a derivation
-fires after its body atoms), and retracting the anchor must *move* the
-first-existence so the cascade re-fires and the cycle collapses.
-Folding ``[(t_anchor, 1), (t_echo, 1)]`` into ``[(t_anchor, 2)]`` makes
-the anchor's retraction absorb (count stays positive, first unchanged)
-and the echo survives as a zombie — the continuous-edit soak surfaced
-exactly this as stale ``Top`` valuations after a statement delete (see
-``docs/SOAK.md``).  Acyclic predicates have no such echoes; every
-support gets its own exact ``-1`` from partner enumeration, so folding
-only changes interior positions that nothing reads.  Under per-SCC
-components the restriction makes the fold a *backstop*: a foldable
-predicate's body atoms are all upstream and timeless, so its supports
-fire together at timestamp 1 and its timelines are born single-entry.
+Support positions are never folded.  A tuple kept alive by a cycle carries
+its external anchor at one timestamp and the cyclic echo strictly later;
+retracting the anchor must move first-existence so the cascade re-fires and
+the cycle collapses.  Folding ``[(t_anchor, 1), (t_echo, 1)]`` into
+``[(t_anchor, 2)]`` absorbs that move and leaves the echo as a zombie tuple
+(``docs/SOAK.md``, "The compaction zombie").
 """
 
 from __future__ import annotations
@@ -95,8 +72,8 @@ class Timeline:
     def cumulative(self, timestamp: int) -> int:
         """Cumulative count at ``timestamp`` (Figure 5, top-left).
 
-        Settled-and-compacted timelines are single-entry, so that case is a
-        branch instead of a prefix sum; longer (transient or uncompacted)
+        Most settled timelines are single-entry, so that case is a branch
+        instead of a prefix sum; longer (multi-support or transient)
         timelines sum the first ``i`` deltas without materializing a slice
         copy — probes are frequent.
         """
@@ -144,56 +121,6 @@ class Timeline:
     def is_settled(self) -> bool:
         """True iff all deltas are non-negative (inflationary invariant)."""
         return all(d >= 0 for d in self._deltas)
-
-    def redirect_negative(self, timestamp: int, delta: int) -> list[tuple[int, int]]:
-        """Split a negative ``delta`` into placements that cancel against
-        the nearest positive entries at or below ``timestamp``.
-
-        After compaction a retraction's support may have been folded into
-        an earlier entry than the firing time the correction targets; this
-        walks downward consuming positive support so the cancellation still
-        telescopes exactly.  On an uncompacted timeline the support sits at
-        ``timestamp`` itself and the result is ``[(timestamp, delta)]``.
-        Any residue with no positive support below falls through at
-        ``timestamp``, preserving the transient mixed-sign behaviour.
-        """
-        if delta >= 0:
-            raise ValueError("redirect_negative wants a negative delta")
-        remaining = -delta
-        placements: list[tuple[int, int]] = []
-        times, deltas = self._times, self._deltas
-        for j in range(bisect_right(times, timestamp) - 1, -1, -1):
-            if remaining == 0:
-                break
-            if deltas[j] > 0:
-                take = min(remaining, deltas[j])
-                placements.append((times[j], -take))
-                remaining -= take
-        if remaining:
-            placements.append((timestamp, -remaining))
-        return placements
-
-    def compact(self) -> int:
-        """Merge a settled multi-entry timeline into ``{first: total}``.
-
-        Only all-non-negative (settled) timelines are eligible — existence
-        is then a single step at the first entry, so later entries only
-        record support positions, which :meth:`redirect_negative` no longer
-        needs at exact timestamps.  The *caller* must additionally ensure
-        the tuple's predicate cannot support itself through a dependency
-        cycle: folding a cyclic echo into its anchor masks the
-        first-existence move that unwinds the cycle on retraction (module
-        docstring).  Returns the number of entries removed (0 when nothing
-        changed).
-        """
-        if len(self._times) < 2 or not self.is_settled():
-            return 0
-        removed = len(self._times) - 1
-        total = sum(self._deltas)
-        first = self._times[0]
-        self._times[:] = [first]
-        self._deltas[:] = [total]
-        return removed
 
     def copy(self) -> "Timeline":
         clone = Timeline()

@@ -164,7 +164,6 @@ class SolverMetrics:
         "support_updates",
         "max_queue_depth",
         "timeline_entries",
-        "timelines_compacted",
         "rules_compiled",
         "compile_seconds",
         "plan_cache_hits",
@@ -226,7 +225,6 @@ class SolverMetrics:
         self.support_updates = 0
         self.max_queue_depth = 0
         self.timeline_entries = 0
-        self.timelines_compacted = 0
         # Rule-compilation counters (see repro.engines.compile).  Compile
         # events are rare — once per (rule, pinned, bound-set) — so these are
         # recorded even while disabled, like the relation probe counters.
@@ -397,7 +395,6 @@ class SolverMetrics:
                 "support_updates": self.support_updates,
                 "max_queue_depth": self.max_queue_depth,
                 "timeline_entries": self.timeline_entries,
-                "timelines_compacted": self.timelines_compacted,
             },
             "storage": {
                 "batch_rows_emitted": self.batch_rows_emitted,

@@ -11,7 +11,6 @@ import pytest
 
 from repro.changes.soak import soak
 from repro.config import SolverConfig
-from repro.engines import LaddderSolver
 
 
 def assert_soak_ok(record):
@@ -63,15 +62,6 @@ class TestBareSolverSoak:
             steps=20, seed=3, checkpoint_every=10,
         )
         assert_soak_ok(record)
-
-    def test_compaction_opt_out_stays_bit_equal(self, monkeypatch):
-        monkeypatch.setattr(LaddderSolver, "COMPACT", False)
-        record = soak(
-            "minijavac", "constprop", engine="laddder",
-            steps=40, seed=7, checkpoint_every=20,
-        )
-        assert_soak_ok(record)
-        assert record["timelines_compacted"] == 0
 
 
 class TestSessionSoak:

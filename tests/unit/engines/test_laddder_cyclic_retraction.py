@@ -1,24 +1,17 @@
-"""Settled-timeline compaction: where it fires, and where it must not.
+"""Support positions and cyclic retraction: why timelines are never folded.
 
 The continuous-edit soak surfaced that folding support histories of
 *recursive* predicates is unsound (the "zombie" in docs/SOAK.md): the
 per-support firing positions are what unwinds cyclic derivations on
-retraction.  These tests pin both sides of the boundary — and the
-structural consequence: components are SCCs, so every predicate sharing
-a component with another is on a cycle (never foldable), while a
-foldable predicate's body atoms are all upstream and timeless
-(timestamp 0), so all of its supports fire at timestamp 1 and merge.
-Foldable timelines are *born* single-entry; the solver's epoch-end
-compaction pass is a sound backstop exercised directly on the
-:class:`TimedRelation` machinery below.
+retraction.  These tests pin that boundary — and the structural reason a
+fold had nothing to do elsewhere: components are SCCs, so a predicate of
+a non-recursive component has body atoms that are all upstream and
+timeless (timestamp 0), its supports all fire at timestamp 1 and merge,
+and its timelines are *born* single-entry.
 """
-
-import pytest
 
 from repro.datalog import parse
 from repro.engines import LaddderSolver, SemiNaiveSolver
-from repro.engines.laddder.state import TimedRelation
-from repro.robustness.guard import TRANSACTION
 
 from tests.unit.engines.helpers import load, tc_program
 
@@ -46,23 +39,11 @@ def oracle_relations(program, facts):
     return load(SemiNaiveSolver, program, facts).relations()
 
 
-class TestFoldableClassification:
-    def test_acyclic_predicates_are_foldable(self):
-        solver = load(LaddderSolver, diamond_program(), DIAMOND_FACTS)
-        foldable = set().union(*(s.foldable for s in solver._states))
-        assert {"hop", "hop2", "out"} <= foldable
-
-    def test_recursive_predicate_is_not_foldable(self):
-        solver = load(LaddderSolver, tc_program(), {"edge": {("a", "b")}})
-        for state in solver._states:
-            assert "tc" not in state.foldable
-
-
-class TestAcyclicCompaction:
-    def test_foldable_timelines_are_born_single_entry(self):
+class TestAcyclicPredicates:
+    def test_timelines_are_born_single_entry(self):
         solver = load(LaddderSolver, diamond_program(), DIAMOND_FACTS)
         # Both derivations of out(a, c) fire at timestamp 1 and merge:
-        # cross-component inputs are timeless, so foldable predicates
+        # cross-component inputs are timeless, so non-recursive predicates
         # never accumulate multi-entry histories in the first place.
         assert list(solver.timeline("out", ("a", "c")).entries()) == [(1, 2)]
         # A new path a->m->c re-derives hop2(a, c), but upstream exports
@@ -70,20 +51,22 @@ class TestAcyclicCompaction:
         # support count is unchanged.
         solver.update(insertions={"edge": {("a", "m"), ("m", "c")}})
         assert list(solver.timeline("out", ("a", "c")).entries()) == [(1, 2)]
-        for state in solver._states:
+        acyclic = [s for s in solver._states if not s.component.recursive]
+        assert {"hop", "hop2", "out"} <= set().union(
+            *(s.component.predicates for s in acyclic)
+        )
+        for state in acyclic:
             for relation in state.relations.values():
                 for timeline in relation.timelines.values():
                     assert len(timeline) == 1
-        # Nothing multi-entry ever reached the epoch-end pass.
-        assert solver.metrics.timelines_compacted == 0
         facts = {"edge": DIAMOND_FACTS["edge"] | {("a", "m"), ("m", "c")}}
         assert solver.relations() == oracle_relations(diamond_program(), facts)
 
-    def test_folded_supports_retract_bit_equal(self):
+    def test_merged_supports_retract_bit_equal(self):
         solver = load(LaddderSolver, diamond_program(), DIAMOND_FACTS)
         solver.update(insertions={"edge": {("a", "m"), ("m", "c")}})
         edges = set(DIAMOND_FACTS["edge"]) | {("a", "m"), ("m", "c")}
-        # Retract the supports one at a time; the folded timeline must
+        # Retract the supports one at a time; the merged timeline must
         # telescope through each correction and out(a, c) must disappear
         # exactly when the last path does.
         for edge in [("a", "c"), ("a", "b"), ("a", "m")]:
@@ -94,21 +77,13 @@ class TestAcyclicCompaction:
             )
         assert ("a", "c") not in solver.relation("out")
 
-    def test_opt_out_is_bit_equal(self, monkeypatch):
-        monkeypatch.setattr(LaddderSolver, "COMPACT", False)
-        solver = load(LaddderSolver, diamond_program(), DIAMOND_FACTS)
-        solver.update(insertions={"edge": {("a", "m"), ("m", "c")}})
-        assert list(solver.timeline("out", ("a", "c")).entries()) == [(1, 2)]
-        assert solver.metrics.timelines_compacted == 0
-        facts = {"edge": DIAMOND_FACTS["edge"] | {("a", "m"), ("m", "c")}}
-        assert solver.relations() == oracle_relations(diamond_program(), facts)
-
 
 class TestRecursiveBoundary:
     def test_cyclic_cascade_collapses_after_touching_epoch(self):
         """The distilled zombie: an epoch that touches cyclically-supported
-        tuples (and would fold them, were tc foldable) followed by a
-        deletion whose retraction cascade relies on the support positions.
+        tuples (and would fold them, were their positions folded) followed
+        by a deletion whose retraction cascade relies on the support
+        positions.
         """
         solver = load(LaddderSolver, tc_program(), {"edge": {("a", "b")}})
         solver.update(insertions={"edge": {("b", "a")}})
@@ -131,25 +106,3 @@ class TestRecursiveBoundary:
         # Cyclic supports stay at their firing positions, never folded.
         assert len(entries) >= 1
         assert all(d > 0 for _, d in entries)
-        assert solver.metrics.timelines_compacted == 0
-
-
-class TestJournal:
-    def test_compaction_and_redirect_roll_back_bit_equal(self):
-        relation = TimedRelation(2)
-        row = ("a", "b")
-        relation.add_delta(row, 1, 1)
-        relation.add_delta(row, 3, 1)
-        journal: list = []
-        TRANSACTION.undo = journal
-        try:
-            relation.add_delta(row, 5, 1)
-            relation.compact(row)
-            assert list(relation.timelines[row].entries()) == [(1, 3)]
-            relation.add_delta(row, 4, -1, redirect=True)
-            assert list(relation.timelines[row].entries()) == [(1, 2)]
-        finally:
-            TRANSACTION.undo = None
-        for fn, *args in reversed(journal):
-            fn(*args)
-        assert list(relation.timelines[row].entries()) == [(1, 1), (3, 1)]

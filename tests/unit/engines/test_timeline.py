@@ -1,7 +1,5 @@
 """Unit tests for differential count timelines (Figure 5)."""
 
-import pytest
-
 from repro.engines.laddder import NEVER, Timeline
 
 
@@ -43,6 +41,15 @@ class TestBasics:
     def test_entries_sorted(self):
         t = tl((9, 1), (3, 1), (6, 1))
         assert [ts for ts, _ in t.entries()] == [3, 6, 9]
+
+    def test_cumulative_fast_path_matches_prefix_sum(self):
+        # The single-entry branch of cumulative() must agree with a prefix
+        # sum over entries() at every probe, as must the multi-entry path.
+        for t in (tl((7, 2)), tl((7, 2), (10, 1)), tl((3, -1), (5, 2), (9, 1))):
+            entries = list(t.entries())
+            for probe in range(0, 13):
+                expected = sum(d for ts, d in entries if ts <= probe)
+                assert t.cumulative(probe) == expected, (entries, probe)
 
 
 class TestFigure5:
@@ -132,60 +139,3 @@ class TestTransientStates:
 
     def test_state_size(self):
         assert tl((1, 1), (2, 1)).state_size() == 2
-
-
-class TestCompaction:
-    def test_compact_folds_settled_multi_entry(self):
-        t = tl((7, 2), (10, 1))
-        assert t.compact() == 1
-        assert list(t.entries()) == [(7, 3)]
-        assert t.first() == 7
-        assert t.total() == 3
-
-    def test_compact_noop_on_single_entry(self):
-        t = tl((7, 2))
-        assert t.compact() == 0
-        assert list(t.entries()) == [(7, 2)]
-
-    def test_compact_refuses_unsettled(self):
-        t = tl((3, -1), (5, 2))
-        assert t.compact() == 0
-        assert list(t.entries()) == [(3, -1), (5, 2)]
-
-    def test_cumulative_fast_path_matches_prefix_sum(self):
-        # Satellite regression: the single-entry branch added for
-        # compacted timelines must agree with the general prefix sum at
-        # every probe point, before and after folding.
-        t = tl((7, 2), (10, 1))
-        probes = list(range(0, 13))
-        before = [t.cumulative(p) for p in probes]
-        t.compact()
-        after = [t.cumulative(p) for p in probes]
-        # Folding moves later support down to first(); existence agrees
-        # everywhere, and counts agree from the last original entry on.
-        assert [c > 0 for c in before] == [c > 0 for c in after]
-        assert before[10:] == after[10:]
-        assert after == [0] * 7 + [3] * 6
-
-    def test_redirect_exact_match_is_plain_placement(self):
-        t = tl((7, 1), (10, 1))
-        assert t.redirect_negative(10, -1) == [(10, -1)]
-
-    def test_redirect_cancels_against_folded_support(self):
-        t = tl((7, 3))
-        # The support for a firing at 10 was folded into the entry at 7.
-        assert t.redirect_negative(10, -1) == [(7, -1)]
-
-    def test_redirect_splits_across_entries(self):
-        t = tl((4, 1), (7, 1))
-        assert t.redirect_negative(9, -2) == [(7, -1), (4, -1)]
-
-    def test_redirect_residue_falls_through_at_target(self):
-        t = tl((7, 1))
-        assert t.redirect_negative(10, -2) == [(7, -1), (10, -1)]
-        # No positive support below at all: park the whole delta.
-        assert tl((12, 1)).redirect_negative(10, -1) == [(10, -1)]
-
-    def test_redirect_requires_negative_delta(self):
-        with pytest.raises(ValueError):
-            tl((1, 1)).redirect_negative(2, 1)
