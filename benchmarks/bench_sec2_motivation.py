@@ -9,8 +9,6 @@ costs a substantial fraction of its own initialization, while Laddder's
 mean update is orders of magnitude below its initialization.
 """
 
-import time
-
 import pytest
 
 from repro.analyses import setbased_pointsto
@@ -18,31 +16,27 @@ from repro.bench import format_table
 from repro.changes import alloc_site_changes
 from repro.engines import DRedLSolver, LaddderSolver
 
-from common import make_changes, report, subject
+from common import FRESH_SOLVERS, make_changes, min_over_fresh_solvers, report, subject
 
 
 def _measure():
     instance = setbased_pointsto(subject("minijavac"))
-    deletions = [c for c in make_changes(alloc_site_changes, instance, seed=3)
-                 if c.deletions and not c.insertions]
+    # The series alternates each deletion with the insertion undoing it.
+    changes = make_changes(alloc_site_changes, instance, seed=3)
+    deletions = [
+        i for i, c in enumerate(changes) if c.deletions and not c.insertions
+    ]
+    runs = min_over_fresh_solvers(instance, (DRedLSolver, LaddderSolver), changes)
     rows = []
     ratios = {}
-    for engine in (DRedLSolver, LaddderSolver):
-        solver = instance.make_solver(engine, solve=False)
-        start = time.perf_counter()
-        solver.solve()
-        init = time.perf_counter() - start
-        times = []
-        for change in deletions:
-            start = time.perf_counter()
-            solver.update(deletions=change.deletions)
-            times.append(time.perf_counter() - start)
-            solver.update(insertions=change.deletions)  # restore
+    for name, run in runs.items():
+        init = run.init_seconds
+        times = [run.updates[i].seconds for i in deletions]
         mean = sum(times) / len(times)
-        ratios[engine.__name__] = mean / init
+        ratios[name] = mean / init
         rows.append(
             [
-                engine.__name__,
+                name,
                 f"{init * 1e3:.1f}",
                 f"{mean * 1e3:.3f}",
                 f"{max(times) * 1e3:.3f}",
@@ -59,7 +53,8 @@ def test_sec2_deletions_cost_like_reanalysis_under_dred(benchmark):
          "mean/init"],
         rows,
         title="Section 2 — deletion updates vs initialization, set-based "
-        "points-to on minijavac (paper: DRedL mean 9 s vs init 35 s ~ 26%)",
+        f"points-to on minijavac, min over {FRESH_SOLVERS} fresh solvers "
+        "(paper: DRedL mean 9 s vs init 35 s ~ 26%)",
     )
     report("sec2_motivation", table)
     # DRed deletion updates cost a substantial share of a reanalysis

@@ -19,12 +19,11 @@ from repro.bench import (
     Distribution,
     distribution_row,
     format_table,
-    run_update_benchmark,
 )
 from repro.changes import alloc_site_changes, literal_to_zero_changes
 from repro.engines import DRedLSolver, LaddderSolver
 
-from common import make_changes, report, subject
+from common import FRESH_SOLVERS, make_changes, min_over_fresh_solvers, report, subject
 
 SERIES = {
     "pointsto-setbased": (setbased_pointsto, alloc_site_changes),
@@ -37,10 +36,7 @@ def _compare(analysis_name):
     build, generator = SERIES[analysis_name]
     instance = build(subject("minijavac"))
     changes = make_changes(generator, instance, seed=9)
-    runs = {}
-    for engine in (DRedLSolver, LaddderSolver):
-        runs[engine.__name__] = run_update_benchmark(instance, engine, changes)
-    return runs
+    return min_over_fresh_solvers(instance, (DRedLSolver, LaddderSolver), changes)
 
 
 @pytest.mark.parametrize("analysis_name", list(SERIES))
@@ -53,7 +49,8 @@ def test_sec73_update_comparison(benchmark, analysis_name):
     table = format_table(
         DISTRIBUTION_HEADERS,
         rows,
-        title=f"Section 7.3 — update times (ms) on minijavac, {analysis_name}",
+        title=f"Section 7.3 — update times (ms) on minijavac, {analysis_name} "
+        f"(each change: min over {FRESH_SOLVERS} fresh solvers)",
     )
     init_rows = [
         [name, f"{run.init_seconds * 1e3:.1f}"] for name, run in runs.items()

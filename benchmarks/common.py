@@ -24,6 +24,7 @@ from repro.analyses import (
     kupdate_pointsto,
     setbased_pointsto,
 )
+from repro.bench import run_update_benchmark
 from repro.changes import alloc_site_changes, literal_to_zero_changes
 from repro.corpus import SUBJECT_ORDER, load_subject
 
@@ -51,6 +52,35 @@ def subject(name: str):
 
 def make_changes(generator, instance, seed: int = 42):
     return generator(instance, CHANGE_PAIRS, seed=seed)
+
+
+#: Fresh solvers per engine that a timed engine comparison replays on.
+FRESH_SOLVERS = 5
+
+
+def min_over_fresh_solvers(instance, engines, changes, solvers=FRESH_SOLVERS):
+    """``engine name -> BenchmarkRun`` replaying ``changes`` on ``solvers``
+    fresh solvers per engine (the engines alternating), each time the
+    minimum over those solvers: initialization and every change's update.
+
+    One timed pass per change lets whatever else the machine was doing
+    decide a comparison.  Interference only ever adds time and each
+    change's work is deterministic, so the minimum is the statistic, as in
+    the repository benchmark (``e2e/README.md``, "Statistic").
+    """
+    replays = {engine.__name__: [] for engine in engines}
+    for _ in range(solvers):
+        for engine in engines:
+            replays[engine.__name__].append(
+                run_update_benchmark(instance, engine, changes)
+            )
+    best = {}
+    for name, runs in replays.items():
+        run = best[name] = runs[0]
+        run.init_seconds = min(other.init_seconds for other in runs)
+        for i, update in enumerate(run.updates):
+            update.seconds = min(other.updates[i].seconds for other in runs)
+    return best
 
 
 def report(name: str, text: str) -> None:

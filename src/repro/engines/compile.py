@@ -41,7 +41,8 @@ Emit modes
 ``keyvalue``
     yield ``(group key, aggregand value)`` for an aggregation rule;
 ``exists``
-    yield ``True`` per satisfying substitution (re-derivation checks).
+    return whether some substitution satisfies the body, from a plain
+    function that stops at the first (re-derivation checks).
 
 Call signatures (identical in compiled and interpreted mode):
 
@@ -50,7 +51,10 @@ Call signatures (identical in compiled and interpreted mode):
   occurrence is unified against ``row`` in a fused prologue; a mismatch
   yields nothing (the ``bind_pinned(...) is None`` case);
 * bound kernels: ``fn(lookup, binding, neg_skip=None)`` — ``binding`` is a
-  name->value mapping covering the declared bound set.
+  name->value mapping covering the declared bound set;
+* head kernels: ``fn(lookup, row, neg_skip=None)`` — ``row`` is unified
+  against the rule head before any relation is touched, binding the head's
+  variables; a mismatch returns nothing (DRedL's re-derivation check).
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ from ..datalog.ast import (
 from ..datalog.planning import CardinalityOracle, plan_body
 from ..datalog.program import Program
 from ..robustness import faults as _faults
-from .grounding import Lookup, bind_pinned, instantiate, run_plan
+from .grounding import Lookup, bind_pinned, instantiate, run_plan, unify_tuple
 
 _KERNEL_NAME = "_kernel"
 
@@ -290,7 +294,7 @@ class _KernelBuilder:
             g.emit(f"{src} = {rel}.scan_rows()")
         else:
             index = self.index_ref(rel, tuple(i for i, _ in bound_exprs))
-            # The value tuple :meth:`ColumnIndexed._key_for` builds (built
+            # The value tuple :mod:`~repro.engines.relation` keys on (built
             # indexes travel in checkpoints, so the format is persistent).
             key = _tuple_expr([expr for _, expr in bound_exprs])
             g.emit(f"{src} = {index}.get({key})")
@@ -401,7 +405,8 @@ class _KernelBuilder:
         raise ValueError(f"unknown emit mode {emit!r}")  # pragma: no cover
 
     def emit_tail(self, emit: str, spec, var_order: tuple[str, ...]) -> None:
-        self.g.emit(f"yield {self.emit_expr(emit, spec, var_order)}")
+        verb = "return" if emit == "exists" else "yield"
+        self.g.emit(f"{verb} {self.emit_expr(emit, spec, var_order)}")
 
     def batch_tail(
         self,
@@ -461,6 +466,10 @@ def compile_kernel(
     elif mode == "bound":
         args.append("_binding")
         builder.bound_prologue(bound)
+    elif mode == "head":
+        args.append("_row")
+        builder._slots = builder.g.unify_row(rule.head.args)
+        builder.bound.update(builder._slots)
     # Relation hoists belong above the prologue lines in execution order,
     # but the prologue emits straight-line code only, so ordering within the
     # preamble is irrelevant; keep hoists after to reuse the line buffer.
@@ -489,9 +498,15 @@ def compile_kernel(
     if not batched:
         builder.emit_tail(emit, spec, var_order)
     body = builder.g.lines
+    if emit == "exists":
+        body.append("    return False")
     # Final line order: relation hoists, hoisted index dicts (which read
-    # the relation locals), the mode prologue, then the lowered body.
-    builder.g.lines = hoists + builder.index_lines + prologue + body
+    # the relation locals), the mode prologue, then the lowered body.  A
+    # head prologue goes first: a row that does not unify touches nothing.
+    preamble = hoists + builder.index_lines
+    if mode == "head":
+        preamble, prologue = prologue, preamble
+    builder.g.lines = preamble + prologue + body
     return builder.g.build(
         _KERNEL_NAME, ", ".join(args) + ", neg_skip=None",
         f"<kernel:{rule.head.pred}>",
@@ -546,8 +561,17 @@ def interpret_kernel(
         def kernel(lookup, _binding, neg_skip=None):
             for theta in run_plan(plan, program, lookup, dict(_binding), 0, neg_skip):
                 yield project(theta)
+    elif mode == "head":
+        def kernel(lookup, _row, neg_skip=None):
+            binding: dict = {}
+            if unify_tuple(head, _row, binding) is not None:
+                for theta in run_plan(plan, program, lookup, binding, 0, neg_skip):
+                    yield project(theta)
     else:  # pragma: no cover
         raise ValueError(f"unknown kernel mode {mode!r}")
+    if emit == "exists":
+        witnesses = kernel
+        return lambda *a, neg_skip=None: next(witnesses(*a, neg_skip=neg_skip), False)
     return kernel
 
 
@@ -565,8 +589,8 @@ class RuleShape:
     head; ``literals`` holds ``(negated, pred, grounder)`` per relational
     body atom, where ``grounder(regs)`` builds that atom's ground row.
 
-    The per-substitution work of the incremental engines is fixed per rule,
-    so it is generated here once, as straight-line code:
+    Laddder's per-substitution work is fixed per rule, so it is generated
+    here once, as straight-line code:
 
     ``firing(regs, relations, pred, row, old_first, new_first)``
         Laddder's firing timestamps ``(t_old, t_new)`` of the substitution
@@ -579,10 +603,6 @@ class RuleShape:
         timeless (timestamp 0 <= any max) and do not appear.  Reads go at
         ``relations.get``: a predicate with no relation yet simply has no
         tuples, and a pure probe must not force one into existence.
-    ``bind_head(row)``
-        DRedL's re-derivation binding: unify ``row`` against the head,
-        returning ``name -> value`` or None on a constant or
-        repeated-variable mismatch.
     """
 
     def __init__(self, rule: Rule):
@@ -592,8 +612,7 @@ class RuleShape:
         )
         self._index = {name: i for i, name in enumerate(self.var_order)}
 
-    # Each engine reads its own members only (DRedL never fires, Laddder
-    # never binds heads), so they are generated on first use, once.
+    # Members are generated on first use, once.
 
     def _row_expr(self, terms, g: _Codegen) -> str:
         """``terms`` grounded from the register tuple ``_s``, as source."""
@@ -649,14 +668,6 @@ class RuleShape:
             "_firing", "_s, _rels, _pred, _row, _old, _new",
             f"<firing:{self.rule.head.pred}>",
         )
-
-    @cached_property
-    def bind_head(self) -> Callable[[tuple], "dict | None"]:
-        g = _Codegen()
-        slots = g.unify_row(self.rule.head.args)
-        items = ", ".join(f"{name!r}: {slot}" for name, slot in slots.items())
-        g.emit(f"return {{{items}}}")
-        return g.build("_bind_head", "_row", f"<bind_head:{self.rule.head.pred}>")
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +732,7 @@ class RuleKernel:
 
 class KernelCache:
     """Per-solver cache of compiled kernels, keyed by
-    ``(rule, pinned, bound-set, emit mode)``.
+    ``(rule, pinned, bound-set, emit mode, head)``.
 
     All four engines share one instance (created in ``Solver.__init__``), so
     planning/compilation happens once per distinct key for the lifetime of
@@ -751,13 +762,17 @@ class KernelCache:
         *,
         pinned: int | None = None,
         bound: Iterable[str] = (),
+        head: bool = False,
         emit: str = "head",
         oracle: CardinalityOracle | None = None,
         spec=None,
     ) -> RuleKernel:
-        """Get or build the kernel for one (rule, pinned, bound, emit)."""
+        """Get or build the kernel for one (rule, pinned, bound, emit, head);
+        a head kernel's bound set is the head's variables."""
+        if head:
+            bound = (v.name for v in rule.head_variables())
         bound_names = frozenset(bound)
-        key = (id(rule), pinned, bound_names, emit)
+        key = (id(rule), pinned, bound_names, emit, head)
         cached = self._kernels.get(key)
         metrics = self.metrics
         if cached is not None:
@@ -780,6 +795,7 @@ class KernelCache:
             )
             mode = (
                 "pinned" if pinned is not None
+                else "head" if head
                 else ("bound" if bound_names else "scan")
             )
             var_order = ()

@@ -61,13 +61,12 @@ class _DredComponent(ComponentState):
 
     def __init__(self, component, program, arities):
         super().__init__(component, program, arities)
-        #: head pred -> [(rule, head-bound variable names)] for re-derivation.
-        self.rederive_rules: dict[str, list[tuple[Rule, frozenset[str]]]] = {}
+        #: head pred -> [rule] for re-derivation.
+        self.rederive_rules: dict[str, list[Rule]] = {}
         for rule in self.plain_rules:
-            bound = frozenset(v.name for v in rule.head_variables())
-            self.rederive_rules.setdefault(rule.head.pred, []).append((rule, bound))
-        #: head pred -> [(shape.bind_head, exists-kernel)].
-        self.rederive_kernels: dict[str, list[tuple[object, object]]] = {}
+            self.rederive_rules.setdefault(rule.head.pred, []).append(rule)
+        #: head pred -> [head-row exists-kernel].
+        self.rederive_kernels: dict[str, list[object]] = {}
         self.recompute_kernels: dict[str, object] = {}
 
     def reset(self) -> None:
@@ -187,15 +186,10 @@ class DRedLSolver(Solver):
         }
         state.rederive_kernels = {
             pred: [
-                (
-                    kernels.shape(rule).bind_head,
-                    kernels.kernel(
-                        rule, bound=bound, emit="exists", oracle=oracle
-                    ).fn,
-                )
-                for rule, bound in entries
+                kernels.kernel(rule, head=True, emit="exists", oracle=oracle).fn
+                for rule in rules
             ]
-            for pred, entries in state.rederive_rules.items()
+            for pred, rules in state.rederive_rules.items()
         }
         state.recompute_kernels = {}
         state.extractors = {}
@@ -230,20 +224,20 @@ class DRedLSolver(Solver):
         net_removed: dict[str, set[tuple]] = {}
         work = 0
 
+        local = state.component.predicates
+        # Inflationary aggregated exports are derived from group finals.
+        unrecorded = state.specs if self.inflationary else ()
+
         def record_add(pred: str, row: tuple) -> None:
-            if pred not in state.component.predicates:
+            if pred not in local or pred in unrecorded:
                 return
-            if self.inflationary and pred in state.specs:
-                return  # aggregated exports are derived from group finals
             if row in net_removed.get(pred, ()):
                 net_removed[pred].discard(row)
             else:
                 net_added.setdefault(pred, set()).add(row)
 
         def record_remove(pred: str, row: tuple) -> None:
-            if pred not in state.component.predicates:
-                return
-            if self.inflationary and pred in state.specs:
+            if pred not in local or pred in unrecorded:
                 return
             if row in net_added.get(pred, ()):
                 net_added[pred].discard(row)
@@ -430,7 +424,7 @@ class DRedLSolver(Solver):
                             negation_reinserts.add((pred, row))
                         continue
                     head_pred = rule.head.pred
-                    head_rel = rel(head_pred)
+                    head_rows = rel(head_pred).tuples
                     t0 = perf_counter() if stratum is not None else 0.0
                     enumerated = 0
                     for head_row in kernel(rel, row):
@@ -438,7 +432,7 @@ class DRedLSolver(Solver):
                         head = (head_pred, head_row)
                         if head in removed:
                             continue
-                        if head_row in head_rel:
+                        if head_row in head_rows:
                             removed.add(head)
                             next_frontier.append(head)
                     if stratum is not None:
@@ -528,17 +522,17 @@ class DRedLSolver(Solver):
             record_add(pred, row)
             for rule, literal, kernel in state.occ_kernels.get(pred, ()):
                 head_pred = rule.head.pred
-                head_rel = rel(head_pred)
+                head_rows = rel(head_pred).tuples
                 if literal.negated:
                     for head_row in kernel(rel, row, neg_skip=(pred, row)):
-                        if head_row in head_rel:
+                        if head_row in head_rows:
                             pending_del.add((head_pred, head_row))
                     continue
                 t0 = perf_counter() if stratum is not None else 0.0
                 enumerated = 0
                 for head_row in kernel(rel, row):
                     enumerated += 1
-                    if head_row not in head_rel:
+                    if head_row not in head_rows:
                         worklist.append((head_pred, head_row))
                 if stratum is not None:
                     metrics.rule_fired(
@@ -584,11 +578,8 @@ class DRedLSolver(Solver):
     def _rederivable(self, state, pred: str, row: tuple) -> bool:
         """Does some rule still derive ``row`` in the current state?"""
         rel = state.rel
-        for bind_head, kernel in state.rederive_kernels.get(pred, ()):
-            binding = bind_head(row)
-            if binding is None:
-                continue
-            for _ in kernel(rel, binding):
+        for kernel in state.rederive_kernels.get(pred, ()):
+            if kernel(rel, row):
                 return True
         return False
 

@@ -17,7 +17,8 @@ tuples (docs/PERFORMANCE.md, "Storage").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from ..datalog.errors import SolverError
 from ..robustness.guard import TRANSACTION
@@ -27,6 +28,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 
 #: Shared empty probe result — misses return one singleton, not fresh tuples.
 _EMPTY: tuple = ()
+
+
+class _KeyGetters(dict):
+    """cols -> the C-level getter of a row's index key on ``cols``, built on
+    first use and shared by every relation.  ``itemgetter(*cols)`` builds the
+    value tuple; for one column a one-wide slice of the row is that 1-tuple."""
+
+    def __missing__(self, cols: tuple[int, ...]) -> Callable[[tuple], tuple]:
+        getter = self[cols] = (
+            itemgetter(slice(cols[0], cols[0] + 1))
+            if len(cols) == 1
+            else itemgetter(*cols)
+        )
+        return getter
+
+
+_KEY_FOR = _KeyGetters()
 
 
 def _set_slots(obj, state) -> None:
@@ -82,7 +100,7 @@ class ColumnIndexed:
                 if hit:
                     metrics.join_probe_rows += 1
             return (exact,) if hit else _EMPTY
-        bucket = self._index(cols).get(self._key_for(pattern, cols))
+        bucket = self._index(cols).get(_KEY_FOR[cols](pattern))
         if metrics is not None:
             metrics.join_probes += 1
             if bucket:
@@ -102,10 +120,6 @@ class ColumnIndexed:
             rows = self._scan_cache = tuple(self._items())
         return rows
 
-    def _key_for(self, item: tuple, cols: tuple[int, ...]) -> tuple:
-        """The index key of ``item`` on ``cols``."""
-        return tuple(item[c] for c in cols)
-
     def index_for(self, cols: tuple[int, ...]) -> dict:
         """The (built) index on ``cols`` — the compiled kernels' probe seam."""
         return self._index(cols)
@@ -114,9 +128,9 @@ class ColumnIndexed:
         index = self._indexes.get(cols)
         if index is None:
             index = {}
-            key_for = self._key_for
+            key_of = _KEY_FOR[cols]
             for item in self._items():
-                key = key_for(item, cols)
+                key = key_of(item)
                 bucket = index.get(key)
                 if bucket is None:
                     bucket = index[key] = set()
@@ -129,9 +143,8 @@ class ColumnIndexed:
     def _register(self, item: tuple) -> None:
         """Insert ``item`` into every built index; invalidate the scan cache."""
         self._scan_cache = None
-        key_for = self._key_for
         for cols, index in self._indexes.items():
-            key = key_for(item, cols)
+            key = _KEY_FOR[cols](item)
             bucket = index.get(key)
             if bucket is None:
                 bucket = index[key] = set()
@@ -140,9 +153,8 @@ class ColumnIndexed:
     def _unregister(self, item: tuple) -> None:
         """Remove ``item`` from every built index; invalidate the scan cache."""
         self._scan_cache = None
-        key_for = self._key_for
         for cols, index in self._indexes.items():
-            key = key_for(item, cols)
+            key = _KEY_FOR[cols](item)
             bucket = index.get(key)
             if bucket is not None:
                 bucket.discard(item)

@@ -30,10 +30,36 @@ and product combinators).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass, fields
 from typing import Any, Hashable, Iterable
 
 Element = Hashable
 """Lattice elements are arbitrary hashable Python values."""
+
+
+def frozen_element(cls):
+    """``@dataclass(frozen=True)`` for element classes, hashed once.
+
+    The hash of the field tuple (the dataclass value, so set and dict orders
+    hold) is taken at construction, not again at every row hash.  A pickle
+    carries the fields only, since a string's hash differs between processes;
+    pickles written before the cache hold a ``__dict__`` state, which
+    ``__setstate__`` feeds to ``__init__``.
+    """
+    check = getattr(cls, "__post_init__", lambda self: None)
+
+    def __post_init__(self) -> None:
+        check(self)
+        object.__setattr__(self, "_hash", hash(values(self)))
+
+    cls.__post_init__ = __post_init__
+    cls = dataclass(frozen=True)(cls)
+    names = [field.name for field in fields(cls)]
+    values = lambda self: tuple([getattr(self, name) for name in names])
+    cls.__hash__ = lambda self: self._hash
+    cls.__reduce__ = lambda self: (cls, values(self))
+    cls.__setstate__ = lambda self, state: self.__init__(**state)
+    return cls
 
 
 class LatticeError(Exception):

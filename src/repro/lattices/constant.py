@@ -15,13 +15,12 @@ encoding into standard Datalog would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
-from .base import Element, Lattice
+from .base import Element, Lattice, frozen_element
 
 
-@dataclass(frozen=True)
+@frozen_element
 class Const:
     """A known constant value.  ``value`` is any hashable Python value."""
 
@@ -31,7 +30,7 @@ class Const:
         return f"Const({self.value!r})"
 
 
-@dataclass(frozen=True)
+@frozen_element
 class _Extreme:
     """Distinguished Bot/Top markers shared by several flat domains."""
 

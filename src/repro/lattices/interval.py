@@ -15,10 +15,9 @@ stationary output in finitely many applications even on infinite lattices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .base import Element, Lattice, LatticeError
+from .base import Element, Lattice, LatticeError, frozen_element
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -28,7 +27,7 @@ POS_INF = math.inf
 DEFAULT_THRESHOLDS: tuple[float, ...] = (-128, -1, 0, 1, 2, 8, 16, 64, 127, 255, 1024)
 
 
-@dataclass(frozen=True)
+@frozen_element
 class Interval:
     """A non-empty closed integer interval ``[lo, hi]``."""
 
@@ -52,7 +51,7 @@ class Interval:
         return self.lo == self.hi and self.lo not in (NEG_INF, POS_INF)
 
 
-@dataclass(frozen=True)
+@frozen_element
 class _EmptyInterval:
     def __repr__(self) -> str:
         return "[]"

@@ -16,13 +16,12 @@ fallback) eventually dominates the retraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .base import Element, Lattice, LatticeError
+from .base import Element, Lattice, LatticeError, frozen_element
 
 
-@dataclass(frozen=True)
+@frozen_element
 class _KTop:
     def __repr__(self) -> str:
         return "KTop"

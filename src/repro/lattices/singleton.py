@@ -13,10 +13,9 @@ is the production implementation, and tests use small hand-rolled ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol
 
-from .base import Element, Lattice, LatticeError
+from .base import Element, Lattice, LatticeError, frozen_element
 
 
 class TypeHierarchy(Protocol):
@@ -32,7 +31,7 @@ class TypeHierarchy(Protocol):
         """The most precise class both ``a`` and ``b`` are subtypes of."""
 
 
-@dataclass(frozen=True)
+@frozen_element
 class O:
     """A singleton abstract object, identified by its allocation site."""
 
@@ -42,7 +41,7 @@ class O:
         return f"O({self.obj})"
 
 
-@dataclass(frozen=True)
+@frozen_element
 class C:
     """A class type; method resolution falls back to lookup in subclasses."""
 
@@ -52,7 +51,7 @@ class C:
         return f"C({self.cls})"
 
 
-@dataclass(frozen=True)
+@frozen_element
 class _SingletonBot:
     def __repr__(self) -> str:
         return "Bot"

@@ -13,13 +13,12 @@ Two domains:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .base import Element, Lattice
+from .base import Element, Lattice, frozen_element
 from .kset import KSetLattice
 
 
-@dataclass(frozen=True)
+@frozen_element
 class Prefix:
     """A known common prefix of every possible runtime string."""
 
@@ -29,7 +28,7 @@ class Prefix:
         return f"Prefix({self.text!r})"
 
 
-@dataclass(frozen=True)
+@frozen_element
 class _Extreme:
     label: str
 

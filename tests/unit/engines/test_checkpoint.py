@@ -86,6 +86,40 @@ class TestLatticeState:
         solver.update(insertions={"lit": {("y", 2)}})
         assert restored.relations() == solver.relations()
 
+    def test_parent_written_singleton_checkpoint_restores_and_keeps_updating(
+        self,
+    ):
+        """``tests/fixtures/parent_singleton_laddder.ckpt`` was written by
+        the build before lattice elements cached their hash, from a Laddder
+        ``pointsto-singleton`` solve of minijavac at scale 0.5: its
+        str-valued ``O``/``C`` elements carry only their fields, and must
+        restore hashing like fresh ones, in state and indexes alike."""
+        from pathlib import Path
+
+        from repro.analyses import ANALYSES
+        from repro.service import take_snapshot
+
+        instance = ANALYSES["pointsto-singleton"](
+            load_subject("minijavac", scale=0.5)
+        )
+        path = Path(__file__).parents[2] / "fixtures" / "parent_singleton_laddder.ckpt"
+        restored = load_checkpoint(LaddderSolver, instance.program, path)
+        fresh = instance.make_solver(LaddderSolver)
+        assert take_snapshot(restored, 1).digest() == take_snapshot(fresh, 1).digest()
+        first, second = sorted(instance.facts["alloc"])[:2]
+        for version, batch in enumerate((
+            {"deletions": {"alloc": {first}}},
+            {"insertions": {"alloc": {first}}, "deletions": {"alloc": {second}}},
+            {"insertions": {"alloc": {second}}},
+        ), start=2):
+            stats = restored.update(**batch)
+            assert stats.inserted == fresh.update(**batch).inserted
+            assert stats.inserted or stats.deleted
+            assert (
+                take_snapshot(restored, version).digest()
+                == take_snapshot(fresh, version).digest()
+            )
+
 
 class TestValidation:
     def test_unsolved_rejected(self, tmp_path):

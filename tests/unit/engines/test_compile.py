@@ -205,8 +205,22 @@ class TestEmitModes:
             p, rule, bound=frozenset({"X"}), emit="exists"
         )
         for kernel in (compiled, interp):
-            assert any(kernel.fn(lookup, {"X": 1}))
-            assert not any(kernel.fn(lookup, {"X": 7}))
+            assert kernel.fn(lookup, {"X": 1}) is True
+            assert kernel.fn(lookup, {"X": 7}) is False
+
+    def test_head_kernel_unifies_the_row_against_the_head(self):
+        # DRedL's re-derivation check: the head's constant and repeated
+        # variable are checked in the prologue, before any probe.
+        p = parse('q(X, X, "k") :- n(X), !b(X).')
+        rule = p.rules[0]
+        _, lookup = make_lookup({"n": {(1,)}, "b": set()}, arities={"b": 1})
+        compiled, interp = both_kernels(p, rule, head=True, emit="exists")
+        assert "_binding" not in compiled.fn.__kernel_source__
+        for kernel in (compiled, interp):
+            assert kernel.fn(lookup, (1, 1, "k"))
+            assert not kernel.fn(lookup, (7, 7, "k"))
+            assert not kernel.fn(lookup, (1, 2, "k"))
+            assert not kernel.fn(lookup, (1, 1, "j"))
 
 
 AGG_SOURCE = """
@@ -440,6 +454,10 @@ class TestOneLoweringOnEveryBundledRule:
     @staticmethod
     def agree(compiled, interp, *args):
         assert ".matching(" not in compiled.fn.__kernel_source__
+        if compiled.emit == "exists":
+            got = bool(compiled.fn(*args))
+            assert got == interp.fn(*args)
+            return int(got)
         got = sorted(compiled.fn(*args), key=repr)
         assert got == sorted(interp.fn(*args), key=repr)
         return len(got)
@@ -461,14 +479,12 @@ class TestOneLoweringOnEveryBundledRule:
             for rule in state.plain_rules:
                 for emit in ("head", "regs", "exists"):
                     enumerated += self.agree(*both(rule, emit=emit), lookup)
-                head_vars = frozenset(v.name for v in rule.head_variables())
+                # DRedL's re-derivation probe: head rows of every rule of
+                # the predicate, so constant and repeated-variable
+                # mismatches are fed too.
+                kernels = both(rule, head=True, emit="exists")
                 for head_row in sorted(lookup(rule.head.pred), key=repr)[: self.SAMPLE]:
-                    binding = caches[0].shape(rule).bind_head(head_row)
-                    if binding is not None:
-                        enumerated += self.agree(
-                            *both(rule, bound=head_vars, emit="exists"),
-                            lookup, binding,
-                        )
+                    enumerated += self.agree(*kernels, lookup, head_row)
             for pred, entries in state.occurrences.items():
                 rows = sorted(lookup(pred), key=repr)[: self.SAMPLE]
                 for rule, _literal, occ in entries:
