@@ -3,8 +3,7 @@
 All engines evaluate rule bodies left to right, binding variables as they
 go.  :func:`plan_body` reorders the body so that:
 
-* positive literals come in a greedy most-bound-first order (a simple join
-  heuristic that prefers atoms sharing variables with what is already bound),
+* positive literals come cheapest first, by estimated enumeration cost,
 * ``Eval`` atoms run as soon as their arguments are bound,
 * ``Test`` atoms and negated literals run as soon as their arguments are
   bound (negation is safe only on fully bound atoms).
@@ -16,13 +15,13 @@ position used by semi-naïve and incremental evaluation (see
 Both raise :class:`ValidationError` if no admissible order exists
 (an unbound Eval argument, unsafe negation, ...).
 
-When a *cardinality oracle* (``pred -> live size``) is supplied, positive
-literals are instead chosen by estimated enumeration cost — the most
-selective literal is probed first.  The estimate is the classic
-``size ** (1 - bound/arity)`` reduction: each bound column is assumed to
-cut the relation by one uniform factor.  Without an oracle the original
-greedy most-bound-first order is used, so plans stay stable for callers
-that do not care about cardinalities.
+The cost of a positive literal comes from a *cardinality oracle*
+(``pred -> live size``) by the classic ``size ** (1 - bound/arity)``
+reduction: each bound column is assumed to cut the relation by one uniform
+factor.  Ties go to the literal sharing the most bound variables, then to
+body position.  The default oracle reports every relation empty, so every
+cost is 0 and the tie-breaks alone give the greedy most-bound-first order:
+the plan for callers that have no sizes to offer.
 """
 
 from __future__ import annotations
@@ -34,6 +33,11 @@ from .errors import ValidationError
 
 #: Maps a predicate name to its current tuple count.
 CardinalityOracle = Callable[[str], int]
+
+
+def no_sizes(pred: str) -> int:
+    """The default oracle: nothing is solved yet, every relation is empty."""
+    return 0
 
 
 def _term_vars(args) -> set[Variable]:
@@ -95,15 +99,14 @@ def plan_body(
     rule: Rule,
     pinned: int | None = None,
     initially_bound: set[Variable] | None = None,
-    oracle: CardinalityOracle | None = None,
+    oracle: CardinalityOracle = no_sizes,
 ) -> list[BodyItem]:
     """Return the body items of ``rule`` in an admissible evaluation order.
 
     ``pinned`` (an index into ``rule.body``) forces that item first — it must
     be a relational literal.  ``initially_bound`` variables count as bound
     before the first item (used for head-bound re-derivation checks in
-    DRed).  ``oracle`` switches positive-literal selection from greedy
-    most-bound-first to cardinality-aware least-estimated-cost-first.
+    DRed).  ``oracle`` sizes the relations positive literals are costed by.
     Raises :class:`ValidationError` if no admissible order exists.
     """
     remaining = list(enumerate(rule.body))
@@ -124,7 +127,7 @@ def plan_body(
 
     while remaining:
         # Priority: ready Eval/Test/negation first (cheap filters), then the
-        # positive literal sharing the most bound variables.
+        # cheapest positive literal.
         filter_idx = next(
             (
                 k
@@ -146,19 +149,16 @@ def plan_body(
             raise ValidationError(
                 f"no admissible body order for {rule!r}: unbound {stuck!r}"
             )
-        if oracle is None:
-            k, item = max(positives, key=lambda pair: _overlap(pair[1], bound))
-        else:
-            # Least estimated cost; ties broken by bound-variable overlap,
-            # then original body position (deterministic plans).
-            k, item = min(
-                positives,
-                key=lambda pair: (
-                    _estimated_cost(pair[1], bound, oracle),
-                    -_overlap(pair[1], bound),
-                    pair[0],
-                ),
-            )
+        # Least estimated cost; ties broken by bound-variable overlap, then
+        # original body position (deterministic plans).
+        k, item = min(
+            positives,
+            key=lambda pair: (
+                _estimated_cost(pair[1], bound, oracle),
+                -_overlap(pair[1], bound),
+                pair[0],
+            ),
+        )
         remaining.pop(k)
         ordered.append(item)
         bound |= _binds(item)
@@ -199,7 +199,7 @@ def delta_occurrences(
 def delta_plans(
     rule: Rule,
     include_negated: bool = False,
-    oracle: CardinalityOracle | None = None,
+    oracle: CardinalityOracle = no_sizes,
 ) -> list[tuple[int, list[BodyItem]]]:
     """One plan per relational body occurrence, pinned first.
 

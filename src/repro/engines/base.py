@@ -138,8 +138,7 @@ class ComponentState:
             self.specs_by_collecting.setdefault(spec.collecting_pred, []).append(spec)
         self.plain_rules = [r for r in component.rules if not r.is_aggregation]
         #: pred -> [(rule, pinned literal, occurrence index)] for every body
-        #: occurrence; kernels are resolved per epoch (the engine's
-        #: ``_bind_kernels``) so join orders can follow live cardinalities.
+        #: occurrence; the engine's ``_bind_kernels`` resolves its kernels.
         self.occurrences: dict[str, list[tuple[Rule, Literal, int]]] = {}
         for rule in self.plain_rules:
             for occ, literal in delta_occurrences(rule, include_negated=True):
@@ -150,14 +149,12 @@ class ComponentState:
         self.static_rules = [
             rule for rule in self.plain_rules if not rule.body_literals()
         ]
-        #: Kernel tables (filled by the engine's ``_bind_kernels``; rebuilt
-        #: only when the cache evicts a stale plan).
+        #: Kernel tables (filled by the engine's ``_bind_kernels``, when
+        #: :meth:`Solver._plan_component` says they are due).
         self.occ_kernels: dict[str, list[tuple]] = {}
         self.extractors: dict[str, object] = {}
-        self.kernels_bound = False
-        #: pred -> safe size interval (KernelCache.replan_guard); while all
-        #: watched sizes stay inside, refresh cannot evict and is skipped.
-        self.replan_guard: dict[str, tuple[float, float]] | None = None
+        #: Whether the tables are planned against the solved sizes.
+        self.sized = False
 
     def reset(self) -> None:
         """Drop every stored tuple and aggregate (before a fresh solve)."""
@@ -181,6 +178,12 @@ class ComponentState:
         if undo is not None:
             undo.append((dict.pop, self.relations, pred, None))
         return relation
+
+    def size(self, pred: str) -> int:
+        """Stored tuples of ``pred``, read, never created: a predicate with
+        no relation yet has none, and measuring must not force (and, under
+        a guard, journal) an empty relation into existence."""
+        return len(self.relations.get(pred, ()))
 
     @property
     def rel(self) -> Callable[[str], object]:
@@ -504,34 +507,22 @@ class Solver(ABC):
             for head_row in self.kernels.kernel(rule).fn(state.rel):
                 yield pred, head_row
 
-    def _stale_kernels(self, state: ComponentState) -> Callable[[str], int] | None:
-        """The shared kernel-binding preamble, run once per component visit
-        (between strata, never inside a fixpoint).
+    def _plan_component(self, state: ComponentState, update: bool) -> None:
+        """Bind ``state``'s kernel tables through the engine's
+        ``_bind_kernels(state, oracle)`` by the planning rule
+        (docs/PERFORMANCE.md, "When a kernel is planned").
 
-        ``refresh`` evicts kernels whose body cardinalities shifted beyond
-        the re-plan factor.  Returns the live cardinality oracle when the
-        engine must (re)build ``state``'s kernel tables against it, or None
-        when the previous visit's tables are still valid — typical updates
-        touch a few tuples, so that path must stay cheap.
+        At solve they come from the greedy plans: nothing is solved yet to
+        size them by.  At the first update visit after a solve or a
+        checkpoint restore they are bound once more, by cost against the
+        solved sizes, and kept from then on.
         """
-        guard = state.replan_guard
-        # Sizes are read, never created: a predicate with no relation yet
-        # has no tuples, and measuring must not force (and, under a guard,
-        # journal) an empty relation into existence.
-        get = state.relations.get
-        if state.kernels_bound and guard is not None:
-            if all(lo < len(get(p, ())) < hi for p, (lo, hi) in guard.items()):
-                return None  # no watched cardinality left its safe interval
-
-        def oracle(pred: str) -> int:
-            return len(get(pred, ()))
-
-        evicted = self.kernels.refresh(state.component.rules, oracle)
-        if state.kernels_bound and not evicted:
-            state.replan_guard = self.kernels.replan_guard(state.component.rules)
-            return None
-        state.kernels_bound = True
-        return oracle
+        if not update:
+            state.sized = False
+            self._bind_kernels(state, None)
+        elif not state.sized:
+            self._bind_kernels(state, state.size)
+            state.sized = True
 
     # -- exported views ------------------------------------------------------
 

@@ -21,13 +21,12 @@ original interpreter remains available as ``KernelCache(interpret=True)``
 reference implementation the differential tests compare against.
 
 Kernels are produced and cached by :class:`KernelCache`, one per solver.
-When a cardinality oracle is supplied the body is planned cost-aware
-(:func:`repro.datalog.planning.plan_body` with ``oracle=``) and the relation
-sizes seen at compile time are remembered; :meth:`KernelCache.refresh`
-evicts kernels whose body relations have since grown or shrunk by more than
-:attr:`KernelCache.REPLAN_FACTOR`, so join orders track cardinality
-shifts between strata visits without ever re-planning inside a fixpoint
-loop.
+When a cardinality oracle is supplied the body is planned by estimated cost
+against the sizes it reports (:func:`repro.datalog.planning.plan_body`);
+without one, by the greedy most-bound-first order.  Nothing is ever
+evicted: the engines decide *when* a sized plan is wanted
+(docs/PERFORMANCE.md, "When a kernel is planned"), and the cache keeps the
+greedy and the sized kernel of one specialization side by side.
 
 Emit modes
 ----------
@@ -74,7 +73,7 @@ from ..datalog.ast import (
     Test,
     Variable,
 )
-from ..datalog.planning import CardinalityOracle, plan_body
+from ..datalog.planning import CardinalityOracle, no_sizes, plan_body
 from ..datalog.program import Program
 from ..robustness import faults as _faults
 from .grounding import Lookup, bind_pinned, instantiate, run_plan, unify_tuple
@@ -712,18 +711,16 @@ def compile_extractor(spec, *, interpret: bool = False) -> Callable:
 
 
 class RuleKernel:
-    """One cached kernel: the callable plus its replan bookkeeping."""
+    """One cached kernel: the callable plus what it was built from."""
 
-    __slots__ = ("fn", "plan", "rule", "mode", "emit", "sizes", "compiled")
+    __slots__ = ("fn", "plan", "rule", "mode", "emit", "compiled")
 
-    def __init__(self, fn, plan, rule, mode, emit, sizes, compiled):
+    def __init__(self, fn, plan, rule, mode, emit, compiled):
         self.fn = fn
         self.plan = plan
         self.rule = rule
         self.mode = mode
         self.emit = emit
-        #: pred -> relation size at compile time (None: never re-planned).
-        self.sizes = sizes
         self.compiled = compiled
 
     def __call__(self, *args, **kwargs) -> Iterator:
@@ -732,27 +729,20 @@ class RuleKernel:
 
 class KernelCache:
     """Per-solver cache of compiled kernels, keyed by
-    ``(rule, pinned, bound-set, emit mode, head)``.
+    ``(rule, pinned, bound-set, emit mode, head, sized)``.
 
     All four engines share one instance (created in ``Solver.__init__``), so
     planning/compilation happens once per distinct key for the lifetime of
-    the solver — never inside a fixpoint loop.  ``refresh`` implements the
-    between-strata re-planning policy.
+    the solver — never inside a fixpoint loop.  ``sized`` says whether the
+    plan was costed against an oracle's sizes: building a sized kernel whose
+    greedy twin is cached counts as a re-plan (``replans_triggered``).
     """
-
-    #: Re-plan threshold: a kernel is re-planned when a body relation grew or
-    #: shrank by this factor since compile time (``<= 0``: never; tests patch it).
-    REPLAN_FACTOR = 4.0
 
     def __init__(self, program: Program, metrics=None, interpret: bool = False):
         self.program = program
         self.metrics = metrics
         self.interpret = interpret
         self._kernels: dict[tuple, RuleKernel] = {}
-        #: rule id -> keys of that rule's kernels (refresh never scans the
-        #: whole cache: updates visit one component at a time and tiny
-        #: epochs cannot afford a sweep over every solver kernel).
-        self._by_rule: dict[int, list[tuple]] = {}
         self._shapes: dict[int, RuleShape] = {}
         self._extractors: dict[int, Callable] = {}
 
@@ -767,12 +757,14 @@ class KernelCache:
         oracle: CardinalityOracle | None = None,
         spec=None,
     ) -> RuleKernel:
-        """Get or build the kernel for one (rule, pinned, bound, emit, head);
-        a head kernel's bound set is the head's variables."""
+        """Get or build the kernel for one (rule, pinned, bound, emit, head),
+        planned against ``oracle``'s sizes when one is given; a head
+        kernel's bound set is the head's variables."""
         if head:
             bound = (v.name for v in rule.head_variables())
         bound_names = frozenset(bound)
-        key = (id(rule), pinned, bound_names, emit, head)
+        sized = oracle is not None
+        key = (id(rule), pinned, bound_names, emit, head, sized)
         cached = self._kernels.get(key)
         metrics = self.metrics
         if cached is not None:
@@ -782,16 +774,17 @@ class KernelCache:
         started = perf_counter()
         if metrics is not None:
             metrics.plan_cache_misses += 1
-        # Exception safety: nothing is registered (no ``_kernels`` entry, no
-        # ``_by_rule`` key) until the build fully succeeds, so a kernel that
-        # raises mid-stratum leaves the cache exactly as it was and a retry
-        # re-plans from scratch.  The time already spent is still metered.
+        # Exception safety: nothing is registered until the build fully
+        # succeeds, so a kernel that raises mid-stratum leaves the cache
+        # exactly as it was and a retry re-plans from scratch.  The time
+        # already spent is still metered.
         try:
             if _faults.ACTIVE is not None:
                 _faults.fire("compile.build")
             initially_bound = {Variable(n) for n in bound_names} or None
             plan = plan_body(
-                rule, pinned=pinned, initially_bound=initially_bound, oracle=oracle
+                rule, pinned=pinned, initially_bound=initially_bound,
+                oracle=oracle or no_sizes,
             )
             mode = (
                 "pinned" if pinned is not None
@@ -816,18 +809,12 @@ class KernelCache:
             if metrics is not None:
                 metrics.compile_seconds += perf_counter() - started
             raise
-        sizes = None
-        if oracle is not None:
-            sizes = {
-                item.pred: oracle(item.pred)
-                for item in plan
-                if isinstance(item, Literal)
-            }
-        kernel = RuleKernel(fn, plan, rule, mode, emit, sizes, not self.interpret)
+        kernel = RuleKernel(fn, plan, rule, mode, emit, not self.interpret)
         self._kernels[key] = kernel
-        self._by_rule.setdefault(id(rule), []).append(key)
         if metrics is not None:
             metrics.rules_compiled += 1
+            if sized and key[:-1] + (False,) in self._kernels:
+                metrics.replans_triggered += 1
             metrics.compile_seconds += perf_counter() - started
         return kernel
 
@@ -843,70 +830,3 @@ class KernelCache:
             fn = compile_extractor(spec, interpret=self.interpret)
             self._extractors[id(spec.rule)] = fn
         return fn
-
-    def replan_guard(
-        self, rules: Iterable[Rule]
-    ) -> dict[str, tuple[float, float]]:
-        """Per-predicate safe size intervals for ``rules``' cached kernels.
-
-        ``guard[pred] = (lo, hi)`` such that while every watched predicate's
-        size stays strictly inside its interval, :meth:`refresh` is
-        guaranteed to evict nothing — callers on a hot path can verify the
-        guard (a handful of ``len()`` comparisons) and skip the full sweep.
-        The intervals intersect, per predicate, each kernel's non-eviction
-        range ``(old/factor, factor * max(1, old))``; an empty dict means no
-        kernel can go stale.  Recompute after any refresh that evicted or
-        after new kernels were built.
-        """
-        factor = self.REPLAN_FACTOR
-        guard: dict[str, tuple[float, float]] = {}
-        if factor <= 0:
-            return guard
-        for rule in rules:
-            for key in self._by_rule.get(id(rule), ()):
-                kernel = self._kernels.get(key)
-                if kernel is None or not kernel.sizes:
-                    continue
-                for pred, old in kernel.sizes.items():
-                    lo = old / factor if old >= factor else float("-inf")
-                    hi = factor * max(1, old)
-                    cur = guard.get(pred)
-                    if cur is None:
-                        guard[pred] = (lo, hi)
-                    else:
-                        guard[pred] = (max(cur[0], lo), min(cur[1], hi))
-        return guard
-
-    def refresh(self, rules: Iterable[Rule], oracle: CardinalityOracle) -> int:
-        """Evict kernels of ``rules`` whose cardinality snapshot is stale.
-
-        A snapshot is stale when some body relation's size changed by at
-        least ``REPLAN_FACTOR`` (growth from empty counts).  Evicted keys
-        are re-planned lazily on next request with the fresh oracle.
-        Returns the number of kernels evicted.
-        """
-        factor = self.REPLAN_FACTOR
-        if factor <= 0:
-            return 0
-        stale = []
-        current: dict[str, int] = {}  # memoized oracle reads for this pass
-        for rule in rules:
-            for key in self._by_rule.get(id(rule), ()):
-                kernel = self._kernels.get(key)
-                if kernel is None or not kernel.sizes:
-                    continue
-                for pred, old in kernel.sizes.items():
-                    new = current.get(pred)
-                    if new is None:
-                        new = current[pred] = oracle(pred)
-                    if new == old:
-                        continue
-                    if max(old, new) >= factor * max(1, min(old, new)):
-                        stale.append(key)
-                        break
-        for key in stale:
-            del self._kernels[key]
-            self._by_rule[key[0]].remove(key)
-        if stale and self.metrics is not None:
-            self.metrics.replans_triggered += len(stale)
-        return len(stale)

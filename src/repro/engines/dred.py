@@ -42,6 +42,7 @@ from time import perf_counter
 from ..config import SolverConfig
 from ..datalog.ast import Rule, Variable
 from ..datalog.errors import SolverError
+from ..datalog.planning import CardinalityOracle
 from ..datalog.program import Program
 from ..metrics import SolverMetrics
 from ..robustness import faults as _faults
@@ -134,6 +135,7 @@ class DRedLSolver(Solver):
             for row in self._exported.get(pred).tuples:
                 insertions.add((pred, row))
         insertions.update(self._static_heads(state))
+        self._plan_component(state, update=False)
         self._run_component(state, insertions, set(), index)
 
     def _update_stratum(self, index: int, pending: StratumDiff):
@@ -144,6 +146,7 @@ class DRedLSolver(Solver):
             added, removed = pending[pred]
             seeds_ins.update((pred, row) for row in added)
             seeds_del.update((pred, row) for row in removed)
+        self._plan_component(state, update=True)
         return self._run_component(state, seeds_ins, seeds_del, index)
 
     # -- the DRed delete/re-derive/insert loop -------------------------------
@@ -170,12 +173,11 @@ class DRedLSolver(Solver):
     #      inflationary mode skips this phase: intermediates stay in the
     #      internal state and exports are pruned per group instead.
 
-    def _bind_kernels(self, state: _DredComponent) -> None:
-        """Resolve the epoch's kernel tables from the shared cache, against
-        live relation sizes, when :meth:`_stale_kernels` says they are due."""
-        oracle = self._stale_kernels(state)
-        if oracle is None:
-            return
+    def _bind_kernels(
+        self, state: _DredComponent, oracle: CardinalityOracle | None
+    ) -> None:
+        """Resolve ``state``'s kernel tables from the shared cache, planned
+        against ``oracle`` (None: the greedy plans)."""
         kernels = self.kernels
         state.occ_kernels = {
             pred: [
@@ -203,7 +205,6 @@ class DRedLSolver(Solver):
                 spec.rule, bound=group_vars, emit="keyvalue", spec=spec
             ).fn
             state.extractors[spec.pred] = kernels.extractor(spec)
-        state.replan_guard = kernels.replan_guard(state.component.rules)
 
     def _run_component(
         self,
@@ -212,7 +213,6 @@ class DRedLSolver(Solver):
         pending_del: set[tuple[str, tuple]],
         index: int = 0,
     ) -> tuple[dict[str, tuple[set[tuple], set[tuple]]], int]:
-        self._bind_kernels(state)
         metrics = self.metrics
         stratum = (
             metrics.stratum(index, state.component.predicates)

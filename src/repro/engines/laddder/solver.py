@@ -44,6 +44,7 @@ import itertools
 from time import perf_counter
 from typing import Mapping
 
+from ...datalog.planning import CardinalityOracle
 from ...robustness import faults as _faults
 from ...robustness.guard import TRANSACTION
 from ..base import PLAIN, ComponentState, Solver, StratumDiff
@@ -108,6 +109,7 @@ class LaddderSolver(Solver):
                 deltas.append((pred, row, 0, 1))
         for pred, head_row in self._static_heads(state):
             deltas.append((pred, head_row, 0, 1))
+        self._plan_component(state, update=False)
         self._compensate(state, deltas, index)
 
     def _update_stratum(self, index: int, pending: StratumDiff):
@@ -119,6 +121,7 @@ class LaddderSolver(Solver):
                 deltas.append((pred, row, 0, 1))
             for row in removed:
                 deltas.append((pred, row, 0, -1))
+        self._plan_component(state, update=True)
         return self._compensate(state, deltas, index)
 
     def _epoch_metrics(self, update: bool) -> None:
@@ -165,18 +168,17 @@ class LaddderSolver(Solver):
 
     # -- compensation core -----------------------------------------------
 
-    def _bind_kernels(self, state: _ComponentState) -> None:
-        """Resolve the epoch's kernel tables from the shared cache, against
-        live relation sizes, when :meth:`_stale_kernels` says they are due.
+    def _bind_kernels(
+        self, state: _ComponentState, oracle: CardinalityOracle | None
+    ) -> None:
+        """Resolve ``state``'s kernel tables from the shared cache, planned
+        against ``oracle`` (None: the greedy plans).
 
         Propagation kernels emit canonical register tuples (``regs`` mode) —
         the positional analogue of the sorted-binding substitution — which
         the paired :class:`RuleShape` turns into head rows and firing-time
         groundings.
         """
-        oracle = self._stale_kernels(state)
-        if oracle is None:
-            return
         kernels = self.kernels
         state.occ_kernels = {
             pred: [
@@ -197,7 +199,6 @@ class LaddderSolver(Solver):
         state.extractors = {
             spec.pred: kernels.extractor(spec) for spec in state.specs.values()
         }
-        state.replan_guard = kernels.replan_guard(state.component.rules)
 
     def _compensate(
         self,
@@ -206,7 +207,6 @@ class LaddderSolver(Solver):
         index: int = 0,
     ) -> tuple[dict[str, tuple[set[tuple], set[tuple]]], int]:
         """Drain one component's queue; returns (exported diff, work)."""
-        self._bind_kernels(state)
         metrics = self.metrics
         stratum = (
             metrics.stratum(index, state.component.predicates)

@@ -43,10 +43,8 @@ class NaiveSolver(ResolvingSolver):
         def oracle(pred: str) -> int:
             return len(lookup(pred))
 
-        # Re-plan kernels whose body cardinalities shifted since the last
-        # visit (between strata only — never inside the fixpoint loop), then
-        # resolve the per-rule kernels once for the whole component.
-        self.kernels.refresh(component.rules, oracle)
+        # Resolve the per-rule kernels once for the whole component; each
+        # is planned at its first request, against the sizes then, and kept.
         kernels = [
             (rule, self.kernels.kernel(rule, oracle=oracle).fn)
             for rule in component.rules

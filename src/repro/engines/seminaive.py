@@ -56,9 +56,8 @@ class SemiNaiveSolver(ResolvingSolver):
         def oracle(pred: str) -> int:
             return len(resolved[pred])
 
-        # Resolve kernels once per component visit (plans are cached across
-        # visits; refresh re-plans only on large cardinality shifts).
-        self.kernels.refresh(component.rules, oracle)
+        # Resolve kernels once per component visit; each is planned at its
+        # first request, against the sizes then, and kept.
         full_kernels = [
             (rule, self.kernels.kernel(rule, oracle=oracle).fn)
             for rule in plain_rules

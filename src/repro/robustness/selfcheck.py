@@ -148,7 +148,6 @@ def _check_laddder(solver, index: int) -> None:
 
 def _check_dred(solver, index: int) -> None:
     state = solver._states[index]
-    solver._bind_kernels(state)  # recompute kernels may not be bound yet
     exports = solver.program.exported_predicates()
 
     for pred, totals in state.totals.items():

@@ -275,77 +275,23 @@ class TestKernelCache:
         cache.kernel(rule, pinned=0)
         assert m.rules_compiled == 2
 
-    def test_refresh_evicts_on_cardinality_shift(self):
+    def test_a_sized_plan_beside_its_greedy_twin_is_a_replan(self):
         p = parse("j(X, Z) :- e(X, Y), f(Y, Z).")
         rule = p.rules[0]
-        rels, lookup = make_lookup(
-            {"e": {(1, 2)}, "f": {(2, 3)}}, arities={"e": 2, "f": 2}
-        )
         m = SolverMetrics()
         cache = KernelCache(p, metrics=m, interpret=False)
-
-        def oracle(pred):
-            return len(rels[pred])
-
-        cache.kernel(rule, oracle=oracle)
-        # Stable sizes: nothing to do.
-        assert cache.refresh([rule], oracle) == 0
-        assert m.replans_triggered == 0
-        # Below the factor: still cached.
-        for i in range(2):
-            rels["e"].add((10 + i, 2))
-        assert cache.refresh([rule], oracle) == 0
-        # At/above the factor: evicted, next request re-plans.
-        for i in range(10):
-            rels["f"].add((2, 100 + i))
-        assert cache.refresh([rule], oracle) == 1
-        assert m.replans_triggered == 1
-        cache.kernel(rule, oracle=oracle)
-        assert m.rules_compiled == 2
-
-    def test_replan_guard_brackets_refresh(self, monkeypatch):
-        # The guard's safe intervals are exactly the sizes for which
-        # refresh is a no-op — the engines use it to skip the full sweep.
-        p = parse("j(X, Z) :- e(X, Y), f(Y, Z).")
-        rule = p.rules[0]
-        sizes = {"e": 8, "f": 8}
-        assert KernelCache.REPLAN_FACTOR == 4.0
-        cache = KernelCache(p, interpret=False)
-        cache.kernel(rule, oracle=sizes.__getitem__)
-        guard = cache.replan_guard([rule])
-        assert set(guard) == {"e", "f"}
-        lo, hi = guard["e"]
-        assert lo == pytest.approx(2.0) and hi == pytest.approx(32.0)
-        for safe in (3, 8, 31):
-            assert lo < safe < hi
-            assert cache.refresh([rule], {"e": safe, "f": 8}.__getitem__) == 0
-        assert not lo < 32 < hi
-        assert cache.refresh([rule], {"e": 32, "f": 8}.__getitem__) == 1
-        # Without sized kernels (or with re-planning disabled) the guard is
-        # empty: nothing can ever go stale.
-        fresh = KernelCache(p, interpret=False)
-        fresh.kernel(rule)
-        assert fresh.replan_guard([rule]) == {}
-        monkeypatch.setattr(KernelCache, "REPLAN_FACTOR", 0.0)
-        assert cache.replan_guard([rule]) == {}
-
-    def test_replan_factor_zero_disables(self, monkeypatch):
-        p = parse("p(X) :- e(X).")
-        rule = p.rules[0]
-        rels, _ = make_lookup({"e": {(1,)}})
-        monkeypatch.setattr(KernelCache, "REPLAN_FACTOR", 0.0)
-        cache = KernelCache(p, interpret=False)
-        cache.kernel(rule, oracle=lambda pred: len(rels[pred]))
-        for i in range(100):
-            rels["e"].add((i,))
-        assert cache.refresh([rule], lambda pred: len(rels[pred])) == 0
-
-    def test_kernels_without_oracle_never_replan(self):
-        p = parse("p(X) :- e(X).")
-        rule = p.rules[0]
-        cache = KernelCache(p, interpret=False)
-        cache.kernel(rule)  # no oracle => no size snapshot
-        assert cache.refresh([rule], lambda pred: 10**6) == 0
+        sizes = {"e": 1000, "f": 2}.__getitem__
+        greedy = cache.kernel(rule)
+        sized = cache.kernel(rule, oracle=sizes)
+        assert sized is not greedy and cache.kernel(rule) is greedy
+        assert [item.pred for item in greedy.plan] == ["e", "f"]
+        assert [item.pred for item in sized.plan] == ["f", "e"]
+        assert m.rules_compiled == 2 and m.replans_triggered == 1
+        # Nothing is evicted: the sized kernel stays cached beside its twin.
+        assert cache.kernel(rule, oracle=sizes) is sized
+        # With no greedy twin, a sized plan is a first plan, not a re-plan.
+        cache.kernel(rule, pinned=0, oracle=sizes)
+        assert m.rules_compiled == 3 and m.replans_triggered == 1
 
     def test_failed_compile_leaves_cache_clean(self):
         # Exception safety: a failure mid-build must not leave a partial

@@ -152,17 +152,12 @@ def test_relation_first_touched_in_a_failed_update_is_gone(in_place):
 
 
 def test_sizing_a_relation_does_not_create_it(in_place):
-    """``_stale_kernels`` reads cardinalities for the re-plan policy; a
-    predicate nothing has touched has size 0 and stays untouched."""
+    """``ComponentState.size`` is the oracle the first update's plans are
+    costed by; a predicate nothing has touched has size 0 and stays
+    untouched."""
     state = next(s for s in in_place._states if "dcand" in s.component.predicates)
     assert "dcand" not in state.relations
-    # The cheap path: every watched size inside its interval, nothing due.
-    state.replan_guard = {"dcand": (-1, 10), "arc": (-1, 10)}
-    assert in_place._stale_kernels(state) is None
-    # The full path: the oracle handed to the planner.
-    state.kernels_bound = False
-    oracle = in_place._stale_kernels(state)
-    assert oracle("dcand") == 0 and oracle("arc") == 0
+    assert state.size("dcand") == 0 and state.size("arc") == 0
     assert "dcand" not in state.relations and "arc" not in state.relations
 
 
