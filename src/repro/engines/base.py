@@ -40,7 +40,7 @@ from ..config import SolverConfig
 from ..datalog.ast import Literal, Rule
 from ..datalog.errors import BudgetExceededError, SolverError, ValidationError
 from ..datalog.normalize import normalize
-from ..datalog.planning import delta_occurrences
+from ..datalog.planning import delta_occurrences, no_sizes
 from ..datalog.program import Program
 from ..datalog.stratify import Component
 from ..metrics import SolverMetrics
@@ -519,7 +519,7 @@ class Solver(ABC):
         """
         if not update:
             state.sized = False
-            self._bind_kernels(state, None)
+            self._bind_kernels(state, no_sizes)
         elif not state.sized:
             self._bind_kernels(state, state.size)
             state.sized = True

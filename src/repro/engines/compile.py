@@ -21,10 +21,10 @@ original interpreter remains available as ``KernelCache(interpret=True)``
 reference implementation the differential tests compare against.
 
 Kernels are produced and cached by :class:`KernelCache`, one per solver.
-When a cardinality oracle is supplied the body is planned by estimated cost
-against the sizes it reports (:func:`repro.datalog.planning.plan_body`);
-without one, by the greedy most-bound-first order.  Nothing is ever
-evicted: the engines decide *when* a sized plan is wanted
+The body is planned by estimated cost against the sizes a cardinality
+oracle reports (:func:`repro.datalog.planning.plan_body`); the default
+oracle, ``no_sizes``, gives the greedy most-bound-first order.  Nothing is
+ever evicted: the engines decide *when* a sized plan is wanted
 (docs/PERFORMANCE.md, "When a kernel is planned"), and the cache keeps the
 greedy and the sized kernel of one specialization side by side.
 
@@ -754,16 +754,16 @@ class KernelCache:
         bound: Iterable[str] = (),
         head: bool = False,
         emit: str = "head",
-        oracle: CardinalityOracle | None = None,
+        oracle: CardinalityOracle = no_sizes,
         spec=None,
     ) -> RuleKernel:
         """Get or build the kernel for one (rule, pinned, bound, emit, head),
-        planned against ``oracle``'s sizes when one is given; a head
-        kernel's bound set is the head's variables."""
+        planned against ``oracle``'s sizes (``no_sizes``: the greedy plan);
+        a head kernel's bound set is the head's variables."""
         if head:
             bound = (v.name for v in rule.head_variables())
         bound_names = frozenset(bound)
-        sized = oracle is not None
+        sized = oracle is not no_sizes
         key = (id(rule), pinned, bound_names, emit, head, sized)
         cached = self._kernels.get(key)
         metrics = self.metrics
@@ -784,7 +784,7 @@ class KernelCache:
             initially_bound = {Variable(n) for n in bound_names} or None
             plan = plan_body(
                 rule, pinned=pinned, initially_bound=initially_bound,
-                oracle=oracle or no_sizes,
+                oracle=oracle,
             )
             mode = (
                 "pinned" if pinned is not None

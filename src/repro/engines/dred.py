@@ -174,10 +174,10 @@ class DRedLSolver(Solver):
     #      internal state and exports are pruned per group instead.
 
     def _bind_kernels(
-        self, state: _DredComponent, oracle: CardinalityOracle | None
+        self, state: _DredComponent, oracle: CardinalityOracle
     ) -> None:
         """Resolve ``state``'s kernel tables from the shared cache, planned
-        against ``oracle`` (None: the greedy plans)."""
+        against ``oracle`` (``no_sizes``: the greedy plans)."""
         kernels = self.kernels
         state.occ_kernels = {
             pred: [

@@ -169,10 +169,10 @@ class LaddderSolver(Solver):
     # -- compensation core -----------------------------------------------
 
     def _bind_kernels(
-        self, state: _ComponentState, oracle: CardinalityOracle | None
+        self, state: _ComponentState, oracle: CardinalityOracle
     ) -> None:
         """Resolve ``state``'s kernel tables from the shared cache, planned
-        against ``oracle`` (None: the greedy plans).
+        against ``oracle`` (``no_sizes``: the greedy plans).
 
         Propagation kernels emit canonical register tuples (``regs`` mode) —
         the positional analogue of the sorted-binding substitution — which

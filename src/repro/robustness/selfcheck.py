@@ -149,6 +149,10 @@ def _check_laddder(solver, index: int) -> None:
 def _check_dred(solver, index: int) -> None:
     state = solver._states[index]
     exports = solver.program.exported_predicates()
+    if state.specs and not state.recompute_kernels:
+        # Restored and not visited since, so no table is bound yet: bind
+        # what the first update visit would.
+        solver._plan_component(state, update=True)
 
     for pred, totals in state.totals.items():
         spec = state.specs[pred]

@@ -6,10 +6,13 @@ drift afterwards, however far, compile and re-plan nothing."""
 
 import pytest
 
+from repro.config import SolverConfig
 from repro.datalog import parse
 from repro.datalog.errors import RollbackError
+from repro.datalog.planning import no_sizes
 from repro.engines import DRedLSolver, LaddderSolver
 from repro.engines.checkpoint import load_checkpoint, save_checkpoint
+from repro.lattices import ConstantLattice, lub
 from repro.metrics import SolverMetrics
 from repro.robustness import GuardedSolver, inject
 from repro.service.snapshot import take_snapshot
@@ -40,7 +43,7 @@ def counting_binds(solver) -> list[tuple[int, bool]]:
     bind = solver._bind_kernels
 
     def recording(state, oracle):
-        binds.append((solver._states.index(state), oracle is not None))
+        binds.append((solver._states.index(state), oracle is not no_sizes))
         return bind(state, oracle)
 
     solver._bind_kernels = recording
@@ -108,3 +111,41 @@ def test_a_rolled_back_first_update_replays_like_an_unfaulted_twin(engine):
     assert take_snapshot(guarded, 0).digest() == take_snapshot(twin, 0).digest()
     assert metrics.rules_compiled == twin_metrics.rules_compiled
     assert metrics.replans_triggered == twin_metrics.replans_triggered
+
+
+def tc_beside_constprop():
+    """Two independent components: an update to ``edge`` skips ``val``'s."""
+    program = parse(
+        TC
+        + """
+        cval(V, C) :- lit(V, N), C := const(N).
+        cval(V, C) :- copy(V, W), val(W, C).
+        val(V, lub<C>) :- cval(V, C).
+        .export val.
+        """
+    )
+    program.register_function("const", ConstantLattice.const)
+    program.register_aggregator("lub", lub(ConstantLattice()))
+    return program
+
+
+@IN_PLACE
+def test_a_restored_solver_self_checks_the_components_an_update_skips(
+    engine, tmp_path
+):
+    config = SolverConfig.from_env(self_check=True)
+    solver = engine(tc_beside_constprop(), config=config)
+    solver.add_facts("edge", chain(0, 3))
+    solver.add_facts("lit", {("a", 1), ("b", 2)})
+    solver.add_facts("copy", {("c", "a"), ("c", "b"), ("d", "a")})
+    solver.solve()
+    path = tmp_path / "mixed.ckpt"
+    save_checkpoint(solver, path)
+
+    restored = GuardedSolver(
+        load_checkpoint(engine, tc_beside_constprop(), path, config=config),
+        fallback=False,
+    )
+    restored.update(insertions={"edge": chain(3, 5)})
+    assert restored.relation("val") == solver.relation("val")
+    assert len(restored.relation("tc")) == 5 * 6 // 2
