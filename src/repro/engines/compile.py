@@ -23,10 +23,11 @@ reference implementation the differential tests compare against.
 Kernels are produced and cached by :class:`KernelCache`, one per solver.
 The body is planned by estimated cost against the sizes a cardinality
 oracle reports (:func:`repro.datalog.planning.plan_body`); the default
-oracle, ``no_sizes``, gives the greedy most-bound-first order.  Nothing is
-ever evicted: the engines decide *when* a sized plan is wanted
-(docs/PERFORMANCE.md, "When a kernel is planned"), and the cache keeps the
-greedy and the sized kernel of one specialization side by side.
+oracle, ``no_sizes``, gives the greedy most-bound-first order, which every
+solve uses.  Nothing is ever evicted: only an in-place engine's first update
+visit asks for a sized plan (docs/PERFORMANCE.md, "When a kernel is
+planned"), and the cache keeps the greedy and the sized kernel of one
+specialization side by side.
 
 Emit modes
 ----------

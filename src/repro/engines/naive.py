@@ -4,7 +4,7 @@ Per dependency component, iterate the *inflationary consequence operator*
 ``T̂`` on full relations until fixpoint (``D_raw = T̂ω``), then prune
 aggregated predicates to their final aggregate per group (``D_prune``) and
 export (``D_exp``).  No deltas, no timestamps: this engine is deliberately
-simple and serves as the correctness oracle for every other engine.
+simple, and every other engine is checked against it.
 
 ``update`` (the shared pipeline, :mod:`repro.engines.resolving`) re-solves
 every component whose inputs changed from scratch — the Soufflé-style non-incremental
@@ -40,20 +40,15 @@ class NaiveSolver(ResolvingSolver):
                 return local.get(pred)
             return self._exported.get(pred)
 
-        def oracle(pred: str) -> int:
-            return len(lookup(pred))
-
         # Resolve the per-rule kernels once for the whole component; each
-        # is planned at its first request, against the sizes then, and kept.
+        # takes the greedy most-bound-first plan, a function of the rule.
         kernels = [
-            (rule, self.kernels.kernel(rule, oracle=oracle).fn)
+            (rule, self.kernels.kernel(rule).fn)
             for rule in component.rules
             if not rule.is_aggregation
         ]
         agg_kernels = {
-            spec.pred: self.kernels.kernel(
-                spec.rule, emit="keyvalue", oracle=oracle, spec=spec
-            ).fn
+            spec.pred: self.kernels.kernel(spec.rule, emit="keyvalue", spec=spec).fn
             for spec in specs.values()
         }
 

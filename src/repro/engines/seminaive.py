@@ -53,13 +53,10 @@ class SemiNaiveSolver(ResolvingSolver):
         )
         lookup = resolved.__getitem__
 
-        def oracle(pred: str) -> int:
-            return len(resolved[pred])
-
-        # Resolve kernels once per component visit; each is planned at its
-        # first request, against the sizes then, and kept.
+        # Resolve kernels once per component visit; each takes the greedy
+        # most-bound-first plan, a function of the rule.
         full_kernels = [
-            (rule, self.kernels.kernel(rule, oracle=oracle).fn)
+            (rule, self.kernels.kernel(rule).fn)
             for rule in plain_rules
         ]
         # Delta kernels pinned on component-local positive occurrences,
@@ -69,12 +66,10 @@ class SemiNaiveSolver(ResolvingSolver):
             for i, literal in delta_occurrences(rule):
                 if literal.pred in component.predicates:
                     pinned.setdefault(literal.pred, []).append(
-                        (rule, self.kernels.kernel(rule, pinned=i, oracle=oracle).fn)
+                        (rule, self.kernels.kernel(rule, pinned=i).fn)
                     )
         seed_agg_kernels = {
-            spec.pred: self.kernels.kernel(
-                spec.rule, emit="keyvalue", oracle=oracle, spec=spec
-            ).fn
+            spec.pred: self.kernels.kernel(spec.rule, emit="keyvalue", spec=spec).fn
             for spec in specs.values()
             if spec.collecting_pred not in component.predicates
         }

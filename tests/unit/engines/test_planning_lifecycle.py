@@ -1,8 +1,10 @@
-"""When a kernel is planned (docs/PERFORMANCE.md): an in-place engine binds a
-component's kernel tables at most twice in a solver's life — from the greedy
-plans at solve, and once by cost against the solved sizes at the first
-update visit after a solve or a checkpoint restore.  Relation sizes that
-drift afterwards, however far, compile and re-plan nothing."""
+"""When a kernel is planned (docs/PERFORMANCE.md): every solve plans greedily,
+and a resolving engine (Naive, SemiNaive) never plans any other way.  An
+in-place engine binds a component's kernel tables at most twice in a
+solver's life — from the greedy plans at solve, and once by cost against the
+solved sizes at the first update visit after a solve or a checkpoint
+restore.  Relation sizes that drift afterwards, however far, compile and
+re-plan nothing."""
 
 import pytest
 
@@ -10,7 +12,7 @@ from repro.config import SolverConfig
 from repro.datalog import parse
 from repro.datalog.errors import RollbackError
 from repro.datalog.planning import no_sizes
-from repro.engines import DRedLSolver, LaddderSolver
+from repro.engines import DRedLSolver, LaddderSolver, NaiveSolver, SemiNaiveSolver
 from repro.engines.checkpoint import load_checkpoint, save_checkpoint
 from repro.lattices import ConstantLattice, lub
 from repro.metrics import SolverMetrics
@@ -149,3 +151,31 @@ def test_a_restored_solver_self_checks_the_components_an_update_skips(
     restored.update(insertions={"edge": chain(3, 5)})
     assert restored.relation("val") == solver.relation("val")
     assert len(restored.relation("tc")) == 5 * 6 // 2
+
+
+@pytest.mark.parametrize("interpret", [False, True], ids=["compiled", "interpreted"])
+@pytest.mark.parametrize("engine", [NaiveSolver, SemiNaiveSolver])
+def test_a_resolving_engine_plans_every_kernel_greedily(engine, interpret):
+    def run(engine, metrics=None):
+        solver = engine(
+            tc_beside_constprop(),
+            metrics=metrics,
+            config=SolverConfig.from_env(interpret=interpret),
+        )
+        solver.add_facts("edge", chain(0, 3))
+        solver.add_facts("lit", {("a", 1), ("b", 2)})
+        solver.add_facts("copy", {("c", "a"), ("d", "a")})
+        solver.solve()
+        solver.update(
+            insertions={"edge": chain(3, 6), "copy": {("c", "b")}},
+            deletions={"edge": {(0, 1)}},
+        )
+        return solver
+
+    metrics = SolverMetrics(enabled=True)
+    solver = run(engine, metrics)
+    keys = list(solver.kernels._kernels)
+    assert keys, "nothing was planned"
+    assert not any(sized for *_, sized in keys)
+    assert metrics.replans_triggered == 0
+    assert solver.relations() == run(LaddderSolver).relations()
