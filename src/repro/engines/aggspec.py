@@ -91,6 +91,27 @@ def compile_agg_specs(rules, program: Program) -> dict[str, AggSpec]:
     return specs
 
 
+#: The final of a group that holds no aggregand.
+NO_GROUP = object()
+
+
+def final_diff(spec: AggSpec, before: dict, final) -> tuple[set[tuple], set[tuple]]:
+    """The exported ``(added, removed)`` rows of an aggregated predicate
+    whose touched groups' finals were ``before`` (key -> final) and are now
+    ``final(key)``: the export rule of the in-place engines (DRedL, Laddder)."""
+    added: set[tuple] = set()
+    removed: set[tuple] = set()
+    for key, old in before.items():
+        new = final(key)
+        if old == new:
+            continue
+        if old is not NO_GROUP:
+            removed.add(spec.tuple_for(key, old))
+        if new is not NO_GROUP:
+            added.add(spec.tuple_for(key, new))
+    return added, removed
+
+
 def prune_aggregated(tuples, spec: AggSpec) -> set[tuple]:
     """The pruned view: per group, only the final (extremal) aggregate.
 

@@ -20,12 +20,12 @@ timestamps are never visible (paper Section 4.1, postprocessing).
 
 :meth:`Solver.solve` and :meth:`Solver.update` are written once, here.  An
 epoch is: normalise and stage the EDB diff, walk the strata bottom-up
-(skip a stratum none of whose inputs changed; budget, self-check), fold
-each stratum's exported diff into the pending diff its downstream strata
-read, publish :class:`UpdateStats`.  An engine is a *per-stratum
-strategy* plugged into that driver: :meth:`Solver._solve_stratum` and
-:meth:`Solver._update_stratum`, plus a ``STATE`` declaration of what it
-mutates (DESIGN.md, "One update pipeline").
+(skip a stratum none of whose inputs changed; span, planning, publishing,
+self-check), fold each stratum's exported diff into the pending diff its
+downstream strata read, publish :class:`UpdateStats`.  An engine is only a
+*per-stratum strategy* that computes a component's exported diff
+(:meth:`Solver._solve_stratum`, :meth:`Solver._update_stratum`), plus a
+``STATE`` tuple naming what it mutates (DESIGN.md, "One update pipeline").
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from ..datalog.normalize import normalize
 from ..datalog.planning import delta_occurrences, no_sizes
 from ..datalog.program import Program
 from ..datalog.stratify import Component
-from ..metrics import SolverMetrics
-from ..robustness.guard import ASSIGNED, PLAIN, TRANSACTION
+from ..metrics import SolverMetrics, StratumStats
+from ..robustness.guard import TRANSACTION
 from ..robustness.watchdog import Budget
 from .aggspec import AggSpec, compile_agg_specs
 from .compile import KernelCache
@@ -58,7 +58,7 @@ StratumDiff = dict[str, tuple[set[tuple], set[tuple]]]
 
 
 def declared_state(owner) -> dict[str, object]:
-    """``attribute -> live value`` for everything ``owner`` (a solver or a
+    """``attribute -> live value`` for every name ``owner`` (a solver or a
     component state) declares in its ``STATE``."""
     return {name: getattr(owner, name) for name in owner.STATE}
 
@@ -124,7 +124,7 @@ class ComponentState:
     aggregation state (``reset``/``state_size``) and extend ``STATE``.
     """
 
-    STATE = {"relations": PLAIN}
+    STATE: tuple[str, ...] = ("relations",)
 
     def __init__(self, component: Component, program: Program, arities: dict):
         self.component = component
@@ -194,8 +194,8 @@ class ComponentState:
     def adopt(self, entry: Mapping[str, object]) -> None:
         """Take over checkpoint-restored ``STATE`` values (the relation map
         pickled as a plain dict: rewrap it)."""
-        for name, value in entry.items():
-            setattr(self, name, value)
+        for name in self.STATE:
+            setattr(self, name, entry[name])
         self.relations = Relations(self._create, self.relations)
 
 
@@ -203,10 +203,11 @@ class Solver(ABC):
     """Base class: program compilation, fact management, exported views,
     and the solve/update pipeline the engines plug their strategies into."""
 
-    #: Data state, declared once per engine: checkpoints persist exactly
-    #: these attributes and UpdateGuard protects exactly these (per kind).
-    #: ``_facts`` is journaled by :meth:`_normalize_changes` itself.
-    STATE = {"_facts": PLAIN, "_exported": PLAIN, "_solved": PLAIN}
+    #: Data state, named once per engine: checkpoints persist exactly
+    #: these attributes, and UpdateGuard restores their references.  Every
+    #: container among them is mutated in place only through journaling
+    #: methods (``_facts`` by :meth:`_normalize_changes` itself).
+    STATE: tuple[str, ...] = ("_facts", "_exported", "_solved")
 
     #: The :class:`ComponentState` subclass of an engine that maintains its
     #: strata in place; None for engines that re-solve them.
@@ -399,8 +400,7 @@ class Solver(ABC):
             for row in rows:
                 relation.add(row)
         for index in range(len(self.components)):
-            self._solve_stratum(index)
-            self._run_self_check(index)
+            self._visit(index, None)
         self._solved = True
         if active:
             self.metrics.solve_seconds += time.perf_counter() - started
@@ -447,8 +447,7 @@ class Solver(ABC):
                 # fixpoint is what a full solve would recompute.
                 self.metrics.strata_skipped += 1
                 continue
-            diff, work = self._update_stratum(index, pending)
-            self._run_self_check(index)
+            diff, work = self._visit(index, pending)
             stats.work += work
             for pred, (added, removed) in diff.items():
                 bucket = pending.setdefault(pred, (set(), set()))
@@ -473,6 +472,37 @@ class Solver(ABC):
         self._epoch_metrics(update=True)
         return stats
 
+    def _visit(
+        self, index: int, pending: StratumDiff | None
+    ) -> tuple[StratumDiff, int]:
+        """Solve (``pending`` None) or update stratum ``index`` inside its
+        metrics span: plan an in-place engine's kernels, run the strategy,
+        publish its exported diff (removed rows, then added rows, in the
+        diff's own order), self-check.  Returns the diff and work count."""
+        metrics = self.metrics
+        stratum = (
+            metrics.stratum(index, self.components[index].predicates)
+            if metrics.active
+            else None
+        )
+        started = time.perf_counter() if stratum is not None else 0.0
+        if self._states:
+            self._plan_component(self._states[index], update=pending is not None)
+        if pending is None:
+            diff, work = self._solve_stratum(index, stratum), 0
+        else:
+            diff, work = self._update_stratum(index, pending, stratum)
+        for pred, (added, removed) in diff.items():
+            relation = self._exported.get(pred)
+            for row in removed:
+                relation.discard(row)
+            for row in added:
+                relation.add(row)
+        if stratum is not None:
+            metrics.stratum_end(stratum, time.perf_counter() - started)
+        self._run_self_check(index)
+        return diff, work
+
     # -- what an engine supplies ---------------------------------------------
 
     def _reset(self) -> None:
@@ -482,19 +512,20 @@ class Solver(ABC):
             state.reset()
 
     @abstractmethod
-    def _solve_stratum(self, index: int) -> None:
+    def _solve_stratum(
+        self, index: int, stratum: StratumStats | None
+    ) -> StratumDiff:
         """Compute component ``index`` from scratch against the current
-        upstream exported state (the engine's own state for it is empty)
-        and publish its exported view into ``self._exported``."""
+        upstream exported state; returns its exported diff.  ``stratum`` is
+        the open metrics span (None while collection is off)."""
 
     @abstractmethod
     def _update_stratum(
-        self, index: int, pending: StratumDiff
+        self, index: int, pending: StratumDiff, stratum: StratumStats | None
     ) -> tuple[StratumDiff, int]:
         """Bring component ``index`` up to date given the epoch's upstream
-        diff so far (at least one relation it reads changed) and publish
-        into ``self._exported``; returns the component's exported diff and
-        a work count."""
+        diff so far (at least one relation it reads changed); returns its
+        exported diff and a work count."""
 
     def _epoch_metrics(self, update: bool) -> None:
         """Engine-specific gauges after a solve or update epoch."""
@@ -510,7 +541,7 @@ class Solver(ABC):
     def _plan_component(self, state: ComponentState, update: bool) -> None:
         """Bind ``state``'s kernel tables through the engine's
         ``_bind_kernels(state, oracle)`` by the planning rule
-        (docs/PERFORMANCE.md, "When a kernel is planned").
+        (docs/PERFORMANCE.md, "When a kernel is planned"), at every visit.
 
         At solve they come from the greedy plans: nothing is solved yet to
         size them by.  At the first update visit after a solve or a
@@ -597,29 +628,10 @@ class Solver(ABC):
                 return rule
         return None
 
-    def _exported_diff(
-        self,
-        before: Mapping[str, frozenset[tuple]],
-        after: Mapping[str, frozenset[tuple]],
-    ) -> UpdateStats:
-        stats = UpdateStats()
-        for pred in set(before) | set(after):
-            old = before.get(pred, frozenset())
-            new = after.get(pred, frozenset())
-            added = new - old
-            removed = old - new
-            if added:
-                stats.inserted[pred] = added
-            if removed:
-                stats.deleted[pred] = removed
-        return stats
-
 
 __all__ = [
-    "ASSIGNED",
     "ComponentState",
     "FactChanges",
-    "PLAIN",
     "Relations",
     "Solver",
     "SolverError",

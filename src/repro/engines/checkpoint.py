@@ -210,8 +210,9 @@ def _restore(solver_cls, program, path, body, metrics, config):
             "checkpoint does not match the program (rules differ); "
             "re-run the initial analysis"
         )
-    for name, value in payload["attrs"].items():
-        setattr(solver, name, value)
+    # Older payloads may carry state the engine no longer keeps.
+    for name in solver.STATE:
+        setattr(solver, name, payload["attrs"][name])
     # Fact-only predicates (ones no rule mentions) get their arity
     # registered by the first ``add_facts`` row; restored facts bypass
     # ``add_facts``, so redo that registration here — otherwise the next

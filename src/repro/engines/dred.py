@@ -48,21 +48,36 @@ from ..datalog.ast import Rule, Variable
 from ..datalog.errors import SolverError
 from ..datalog.planning import CardinalityOracle
 from ..datalog.program import Program
-from ..metrics import SolverMetrics
+from ..metrics import SolverMetrics, StratumStats
 from ..robustness import faults as _faults
-from .aggspec import AggSpec
-from .base import ASSIGNED, ComponentState, Solver, StratumDiff
+from ..robustness.guard import TRANSACTION
+from .aggspec import NO_GROUP, AggSpec, final_diff
+from .base import ComponentState, Solver, StratumDiff
 from .grounding import bind_pinned
 from .relation import IndexedRelation
 
-_MISSING = object()
+
+def _set_total(totals: dict, key: tuple, value=NO_GROUP) -> None:
+    """Set one group total (``NO_GROUP``: drop it), journaling the total it
+    replaces while a transaction is open, like every engine container."""
+    old = totals.get(key, NO_GROUP)
+    if value is NO_GROUP:
+        totals.pop(key, None)
+    else:
+        totals[key] = value
+    undo = TRANSACTION.undo
+    if undo is not None and old is not value:
+        if old is NO_GROUP:
+            undo.append((dict.pop, totals, key, None))
+        else:
+            undo.append((dict.__setitem__, totals, key, old))
 
 
 class _DredComponent(ComponentState):
     """Compiled plans and live state for one component under DRedL."""
 
-    #: ``totals`` is mutated by plain dict assignment in the sweeps.
-    STATE = {**ComponentState.STATE, "totals": ASSIGNED}
+    #: ``totals`` (pred -> group key -> final) is written by ``_set_total``.
+    STATE = (*ComponentState.STATE, "totals")
 
     def __init__(self, component, program, arities):
         super().__init__(component, program, arities)
@@ -132,17 +147,18 @@ class DRedLSolver(Solver):
 
     # -- the per-stratum strategy ---------------------------------------------
 
-    def _solve_stratum(self, index: int) -> None:
+    def _solve_stratum(self, index: int, stratum: StratumStats | None):
         state = self._states[index]
         insertions = set()
         for pred in state.component.upstream:
             for row in self._exported.get(pred).tuples:
                 insertions.add((pred, row))
         insertions.update(self._static_heads(state))
-        self._plan_component(state, update=False)
-        self._run_component(state, insertions, set(), index)
+        return self._run_component(state, insertions, set(), index, stratum)[0]
 
-    def _update_stratum(self, index: int, pending: StratumDiff):
+    def _update_stratum(
+        self, index: int, pending: StratumDiff, stratum: StratumStats | None
+    ):
         state = self._states[index]
         seeds_ins: set[tuple[str, tuple]] = set()
         seeds_del: set[tuple[str, tuple]] = set()
@@ -150,8 +166,7 @@ class DRedLSolver(Solver):
             added, removed = pending[pred]
             seeds_ins.update((pred, row) for row in added)
             seeds_del.update((pred, row) for row in removed)
-        self._plan_component(state, update=True)
-        return self._run_component(state, seeds_ins, seeds_del, index)
+        return self._run_component(state, seeds_ins, seeds_del, index, stratum)
 
     # -- the DRed delete/re-derive/insert loop -------------------------------
     #
@@ -215,15 +230,10 @@ class DRedLSolver(Solver):
         state: _DredComponent,
         pending_ins: set[tuple[str, tuple]],
         pending_del: set[tuple[str, tuple]],
-        index: int = 0,
-    ) -> tuple[dict[str, tuple[set[tuple], set[tuple]]], int]:
+        index: int,
+        stratum: StratumStats | None,
+    ) -> tuple[StratumDiff, int]:
         metrics = self.metrics
-        stratum = (
-            metrics.stratum(index, state.component.predicates)
-            if metrics.active
-            else None
-        )
-        comp_started = perf_counter() if stratum is not None else 0.0
         net_added: dict[str, set[tuple]] = {}
         net_removed: dict[str, set[tuple]] = {}
         work = 0
@@ -248,9 +258,11 @@ class DRedLSolver(Solver):
             else:
                 net_removed.setdefault(pred, set()).add(row)
 
-        #: group -> pre-epoch final (captured on first touch; inflationary
-        #: mode derives aggregated-predicate exports from these).
-        groups_before: dict[tuple[str, tuple], object] = {}
+        #: pred -> group key -> pre-epoch final (captured on first touch;
+        #: inflationary mode derives aggregated-predicate exports from these).
+        groups_before: dict[str, dict[tuple, object]] = {
+            pred: {} for pred in state.specs
+        }
 
         max_rounds = self.budget.iterations(self.MAX_ROUNDS)
         for _ in range(max_rounds):
@@ -274,9 +286,10 @@ class DRedLSolver(Solver):
                 pending_del = set()
                 for spec_pred, key in dirty:
                     totals = state.totals[spec_pred]
-                    if (spec_pred, key) not in groups_before:
-                        groups_before[(spec_pred, key)] = totals.get(key, _MISSING)
-                    totals.pop(key, None)
+                    before = groups_before[spec_pred]
+                    if key not in before:
+                        before[key] = totals.get(key, NO_GROUP)
+                    _set_total(totals, key)
 
             # Phase 2: ascend (restorations + new insertions), then
             # reconcile every touched group against its actual aggregand
@@ -298,9 +311,9 @@ class DRedLSolver(Solver):
                     exact = self._recompute_total(state, spec, key)
                     work += 1
                     if exact is None:
-                        totals.pop(key, None)
+                        _set_total(totals, key)
                         continue
-                    totals[key] = exact
+                    _set_total(totals, key, exact)
                     row = spec.tuple_for(key, exact)
                     if row not in state.rel(spec_pred):
                         to_insert.add((spec_pred, row))
@@ -358,9 +371,9 @@ class DRedLSolver(Solver):
                         if old_row in state.rel(spec_pred):
                             pending_del.add((spec_pred, old_row))
                     if recomputed is None:
-                        totals.pop(key, None)
+                        _set_total(totals, key)
                     else:
-                        totals[key] = recomputed
+                        _set_total(totals, key, recomputed)
                         new_row = spec.tuple_for(key, recomputed)
                         pending_ins.add((spec_pred, new_row))
         else:
@@ -372,33 +385,23 @@ class DRedLSolver(Solver):
             )
 
         if self.inflationary:
-            for (spec_pred, key), old_final in groups_before.items():
-                spec = state.specs[spec_pred]
-                new_final = state.totals[spec_pred].get(key, _MISSING)
-                if old_final == new_final:
-                    continue
-                if old_final is not _MISSING:
-                    net_removed.setdefault(spec_pred, set()).add(
-                        spec.tuple_for(key, old_final)
-                    )
-                if new_final is not _MISSING:
-                    net_added.setdefault(spec_pred, set()).add(
-                        spec.tuple_for(key, new_final)
-                    )
+            for spec_pred, before in groups_before.items():
+                totals = state.totals[spec_pred]
+                added, removed = final_diff(
+                    state.specs[spec_pred], before,
+                    lambda key: totals.get(key, NO_GROUP),
+                )
+                if added:
+                    net_added[spec_pred] = added
+                if removed:
+                    net_removed[spec_pred] = removed
 
-        diff: dict[str, tuple[set[tuple], set[tuple]]] = {}
+        diff: StratumDiff = {}
         for pred in set(net_added) | set(net_removed):
             added = net_added.get(pred, set()) - net_removed.get(pred, set())
             removed = net_removed.get(pred, set()) - net_added.get(pred, set())
             if added or removed:
                 diff[pred] = (added, removed)
-                exported = self._exported.get(pred)
-                for row in removed:
-                    exported.discard(row)
-                for row in added:
-                    exported.add(row)
-        if stratum is not None:
-            metrics.stratum_end(stratum, perf_counter() - comp_started)
         return diff, work
 
     def _deletion_sweep(
@@ -552,10 +555,9 @@ class DRedLSolver(Solver):
                 key, value = split
                 totals = state.totals[spec.pred]
                 old_total = totals.get(key)
-                if (spec.pred, key) not in groups_before:
-                    groups_before[(spec.pred, key)] = (
-                        old_total if old_total is not None else _MISSING
-                    )
+                before = groups_before[spec.pred]
+                if key not in before:
+                    before[key] = old_total if old_total is not None else NO_GROUP
                 new_total = (
                     value if old_total is None
                     else spec.aggregator.combine(old_total, value)
@@ -569,7 +571,7 @@ class DRedLSolver(Solver):
                     if total_row not in rel(spec.pred):
                         worklist.append((spec.pred, total_row))
                     continue
-                totals[key] = new_total
+                _set_total(totals, key, new_total)
                 # The one loop in DRedL with no round guard: a strictly
                 # advancing group total feeds itself back into the worklist,
                 # so a non-Noetherian lattice diverges *here* — tick the

@@ -45,20 +45,20 @@ from time import perf_counter
 from typing import Mapping
 
 from ...datalog.planning import CardinalityOracle
+from ...metrics import StratumStats
 from ...robustness import faults as _faults
 from ...robustness.guard import TRANSACTION
-from ..base import PLAIN, ComponentState, Solver, StratumDiff
+from ..aggspec import NO_GROUP, final_diff
+from ..base import ComponentState, Solver, StratumDiff
 from .groups import GroupState
 from .state import TimedRelation
 from .timeline import NEVER
-
-_MISSING = object()
 
 
 class _ComponentState(ComponentState):
     """Compiled plans plus runtime state for one dependency component."""
 
-    STATE = {**ComponentState.STATE, "groups": PLAIN}
+    STATE = (*ComponentState.STATE, "groups")
 
     def reset(self) -> None:
         super().reset()
@@ -101,7 +101,7 @@ class LaddderSolver(Solver):
 
     # -- the per-stratum strategy ---------------------------------------------
 
-    def _solve_stratum(self, index: int) -> None:
+    def _solve_stratum(self, index: int, stratum: StratumStats | None):
         state = self._states[index]
         deltas = []
         for pred in sorted(state.component.upstream):
@@ -109,10 +109,11 @@ class LaddderSolver(Solver):
                 deltas.append((pred, row, 0, 1))
         for pred, head_row in self._static_heads(state):
             deltas.append((pred, head_row, 0, 1))
-        self._plan_component(state, update=False)
-        self._compensate(state, deltas, index)
+        return self._compensate(state, deltas, index, stratum)[0]
 
-    def _update_stratum(self, index: int, pending: StratumDiff):
+    def _update_stratum(
+        self, index: int, pending: StratumDiff, stratum: StratumStats | None
+    ):
         state = self._states[index]
         deltas = []
         for pred in sorted(state.component.upstream & pending.keys()):
@@ -121,8 +122,7 @@ class LaddderSolver(Solver):
                 deltas.append((pred, row, 0, 1))
             for row in removed:
                 deltas.append((pred, row, 0, -1))
-        self._plan_component(state, update=True)
-        return self._compensate(state, deltas, index)
+        return self._compensate(state, deltas, index, stratum)
 
     def _epoch_metrics(self, update: bool) -> None:
         metrics = self.metrics
@@ -204,16 +204,11 @@ class LaddderSolver(Solver):
         self,
         state: _ComponentState,
         deltas: list[tuple[str, tuple, int, int]],
-        index: int = 0,
-    ) -> tuple[dict[str, tuple[set[tuple], set[tuple]]], int]:
+        index: int,
+        stratum: StratumStats | None,
+    ) -> tuple[StratumDiff, int]:
         """Drain one component's queue; returns (exported diff, work)."""
         metrics = self.metrics
-        stratum = (
-            metrics.stratum(index, state.component.predicates)
-            if metrics.active
-            else None
-        )
-        comp_started = perf_counter() if stratum is not None else 0.0
         counter = itertools.count()
         queue: list[tuple[int, int, str, tuple, int]] = []
         for pred, row, t, d in deltas:
@@ -282,13 +277,9 @@ class LaddderSolver(Solver):
                 metrics.derivations(stratum, batch_derived)
                 metrics.round_delta(stratum, batch_derived)
 
-        if stratum is not None:
-            diff = self._exported_component_diff(
-                state, presence_before, groups_before
-            )
-            metrics.stratum_end(stratum, perf_counter() - comp_started)
-            return diff, work
-        return self._exported_component_diff(state, presence_before, groups_before), work
+        return self._exported_component_diff(
+            state, presence_before, groups_before
+        ), work
 
     def _propagate(
         self, state, pred, row, old_first, new_first, queue, counter,
@@ -368,7 +359,7 @@ class LaddderSolver(Solver):
                     undo.append((dict.pop, per_pred, key, None))
             before = groups_before.setdefault(spec.pred, {})
             if key not in before:
-                before[key] = group.final() if group else _MISSING
+                before[key] = group.final() if group else NO_GROUP
             old_runs = group.output_runs()
             if old_first != NEVER:
                 group.remove(int(old_first), value)
@@ -394,27 +385,21 @@ class LaddderSolver(Solver):
 
     def _exported_component_diff(
         self, state, presence_before, groups_before
-    ) -> dict[str, tuple[set[tuple], set[tuple]]]:
-        """Compare pre-epoch exported views with the settled state, update
-        the global exported store, and return per-pred (added, removed)."""
-        diff: dict[str, tuple[set[tuple], set[tuple]]] = {}
-        for pred, entries in groups_before.items():
-            spec = state.specs[pred]
-            added: set[tuple] = set()
-            removed: set[tuple] = set()
+    ) -> StratumDiff:
+        """Compare pre-epoch exported views with the settled state and
+        return per-pred (added, removed); drop the groups left empty."""
+        diff: StratumDiff = {}
+        undo = TRANSACTION.undo
+        for pred, before in groups_before.items():
             per_pred = state.groups[pred]
-            for key, old_final in entries.items():
+            added, removed = final_diff(
+                state.specs[pred], before,
+                lambda key: per_pred[key].final() if per_pred.get(key) else NO_GROUP,
+            )
+            for key in before:
                 group = per_pred.get(key)
-                new_final = group.final() if group else _MISSING
-                if old_final == new_final:
-                    continue
-                if old_final is not _MISSING:
-                    removed.add(spec.tuple_for(key, old_final))
-                if new_final is not _MISSING:
-                    added.add(spec.tuple_for(key, new_final))
                 if group is not None and not group:
                     del per_pred[key]
-                    undo = TRANSACTION.undo
                     if undo is not None:
                         undo.append((dict.__setitem__, per_pred, key, group))
             if added or removed:
@@ -433,10 +418,4 @@ class LaddderSolver(Solver):
                     added.add(row)
             if added or removed:
                 diff[pred] = (added, removed)
-        for pred, (added, removed) in diff.items():
-            exported = self._exported.get(pred)
-            for row in removed:
-                exported.discard(row)
-            for row in added:
-                exported.add(row)
         return diff

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from ..datalog.stratify import Component
+from ..metrics import StratumStats
 from ..robustness import faults as _faults
 from .aggspec import AggSpec, compile_agg_specs
+from .base import StratumDiff
 from .relation import IndexedRelation, RelationStore
 from .resolving import ResolvingSolver
 
@@ -26,12 +27,9 @@ from .resolving import ResolvingSolver
 class NaiveSolver(ResolvingSolver):
     """Iterate ``T̂`` to fixpoint on full relations; prune; export."""
 
-    def _solve_component(self, component: Component, index: int) -> None:
+    def _solve_stratum(self, index: int, stratum: StratumStats | None) -> StratumDiff:
+        component = self.components[index]
         metrics = self.metrics
-        stratum = (
-            metrics.stratum(index, component.predicates) if metrics.active else None
-        )
-        started = perf_counter() if stratum is not None else 0.0
         local = RelationStore(self.arities, metrics=self._store_metrics())
         specs = compile_agg_specs(component.rules, self.program)
 
@@ -99,9 +97,7 @@ class NaiveSolver(ResolvingSolver):
                 f"(check eventual ⊑-monotonicity and widening)"
             )
 
-        self._export_component(component, local, specs)
-        if stratum is not None:
-            metrics.stratum_end(stratum, perf_counter() - started)
+        return self._export_component(component, local, specs)
 
     def _apply_aggregation(
         self, spec: AggSpec, kernel, lookup, local: RelationStore

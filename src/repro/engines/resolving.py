@@ -4,58 +4,37 @@ Naive and semi-naive evaluation keep no support structure to maintain, so
 their per-stratum update is: forget the component's previous fixpoint and
 recompute it against current upstream state (the Soufflé-style behaviour
 the paper contrasts with).  Everything around that — staging the EDB diff,
-skipping strata whose inputs did not change, the exported diff — is the
-shared pipeline of :mod:`repro.engines.base`; the two engines differ only
-in ``_solve_component``, the fixpoint loop itself.
+skipping strata whose inputs did not change, publishing the exported diff —
+is the shared pipeline of :mod:`repro.engines.base`; the two engines differ
+only in ``_solve_stratum``, the fixpoint loop itself.
 """
 
 from __future__ import annotations
 
-from abc import abstractmethod
-
 from ..datalog.stratify import Component
+from ..metrics import StratumStats
 from .aggspec import AggSpec, prune_aggregated
-from .base import ASSIGNED, PLAIN, Solver, StratumDiff
+from .base import Solver, StratumDiff
 from .relation import RelationStore
 
 
 class ResolvingSolver(Solver):
-    """Per stratum: clear, re-run the fixpoint, prune, export."""
+    """Per stratum: clear, re-run the fixpoint, prune, diff the export."""
 
-    STATE = {**Solver.STATE, "_raw": PLAIN, "_totals": ASSIGNED}
+    STATE = (*Solver.STATE, "_raw")
 
     def _reset(self) -> None:
         #: The un-pruned inflationary fixpoint (``D_raw``) per derived pred.
         self._raw = RelationStore(self.arities)
-        #: aggregated pred -> group key -> running total, for a fixpoint
-        #: loop that folds aggregands incrementally (semi-naive); valid for
-        #: the inputs the component was last solved from.
-        self._totals: dict[str, dict[tuple, object]] = {}
 
-    def _solve_stratum(self, index: int) -> None:
-        self._solve_component(self.components[index], index)
-
-    def _update_stratum(self, index: int, pending: StratumDiff):
-        # Raw accretions and running totals are only valid for the inputs
-        # they were computed from: forget them, then recompute.
-        component = self.components[index]
-        before = {}
-        for pred in component.predicates:
-            before[pred] = set(self._exported.get(pred).tuples)
+    def _update_stratum(
+        self, index: int, pending: StratumDiff, stratum: StratumStats | None
+    ):
+        # Raw accretions are only valid for the inputs they were computed
+        # from: forget them, then recompute.
+        for pred in self.components[index].predicates:
             self._raw.get(pred).clear()
-            self._totals.pop(pred, None)
-        self._solve_component(component, index)
-        diff: StratumDiff = {}
-        for pred, old in before.items():
-            new = self._exported.get(pred).tuples
-            if old != new:
-                diff[pred] = (new - old, old - new)
-        return diff, 0
-
-    @abstractmethod
-    def _solve_component(self, component: Component, index: int) -> None:
-        """Iterate the component to its fixpoint over a local store and
-        hand it to :meth:`_export_component`."""
+        return self._solve_stratum(index, stratum), 0
 
     def raw_relation(self, pred: str) -> frozenset[tuple]:
         """The un-pruned inflationary fixpoint content (``D_raw``)."""
@@ -64,14 +43,14 @@ class ResolvingSolver(Solver):
         return frozenset(store.get(pred).tuples)
 
     def state_size(self) -> int:
-        totals = sum(len(g) for g in self._totals.values())
-        return super().state_size() + self._raw.state_size() + totals
+        return super().state_size() + self._raw.state_size()
 
     def _export_component(
         self, component: Component, local: RelationStore, specs: dict[str, AggSpec]
-    ) -> None:
-        """Accrete the local fixpoint into ``D_raw`` and replace the
-        exported view with the pruned result."""
+    ) -> StratumDiff:
+        """Accrete the local fixpoint into ``D_raw``; return the pruned
+        result's diff against the published view."""
+        diff: StratumDiff = {}
         for pred in component.predicates:
             rows = local.get(pred).tuples
             raw = self._raw.get(pred)
@@ -79,7 +58,9 @@ class ResolvingSolver(Solver):
                 raw.add(row)
             if pred in specs:
                 rows = prune_aggregated(rows, specs[pred])
-            exported = self._exported.get(pred)
-            exported.clear()
-            for row in rows:
-                exported.add(row)
+            old = self._exported.get(pred).tuples
+            # An empty view (every solve) takes the rows as they are: no copy.
+            added, removed = (rows - old, old - rows) if old else (rows, set())
+            if added or removed:
+                diff[pred] = (added, removed)
+        return diff

@@ -7,7 +7,8 @@ tuples computed thus far."*  This engine is that strategy *without* the
 incremental timeline machinery: per component it seeds from upstream, then
 propagates per-round deltas through delta-pinned join plans, maintaining
 running aggregation totals per group (inflationary — totals only advance
-during an initial run, so a single running value per group suffices).
+during an initial run, so a single running value per group suffices, and
+it lives only as long as the component's fixpoint loop).
 
 It computes the same ``D_raw``/``D_prune``/``D_exp`` as
 :class:`repro.engines.naive.NaiveSolver` and stands in for Soufflé as the
@@ -21,10 +22,10 @@ from __future__ import annotations
 from time import perf_counter
 
 from ..datalog.planning import delta_occurrences
-from ..datalog.stratify import Component
+from ..metrics import StratumStats
 from ..robustness import faults as _faults
 from .aggspec import compile_agg_specs
-from .base import Relations
+from .base import Relations, StratumDiff
 from .relation import RelationStore
 from .resolving import ResolvingSolver
 
@@ -32,12 +33,9 @@ from .resolving import ResolvingSolver
 class SemiNaiveSolver(ResolvingSolver):
     """Delta-driven from-scratch evaluation with running aggregation totals."""
 
-    def _solve_component(self, component: Component, index: int) -> None:
+    def _solve_stratum(self, index: int, stratum: StratumStats | None) -> StratumDiff:
+        component = self.components[index]
         metrics = self.metrics
-        stratum = (
-            metrics.stratum(index, component.predicates) if metrics.active else None
-        )
-        started = perf_counter() if stratum is not None else 0.0
         local = RelationStore(self.arities, metrics=self._store_metrics())
         specs = compile_agg_specs(component.rules, self.program)
         plain_rules = [r for r in component.rules if not r.is_aggregation]
@@ -75,6 +73,8 @@ class SemiNaiveSolver(ResolvingSolver):
         }
 
         delta: dict[str, set[tuple]] = {}
+        #: aggregated pred -> group key -> running total.
+        running: dict[str, dict[tuple, object]] = {}
         #: [derived, deduplicated] — kept unconditionally (two cheap list
         #: increments); folded into ``metrics`` only when collection is on.
         counts = [0, 0]
@@ -109,7 +109,7 @@ class SemiNaiveSolver(ResolvingSolver):
             if spec.collecting_pred not in component.predicates:
                 before_agg = counts[0]
                 self._seed_upstream_aggregation(
-                    spec, seed_agg_kernels[spec.pred], lookup, derive, delta
+                    spec, running, seed_agg_kernels[spec.pred], lookup, derive, delta
                 )
                 if stratum is not None:
                     metrics.derivations(stratum, counts[0] - before_agg)
@@ -138,7 +138,7 @@ class SemiNaiveSolver(ResolvingSolver):
                 for spec in specs.values():
                     if spec.collecting_pred == pred:
                         before_agg = counts[0]
-                        self._advance_aggregation(spec, rows, derive, next_delta)
+                        self._advance_aggregation(spec, running, rows, derive, next_delta)
                         if stratum is not None:
                             metrics.derivations(stratum, counts[0] - before_agg)
             if stratum is not None:
@@ -152,16 +152,16 @@ class SemiNaiveSolver(ResolvingSolver):
                 f"{max_iterations} rounds of iterations — diverging analysis?"
             )
 
-        self._export_component(component, local, specs)
-        if stratum is not None:
-            metrics.stratum_end(stratum, perf_counter() - started)
+        return self._export_component(component, local, specs)
 
-    def _seed_upstream_aggregation(self, spec, kernel, lookup, derive, delta) -> None:
+    def _seed_upstream_aggregation(
+        self, spec, running, kernel, lookup, derive, delta
+    ) -> None:
         """Aggregate a collecting relation that lives upstream: its content
         is static during this component, so a single full pass suffices."""
         if _faults.ACTIVE is not None:
             _faults.fire("aggregate.combine")
-        totals = self._totals.setdefault(spec.pred, {})
+        totals = running.setdefault(spec.pred, {})
         combine = spec.aggregator.combine
         for key, value in kernel(lookup):
             if key in totals:
@@ -171,12 +171,14 @@ class SemiNaiveSolver(ResolvingSolver):
         for key, total in totals.items():
             derive(spec.pred, spec.tuple_for(key, total), delta)
 
-    def _advance_aggregation(self, spec, collect_rows, derive, next_delta) -> None:
+    def _advance_aggregation(
+        self, spec, running, collect_rows, derive, next_delta
+    ) -> None:
         """Fold newly collected aggregands into running group totals; emit a
         new inflationary total tuple when a group's total advances."""
         if _faults.ACTIVE is not None:
             _faults.fire("aggregate.combine")
-        totals = self._totals.setdefault(spec.pred, {})
+        totals = running.setdefault(spec.pred, {})
         combine = spec.aggregator.combine
         extract = self.kernels.extractor(spec)
         touched: set[tuple] = set()

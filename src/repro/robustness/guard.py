@@ -37,18 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..engines.base import FactChanges, Solver, UpdateStats
 
 
-# How a declared piece of engine state (``STATE``: attribute -> kind, on
-# every solver and component-state class) is mutated during an update —
-# all a transaction needs to know to protect it.  Checkpoints persist every
-# declared attribute regardless of kind.
-#: Mutated in place only through journaling methods (or only rebound):
-#: restoring the reference suffices.
-PLAIN = "plain"
-#: ``pred -> key -> value`` mutated by plain dict assignment: snapshot by
-#: value.
-ASSIGNED = "assigned"
-
-
 class _Transaction(threading.local):
     def __init__(self):
         #: The undo log of the transaction open on this thread, or None.
@@ -65,11 +53,12 @@ class UpdateGuard:
     """One transaction over a solver's mutable state, on the calling thread.
 
     ``install()`` opens the thread's undo log and records, from the
-    engine's ``STATE`` declaration (:mod:`repro.engines.base`), what
-    rollback restores besides replaying it: every declared attribute's
-    reference, with the few structures mutated by plain assignment (DRed
-    group totals, semi-naive running totals) snapshotted by value.  Exactly
-    one of ``commit()`` / ``rollback()`` must follow, on the same thread.
+    engine's ``STATE`` names (:mod:`repro.engines.base`), what rollback
+    restores besides replaying it: the reference each declared attribute
+    holds, so an update that rebinds one rolls back too.  Every container
+    among them is mutated in place only by journaling code, so nothing is
+    copied.  Exactly one of ``commit()`` / ``rollback()`` must follow, on
+    the same thread.
     """
 
     def __init__(self, solver: "Solver"):
@@ -88,13 +77,8 @@ class UpdateGuard:
         restores = self._attr_restores
         restores.append((solver, "last_stats", solver.last_stats))
         for owner in (solver, *solver._states):
-            for name, kind in owner.STATE.items():
-                value = getattr(owner, name)
-                if kind == ASSIGNED:
-                    value = {pred: dict(group) for pred, group in value.items()}
-                # Every kind gets its reference restored, so a transaction
-                # that rebinds an attribute rolls back too.
-                restores.append((owner, name, value))
+            for name in owner.STATE:
+                restores.append((owner, name, getattr(owner, name)))
         TRANSACTION.undo = self.undo
         return self
 
@@ -183,7 +167,8 @@ class GuardedSolver:
                 ) from exc
             before = solver.relations()
             reference = self._adopt_reference(insertions, deletions)
-            return solver._exported_diff(before, reference.relations())
+            reference.last_stats = _exported_diff(before, reference.relations())
+            return reference.last_stats
         else:
             guard.commit()
             return stats
@@ -219,3 +204,17 @@ class GuardedSolver:
         solver.metrics.fallback_resolves += 1
         self.solver = reference
         return reference
+
+
+def _exported_diff(before, after) -> "UpdateStats":
+    """The ``UpdateStats`` of a fallback epoch, as ``Solver.update`` returns
+    them: ``before`` and ``after`` are ``relations()`` of one program."""
+    from ..engines.base import UpdateStats
+
+    stats = UpdateStats()
+    for pred, new in after.items():
+        if new - before[pred]:
+            stats.inserted[pred] = set(new - before[pred])
+        if before[pred] - new:
+            stats.deleted[pred] = set(before[pred] - new)
+    return stats

@@ -203,3 +203,44 @@ def test_parent_written_checkpoint_restores_and_keeps_updating(
     batch = {"insertions": {"arc": {("d", "a", 2)}}, "deletions": {"arc": {("a", "b", 1)}}}
     assert restored.update(**batch).inserted == fresh.update(**batch).inserted
     assert take_snapshot(restored, 2).digest() == take_snapshot(fresh, 2).digest()
+
+
+def test_parent_written_seminaive_checkpoint_restores_declared_state(program):
+    """``tests/fixtures/parent_seminaive.ckpt`` was written by the commit
+    whose SemiNaive kept its running group totals (``_totals``) between
+    updates (FACTS plus the arc c->d).  A restore sets only what the engine
+    declares, equals the live solver, and updates on bit-equal to a
+    from-scratch solve."""
+    from pathlib import Path
+
+    from repro.engines import SemiNaiveSolver
+    from repro.engines.checkpoint import load_checkpoint
+    from repro.service import take_snapshot
+
+    def solved(facts):
+        solver = SemiNaiveSolver(program, config=config)
+        for pred, rows in facts.items():
+            solver.add_facts(pred, rows)
+        solver.solve()
+        return solver
+
+    config = SolverConfig.from_env()
+    path = Path(__file__).parents[2] / "fixtures" / "parent_seminaive.ckpt"
+    restored = load_checkpoint(SemiNaiveSolver, program, path, config=config)
+    assert not hasattr(restored, "_totals")
+    facts = {pred: set(rows) for pred, rows in FACTS.items()}
+    facts["arc"].add(("c", "d", 1))
+    live = solved(FACTS)
+    live.update(insertions={"arc": {("c", "d", 1)}})
+    assert take_snapshot(restored, 1).digest() == take_snapshot(live, 1).digest()
+    for insertions, deletions in (
+        ({("d", "a", 2)}, {("a", "b", 1)}),
+        (set(), {("b", "c", 2)}),
+        ({("a", "b", 1), ("b", "c", 2)}, {("c", "d", 1)}),
+    ):
+        restored.update(insertions={"arc": insertions}, deletions={"arc": deletions})
+        facts["arc"] = (facts["arc"] - deletions) | insertions
+        scratch = solved(facts)
+        assert (
+            take_snapshot(restored, 2).digest() == take_snapshot(scratch, 2).digest()
+        )

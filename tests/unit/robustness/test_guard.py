@@ -11,6 +11,7 @@ from repro.engines import (
     SemiNaiveSolver,
 )
 from repro.robustness import GuardedSolver, inject
+from repro.robustness.guard import UpdateGuard
 
 from ..engines.helpers import (
     const_prop_program,
@@ -46,9 +47,6 @@ def deep_state(solver):
     raw = getattr(solver, "_raw", None)
     if raw is not None:
         snap["raw"] = {p: set(r.tuples) for p, r in raw.relations.items()}
-    snap["totals"] = {
-        p: dict(g) for p, g in getattr(solver, "_totals", {}).items()
-    }
     for i, comp in enumerate(getattr(solver, "_states", ())):
         rels = {}
         for pred, rel in comp.relations.items():
@@ -160,6 +158,39 @@ class TestFallback:
         # Subsequent updates keep working on the adopted solver.
         guarded.update(insertions={"edge": {(3, 4)}})
         assert (1, 4) in guarded.relation("tc")
+
+    def test_fallback_stats_are_the_new_solvers_last_stats(self, engine):
+        """A degraded epoch returns what an unfaulted one would: set-valued
+        ``UpdateStats``, also the adopted solver's ``last_stats``."""
+        batch = {"insertions": {"edge": {(3, 4)}}, "deletions": {"edge": {(1, 2)}}}
+        twin = load(engine, tc_program(), tc_facts({(1, 2), (2, 3)}))
+        expected = twin.update(**batch)
+        guarded = GuardedSolver(
+            load(engine, tc_program(), tc_facts({(1, 2), (2, 3)})), fallback=True
+        )
+        with inject("kernel.emit"):
+            stats = guarded.update(**batch)
+        assert guarded.metrics.fallback_resolves == 1
+        assert guarded.last_stats is stats
+        assert (stats.inserted, stats.deleted) == (expected.inserted, expected.deleted)
+        assert stats.inserted and stats.deleted
+        for rows in (*stats.inserted.values(), *stats.deleted.values()):
+            assert type(rows) is set
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_install_copies_no_state(engine):
+    """Every container an engine declares is journaled, so opening a
+    transaction records references only: each restore holds the live
+    object itself (group totals included)."""
+    solver = load(engine, singleton_pointsto_program(), figure3_facts())
+    guard = UpdateGuard(solver).install()
+    try:
+        assert guard._attr_restores
+        for owner, name, value in guard._attr_restores:
+            assert value is getattr(owner, name), f"{name} was copied"
+    finally:
+        guard.commit()
 
 
 class TestLatticeRollback:
