@@ -90,12 +90,12 @@ def main() -> None:
     show_alerts(solver)
 
     # Edit 1: the developer routes name through the sanitizer instead.
-    move = next(row for row in analysis.facts["tmove"] if row[0].endswith("/name"))
+    move = next(row for row in analysis.facts["move"] if row[0].endswith("/name"))
     print("\n>> edit: name = raw  becomes  name = safe")
     start = time.perf_counter()
     solver.update(
-        deletions={"tmove": {move}},
-        insertions={"tmove": {(move[0], move[0].rsplit("/", 1)[0] + "/safe")}},
+        deletions={"move": {move}},
+        insertions={"move": {(move[0], move[0].rsplit("/", 1)[0] + "/safe")}},
     )
     print(f"   ({(time.perf_counter() - start) * 1e3:.2f} ms)")
     show_alerts(solver)

@@ -10,7 +10,7 @@ and a handle to the subject program for change synthesis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Type
+from typing import Callable, Type
 
 from ..config import SolverConfig
 from ..datalog.program import Program
@@ -19,6 +19,18 @@ from ..javalite.ast import JProgram
 from ..metrics import SolverMetrics
 
 Facts = dict[str, set[tuple]]
+
+
+def extracts(schema: str) -> Callable:
+    """Mark an analysis builder with the fact schema (``"value"`` or
+    ``"pointsto"``) of the extractor it calls: the one a source editor keeps
+    current for the analysis (:func:`repro.changes.editor_for`)."""
+
+    def mark(builder: Callable) -> Callable:
+        builder.schema = schema
+        return builder
+
+    return mark
 
 
 @dataclass

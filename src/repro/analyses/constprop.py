@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..javalite.ast import JProgram
 from ..lattices import Const, ConstantLattice, lub
-from .base import AnalysisInstance
+from .base import AnalysisInstance, extracts
 from .valueflow import build_value_analysis
 
 _OPS = {
@@ -14,6 +14,7 @@ _OPS = {
 }
 
 
+@extracts("value")
 def constant_propagation(subject: JProgram) -> AnalysisInstance:
     """Track definite constants of integer-typed locals per ICFG node."""
     lattice = ConstantLattice()

@@ -12,10 +12,11 @@ from typing import Sequence
 from ..javalite.ast import JProgram
 from ..lattices import Interval, IntervalLattice, widen
 from ..lattices.interval import DEFAULT_THRESHOLDS
-from .base import AnalysisInstance
+from .base import AnalysisInstance, extracts
 from .valueflow import build_value_analysis
 
 
+@extracts("value")
 def interval_analysis(
     subject: JProgram,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,

@@ -25,7 +25,7 @@ from ..datalog.program import Program
 from ..javalite.ast import JProgram
 from ..javalite.facts import extract_pointsto_facts
 from ..lattices import C, KSetLattice, O, PowersetLattice, SingletonLattice, lub
-from .base import AnalysisInstance
+from .base import AnalysisInstance, extracts
 
 #: Rules shared by every variant: reachability, call resolution plumbing,
 #: parameter/return flow, and field-based heap flow.  The variants provide
@@ -60,6 +60,7 @@ def _base_program(rules: str) -> Program:
     return parse(_COMMON_RULES + rules)
 
 
+@extracts("pointsto")
 def singleton_pointsto(subject: JProgram) -> AnalysisInstance:
     """Figure 1's lattice-based singleton points-to analysis."""
     facts, hierarchy = extract_pointsto_facts(subject)
@@ -90,6 +91,7 @@ def singleton_pointsto(subject: JProgram) -> AnalysisInstance:
     )
 
 
+@extracts("pointsto")
 def kupdate_pointsto(subject: JProgram, k: int = 5) -> AnalysisInstance:
     """The k-update points-to analysis of Section 7 (default k = 5)."""
     facts, hierarchy = extract_pointsto_facts(subject)
@@ -122,6 +124,7 @@ def kupdate_pointsto(subject: JProgram, k: int = 5) -> AnalysisInstance:
     )
 
 
+@extracts("pointsto")
 def setbased_pointsto(subject: JProgram) -> AnalysisInstance:
     """The powerset (set-based) points-to analysis of Section 7.3."""
     facts, hierarchy = extract_pointsto_facts(subject)

@@ -27,7 +27,7 @@ from ..datalog.parser import parse
 from ..javalite.ast import JProgram
 from ..javalite.facts import extract_pointsto_facts
 from ..lattices import KSetLattice, lub
-from .base import AnalysisInstance
+from .base import AnalysisInstance, extracts
 
 ROOT_CONTEXT = "root"
 
@@ -68,6 +68,7 @@ _RULES = """
 """
 
 
+@extracts("pointsto")
 def onecall_pointsto(subject: JProgram, k: int = 5) -> AnalysisInstance:
     """Build the 1-call-site-sensitive k-update points-to analysis."""
     facts, hierarchy = extract_pointsto_facts(subject)

@@ -10,10 +10,11 @@ from __future__ import annotations
 from ..javalite.ast import JProgram
 from ..lattices import lub
 from ..lattices.sign import SignLattice
-from .base import AnalysisInstance
+from .base import AnalysisInstance, extracts
 from .valueflow import build_value_analysis
 
 
+@extracts("value")
 def sign_analysis(subject: JProgram) -> AnalysisInstance:
     """Track integer signs of locals per ICFG node."""
     lattice = SignLattice()

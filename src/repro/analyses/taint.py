@@ -27,7 +27,7 @@ from __future__ import annotations
 from ..datalog.parser import parse
 from ..javalite.ast import JProgram
 from ..lattices import ChainLattice, lub
-from .base import AnalysisInstance
+from .base import AnalysisInstance, extracts
 from .pointsto import kupdate_pointsto
 
 LEVELS = ChainLattice(["untainted", "tainted"])
@@ -42,6 +42,20 @@ _TAINT_RULES = """
                      returnvar(M, RV), taint(RV, L).
     tcand(V, L)   :- seedvar(V), L := untaintedv().
 
+    // Taint flows along the same moves as values.  Every data-flow variable
+    // starts untainted, so taint/2 carries a level for each of them
+    // (Bot-as-absent would also be sound, but explicit levels make the
+    // exported relation self-describing).  Both are derived from the
+    // extracted facts, so a source edit reaches them.
+    tmove(To, From) :- move(To, From).
+    seedvar(V) :- move(V, _).
+    seedvar(V) :- move(_, V).
+    seedvar(V) :- alloc(V, _, _).
+    seedvar(V) :- actualarg(_, _, V).
+    seedvar(V) :- callret(_, V).
+    seedvar(V) :- formalarg(_, _, V).
+    seedvar(V) :- returnvar(_, V).
+
     taint(V, lubt<L>) :- tcand(V, L).
 
     sink_alert(Site, Act) :- taintsink(M), resolvecall(Site, M),
@@ -52,6 +66,7 @@ _TAINT_RULES = """
 """
 
 
+@extracts(kupdate_pointsto.schema)
 def taint_analysis(
     subject: JProgram,
     sources: set[str] | None = None,
@@ -84,20 +99,6 @@ def taint_analysis(
         sinks = {drivers[-1]} if drivers else set()
     facts["taintsource"] = {(m,) for m in sources}
     facts["taintsink"] = {(m,) for m in sinks}
-    # Taint flows along the same moves as values; alias the relation so the
-    # taint component depends only on exported upstream relations.
-    facts["tmove"] = set(facts["move"])
-    # Every data-flow variable starts untainted, so taint/2 carries a level
-    # for each of them (Bot-as-absent would also be sound, but explicit
-    # levels make the exported relation self-describing).
-    seedvars = {row[0] for row in facts["move"]}
-    seedvars |= {row[1] for row in facts["move"]}
-    seedvars |= {row[0] for row in facts["alloc"]}
-    seedvars |= {row[2] for row in facts["actualarg"]}
-    seedvars |= {row[1] for row in facts["callret"]}
-    seedvars |= {row[2] for row in facts["formalarg"]}
-    seedvars |= {row[1] for row in facts["returnvar"]}
-    facts["seedvar"] = {(v,) for v in seedvars}
 
     return AnalysisInstance(
         name=f"taint(on k={k} points-to)",

@@ -25,6 +25,7 @@ from typing import Callable
 
 from ..javalite.ast import ConstAssign, If, JProgram, New, Stmt, While
 from ..javalite.facts import extract_pointsto_facts, extract_value_facts
+from ..javalite.incremental import IncrementalExtractor
 from .base import Change, Facts
 
 Extractor = Callable[[JProgram], Facts]
@@ -140,7 +141,8 @@ class SourceEditor:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _emit(self, label: str, method: str | None = None) -> Change:
+    def _emit(self, label: str, method: str) -> Change:
+        """Re-extract after an edit inside ``method``; returns the diff."""
         before = self._facts
         after = self.extractor(self.program)
         change = diff_facts(before, after, label)
@@ -194,18 +196,12 @@ class IncrementalSourceEditor(SourceEditor):
     """
 
     def __init__(self, program: JProgram, kind: str = "value"):
-        from ..javalite.incremental import IncrementalExtractor
+        incremental = self._incremental = IncrementalExtractor(program, kind=kind)
+        # The slices are the authoritative state: the base class's initial
+        # extraction assembles them instead of extracting the program again.
+        super().__init__(program, extractor=lambda _: incremental.facts())
 
-        self._incremental = IncrementalExtractor(program, kind=kind)
-        extractor = pointsto_facts if kind == "pointsto" else value_facts
-        super().__init__(program, extractor=extractor)
-        # The base captured a full extraction; keep the incremental slices
-        # as the authoritative state from here on.
-        self._facts = self._incremental.facts()
-
-    def _emit(self, label: str, method: str | None = None) -> Change:
-        if method is None:
-            return super()._emit(label)
+    def _emit(self, label: str, method: str) -> Change:
         inserted, deleted = self._incremental.refresh(method)
         change = Change(
             label=label,

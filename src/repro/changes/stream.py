@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..analyses import ANALYSES
 from ..javalite.ast import ConstAssign, If, JProgram, New, While
 from .base import Change, rng_for
 from .source_edits import (
@@ -53,8 +54,9 @@ from .source_edits import (
 def editor_for(
     program: JProgram, analysis: str, incremental: bool = True
 ) -> SourceEditor:
-    """The source editor whose fact extractor matches ``analysis``."""
-    kind = "pointsto" if analysis.startswith("pointsto") else "value"
+    """The source editor whose fact extractor matches ``analysis``: the
+    schema its builder extracts (:func:`repro.analyses.base.extracts`)."""
+    kind = ANALYSES[analysis].schema
     if incremental:
         return IncrementalSourceEditor(program, kind=kind)
     extractor = pointsto_facts if kind == "pointsto" else value_facts

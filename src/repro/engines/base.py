@@ -63,6 +63,12 @@ def declared_state(owner) -> dict[str, object]:
     return {name: getattr(owner, name) for name in owner.STATE}
 
 
+def declared_keywords(solver: "Solver") -> dict[str, object]:
+    """``keyword -> value`` for every constructor keyword ``solver``'s
+    engine declares in its ``KEYWORDS``."""
+    return {name: getattr(solver, name) for name in solver.KEYWORDS}
+
+
 def program_hash(program: Program) -> str:
     """Stable fingerprint of a program's rules (order-sensitive): what a
     checkpoint records and a restoring solver must match."""
@@ -209,6 +215,11 @@ class Solver(ABC):
     #: methods (``_facts`` by :meth:`_normalize_changes` itself).
     STATE: tuple[str, ...] = ("_facts", "_exported", "_solved")
 
+    #: Constructor keywords (besides ``metrics`` and ``config``) the engine
+    #: keeps as same-named attributes: :meth:`fresh` and a checkpoint
+    #: restore rebuild the solver with them.
+    KEYWORDS: tuple[str, ...] = ()
+
     #: The :class:`ComponentState` subclass of an engine that maintains its
     #: strata in place; None for engines that re-solve them.
     COMPONENT_STATE: type[ComponentState] | None = None
@@ -283,7 +294,12 @@ class Solver(ABC):
     def fresh(self) -> "Solver":
         """An unsolved solver of this engine on the same program, metrics
         and configuration (what the guard's fallback re-solves with)."""
-        return type(self)(self.source_program, metrics=self.metrics, config=self.config)
+        return type(self)(
+            self.source_program,
+            **declared_keywords(self),
+            metrics=self.metrics,
+            config=self.config,
+        )
 
     def _store_metrics(self) -> SolverMetrics | None:
         """The metrics object relation stores should count probes into, or

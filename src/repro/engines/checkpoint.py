@@ -46,7 +46,7 @@ from typing import Type
 from ..config import SolverConfig
 from ..datalog.errors import CheckpointError
 from ..robustness import faults as _faults
-from .base import Solver, declared_state, program_hash
+from .base import Solver, declared_keywords, declared_state, program_hash
 
 __all__ = [
     "save_checkpoint",
@@ -82,6 +82,9 @@ def dump_state(solver: Solver, covers: tuple[int, int] | None = None) -> bytes:
     payload = {
         "solver": type(solver).__name__,
         "program": solver._program_hash,
+        # The engine's construction mode (DRedL's aggregation), rebuilt on
+        # restore; a file without it restores with the defaults.
+        "keywords": declared_keywords(solver),
         # Data only — no compiled plans, no registered callables: exactly
         # what the engine and its component states declare in ``STATE``.
         "attrs": declared_state(solver),
@@ -203,7 +206,10 @@ def _restore(solver_cls, program, path, body, metrics, config):
             f"analysis"
         )
     solver = solver_cls(
-        program, metrics=metrics, config=config or SolverConfig.from_env()
+        program,
+        **payload.get("keywords", {}),
+        metrics=metrics,
+        config=config or SolverConfig.from_env(),
     )
     if payload["program"] != solver._program_hash:
         raise CheckpointError(

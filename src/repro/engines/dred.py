@@ -110,6 +110,7 @@ class DRedLSolver(Solver):
     MAX_ROUNDS = 10_000
 
     COMPONENT_STATE = _DredComponent
+    KEYWORDS = ("aggregation",)
 
     def __init__(
         self,
@@ -135,15 +136,8 @@ class DRedLSolver(Solver):
         super().__init__(program, metrics=metrics, config=config)
         if aggregation not in ("inflationary", "rosssagiv"):
             raise ValueError(f"unknown aggregation mode {aggregation!r}")
+        self.aggregation = aggregation
         self.inflationary = aggregation == "inflationary"
-
-    def fresh(self) -> "DRedLSolver":
-        return type(self)(
-            self.source_program,
-            "inflationary" if self.inflationary else "rosssagiv",
-            metrics=self.metrics,
-            config=self.config,
-        )
 
     # -- the per-stratum strategy ---------------------------------------------
 

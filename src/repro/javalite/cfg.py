@@ -8,7 +8,8 @@ ICFG" (Section 7).  This module is that extraction step for javalite:
   (statement labels) with intra-procedural successor edges, plus synthetic
   ``meth/entry`` and ``meth/exit`` nodes.
 * :func:`build_icfg` adds class-hierarchy-resolved call edges
-  (call node → callee entry) and return edges (callee exit → call node).
+  (call node → callee entry) and return edges (callee exit → call node),
+  one method at a time (:func:`method_call_edges`).
 
 Locals are method-scoped and unreachable from callees, so the ICFG keeps
 the local successor edge across call nodes: caller-local facts flow over
@@ -104,28 +105,36 @@ class ICFG:
 
 
 def build_icfg(program: JProgram, hierarchy: ClassHierarchy) -> ICFG:
-    """Per-method CFGs plus class-hierarchy-analysis call edges.
+    """Per-method CFGs plus class-hierarchy-analysis call edges."""
+    icfg = ICFG()
+    for method in program.methods():
+        icfg.cfgs[method.qualified] = build_cfg(method)
+        icfg.call_edges |= method_call_edges(hierarchy, method)
+    return icfg
+
+
+def method_call_edges(
+    hierarchy: ClassHierarchy, method: JMethod
+) -> set[tuple[str, str]]:
+    """``method``'s (call node, callee) edges.
 
     Virtual call sites link to every override reachable from any concrete
     subclass of any class defining the signature — the standard CHA
     over-approximation Soot uses when no points-to information is available.
     """
-    icfg = ICFG()
-    for method in program.methods():
-        icfg.cfgs[method.qualified] = build_cfg(method)
-    for method in program.methods():
-        for stmt in method.statements():
-            if isinstance(stmt, VirtualCall):
-                for target in _cha_targets(program, hierarchy, stmt.sig):
-                    icfg.call_edges.add((stmt.label, target))
-            elif isinstance(stmt, StaticCall):
-                target = hierarchy.lookup(stmt.cls, stmt.sig)
-                if target is not None:
-                    icfg.call_edges.add((stmt.label, target))
-    return icfg
+    edges: set[tuple[str, str]] = set()
+    for stmt in method.statements():
+        if isinstance(stmt, VirtualCall):
+            for target in _cha_targets(hierarchy, stmt.sig):
+                edges.add((stmt.label, target))
+        elif isinstance(stmt, StaticCall):
+            target = hierarchy.lookup(stmt.cls, stmt.sig)
+            if target is not None:
+                edges.add((stmt.label, target))
+    return edges
 
 
-def _cha_targets(program: JProgram, hierarchy: ClassHierarchy, sig: str) -> set[str]:
+def _cha_targets(hierarchy: ClassHierarchy, sig: str) -> set[str]:
     """All methods with name ``sig`` dispatchable on some concrete class."""
     out: set[str] = set()
     for cls in hierarchy.concrete_classes():

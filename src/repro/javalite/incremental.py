@@ -2,63 +2,33 @@
 
 The source-edit benchmark shows that once the solver is incremental, naive
 whole-program fact re-extraction dominates the IDE loop.  This module makes
-the front end incremental too: facts are attributed to their *owning
-method* at extraction time, and an edit inside one method re-extracts and
-diffs only that method's slice.
-
-Attribution works because every fact the extractors emit is anchored either
-to a statement label / CFG node (``Cls.meth/i``), to a method id, or to
-program-global structure (dispatch tables, the entry method) that statement
-edits cannot change.  Global facts are extracted once and kept.
+the front end incremental too: each method's *slice* is the set of facts
+the whole-program extractor's per-method half (``method_*_facts`` in
+:mod:`repro.javalite.facts`) produces for it, and an edit inside one method
+re-runs that half on the method alone and diffs the slice.  The schema's
+program-global half (dispatch tables, the entry method) cannot change under
+a statement edit, so it runs once and is kept.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from ..datalog.errors import SolverError
 from .ast import JProgram
-from .cfg import build_cfg
-from .facts import Facts, extract_pointsto_facts, extract_value_facts
+from .facts import (
+    Facts,
+    method_pointsto_facts,
+    method_value_facts,
+    program_pointsto_facts,
+    program_value_facts,
+)
 from .types import ClassHierarchy
 
-
-def _method_of(anchor: str) -> str:
-    """Owning method of a label/node/variable id (``Cls.meth/...``)."""
-    return anchor.rsplit("/", 1)[0]
-
-
-#: pred -> index of the tuple column that anchors it to a method, for the
-#: value-analysis schema.  Predicates not listed are global.
-_VALUE_ANCHORS = {
-    "flow": 0,        # edge source node
-    "assignlit": 0,
-    "assignmove": 0,
-    "assignbin": 0,
-    "havoc": 0,
-    "calledge": 0,    # call node
-    "actualarg": 0,
-    "callret": 0,
-    "entrynode": 1,   # the node carries the method prefix
-    "exitnode": 1,
-    "formalarg": 2,   # the formal variable is method-qualified
-    "returnvar": 1,
-}
-
-#: Same for the points-to schema.  ``lookup``/``lookupsub``/``otype`` are
-#: hierarchy-global except that ``otype`` rows are anchored to allocation
-#: labels; ``funcname`` is global.
-_POINTSTO_ANCHORS = {
-    "alloc": 0,
-    "move": 0,
-    "vcall": 2,       # call site label
-    "scall": 0,
-    "actualarg": 0,
-    "callret": 0,
-    "formalarg": 2,
-    "returnvar": 1,
-    "thisvar": 1,     # the this-variable is method-qualified
-    "loadf": 0,
-    "storef": 2,      # source variable
-    "otype": 0,       # allocation-site object id is its statement label
+#: kind -> (program-global half, per-method half) of the schema.
+_SCHEMAS = {
+    "value": (program_value_facts, method_value_facts),
+    "pointsto": (program_pointsto_facts, method_pointsto_facts),
 }
 
 
@@ -70,16 +40,17 @@ class IncrementalExtractor:
     """
 
     def __init__(self, program: JProgram, kind: str = "value"):
-        if kind not in ("value", "pointsto"):
+        if kind not in _SCHEMAS:
             raise SolverError(f"unknown extraction kind {kind!r}")
         self.program = program
         self.kind = kind
         self.hierarchy = ClassHierarchy(program)
-        self._anchors = _VALUE_ANCHORS if kind == "value" else _POINTSTO_ANCHORS
-        full = self._extract_full()
-        self._slices: dict[str, Facts] = {}
-        self._global: Facts = {}
-        self._partition(full)
+        program_facts, self._method_facts = _SCHEMAS[kind]
+        self._global: Facts = defaultdict(set)
+        program_facts(program, self.hierarchy, self._global)
+        self._slices: dict[str, Facts] = {
+            method.qualified: self._extract(method) for method in program.methods()
+        }
 
     # -- public API -----------------------------------------------------
 
@@ -96,7 +67,7 @@ class IncrementalExtractor:
 
         Cost is proportional to the method, not the program.
         """
-        new_slice = self._extract_method(method)
+        new_slice = self._extract(self.program.method(method))
         old_slice = self._slices.get(method, {})
         inserted: Facts = {}
         deleted: Facts = {}
@@ -113,116 +84,8 @@ class IncrementalExtractor:
     def methods(self) -> list[str]:
         return sorted(self._slices)
 
-    # -- internals --------------------------------------------------------
-
-    def _extract_full(self) -> Facts:
-        if self.kind == "value":
-            facts, _ = extract_value_facts(self.program, self.hierarchy)
-        else:
-            facts, self.hierarchy = extract_pointsto_facts(
-                self.program, self.hierarchy
-            )
-        return facts
-
-    def _partition(self, full: Facts) -> None:
-        for method in self.program.methods():
-            self._slices[method.qualified] = {}
-        for pred, rows in full.items():
-            anchor = self._anchors.get(pred)
-            for row in rows:
-                if anchor is None:
-                    self._global.setdefault(pred, set()).add(row)
-                    continue
-                method = _method_of(row[anchor])
-                slice_ = self._slices.setdefault(method, {})
-                slice_.setdefault(pred, set()).add(row)
-
-    def _extract_method(self, method: str) -> Facts:
-        """Extract only ``method``'s slice, at per-method cost."""
-        target = self.program.method(method)
-        slice_: Facts = {}
-
-        def add(pred: str, row: tuple) -> None:
-            slice_.setdefault(pred, set()).add(row)
-
-        if self.kind == "value":
-            self._extract_method_value(target, add)
-        else:
-            self._extract_method_pointsto(target, add)
-        return slice_
-
-    def _extract_method_value(self, method, add) -> None:
-        from .ast import (
-            BinOp, ConstAssign, Load, Move, New, Return, StaticCall,
-            VirtualCall,
-        )
-        from .cfg import _cha_targets
-
-        meth = method.qualified
-        cfg = build_cfg(method)
-        add("entrynode", (meth, cfg.entry))
-        add("exitnode", (meth, cfg.exit))
-        for i, param in enumerate(method.params):
-            add("formalarg", (meth, i, method.local(param)))
-        for edge in cfg.edges:
-            add("flow", edge)
-        for node, stmt in cfg.stmt_of.items():
-            if isinstance(stmt, ConstAssign):
-                add("assignlit", (node, stmt.var, stmt.value))
-            elif isinstance(stmt, Move):
-                add("assignmove", (node, stmt.to, stmt.src))
-            elif isinstance(stmt, BinOp):
-                add("assignbin", (node, stmt.var, stmt.op, stmt.left, stmt.right))
-            elif isinstance(stmt, (Load, New)):
-                add("havoc", (node, stmt.var))
-            if isinstance(stmt, (VirtualCall, StaticCall)):
-                if stmt.ret is not None:
-                    add("callret", (node, stmt.ret))
-                for i, arg in enumerate(stmt.args):
-                    add("actualarg", (node, i, arg))
-                if isinstance(stmt, VirtualCall):
-                    targets = _cha_targets(self.program, self.hierarchy, stmt.sig)
-                else:
-                    resolved = self.hierarchy.lookup(stmt.cls, stmt.sig)
-                    targets = {resolved} if resolved else set()
-                for target in targets:
-                    add("calledge", (node, target))
-            if isinstance(stmt, Return) and stmt.var is not None:
-                add("returnvar", (meth, stmt.var))
-
-    def _extract_method_pointsto(self, method, add) -> None:
-        from .ast import (
-            Load, Move, New, Return, StaticCall, Store, VirtualCall,
-        )
-
-        meth = method.qualified
-        add("thisvar", (meth, method.this_var))
-        for i, param in enumerate(method.params):
-            add("formalarg", (meth, i, method.local(param)))
-        for stmt in method.statements():
-            if isinstance(stmt, New):
-                add("alloc", (stmt.var, stmt.label, meth))
-                add("otype", (stmt.label, stmt.cls))
-                self.hierarchy.obj_types[stmt.label] = stmt.cls
-            elif isinstance(stmt, Move):
-                add("move", (stmt.to, stmt.src))
-            elif isinstance(stmt, VirtualCall):
-                add("vcall", (stmt.recv, stmt.sig, stmt.label, meth))
-                for i, arg in enumerate(stmt.args):
-                    add("actualarg", (stmt.label, i, arg))
-                if stmt.ret is not None:
-                    add("callret", (stmt.label, stmt.ret))
-            elif isinstance(stmt, StaticCall):
-                target = self.hierarchy.lookup(stmt.cls, stmt.sig)
-                if target is not None:
-                    add("scall", (stmt.label, target, meth))
-                    for i, arg in enumerate(stmt.args):
-                        add("actualarg", (stmt.label, i, arg))
-                    if stmt.ret is not None:
-                        add("callret", (stmt.label, stmt.ret))
-            elif isinstance(stmt, Return) and stmt.var is not None:
-                add("returnvar", (meth, stmt.var))
-            elif isinstance(stmt, Load):
-                add("loadf", (stmt.var, stmt.base, stmt.fieldname))
-            elif isinstance(stmt, Store):
-                add("storef", (stmt.base, stmt.fieldname, stmt.src))
+    def _extract(self, method) -> Facts:
+        """``method``'s slice: the non-empty relations its facts fill."""
+        slice_: Facts = defaultdict(set)
+        self._method_facts(method, self.hierarchy, slice_)
+        return dict(slice_)

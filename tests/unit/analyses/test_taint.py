@@ -89,9 +89,9 @@ class TestTaintFlow:
         """Cutting the move x = raw detaints the sink argument."""
         solver = instance.make_solver(LaddderSolver)
         move = next(
-            row for row in instance.facts["tmove"] if row[0].endswith("/x")
+            row for row in instance.facts["move"] if row[0].endswith("/x")
         )
-        solver.update(deletions={"tmove": {move}})
+        solver.update(deletions={"move": {move}})
         alerted_vars = {var for _s, var in solver.relation("sink_alert")}
         assert "Main.main/x" not in alerted_vars
 

@@ -1,9 +1,12 @@
 """Unit tests for source-level editing scenarios (the paper's future work)."""
 
+import copy
+
 import pytest
 
 from repro.analyses import constant_propagation, kupdate_pointsto
 from repro.changes import SourceEditor, pointsto_facts, value_facts
+from repro.corpus import SUBJECT_ORDER
 from repro.engines import LaddderSolver, SemiNaiveSolver
 from repro.lattices import Const
 
@@ -139,17 +142,18 @@ class TestIncrementalExtractor:
         from repro.javalite.facts import extract_pointsto_facts, extract_value_facts
         from repro.javalite.incremental import IncrementalExtractor
 
-        program = load_subject("antlr")
-        for kind, extract in (
-            ("value", extract_value_facts),
-            ("pointsto", extract_pointsto_facts),
-        ):
-            incremental = IncrementalExtractor(program, kind=kind)
-            full, _ = extract(program)
-            assembled = incremental.facts()
-            assert {p: set(r) for p, r in full.items() if r} == {
-                p: set(r) for p, r in assembled.items() if r
-            }, kind
+        for subject in SUBJECT_ORDER:
+            program = load_subject(subject)
+            for kind, extract in (
+                ("value", extract_value_facts),
+                ("pointsto", extract_pointsto_facts),
+            ):
+                incremental = IncrementalExtractor(program, kind=kind)
+                full, _ = extract(program)
+                assembled = incremental.facts()
+                assert {p: set(r) for p, r in full.items() if r} == {
+                    p: set(r) for p, r in assembled.items() if r
+                }, (subject, kind)
 
     def test_refresh_unedited_method_is_noop(self):
         from repro.javalite.incremental import IncrementalExtractor
@@ -183,6 +187,35 @@ class TestIncrementalSourceEditor:
         b = incr.replace_literal(label, 9)
         assert a.insertions == b.insertions
         assert a.deletions == b.deletions
+
+    @pytest.mark.parametrize(
+        "kind, extractor", [("value", value_facts), ("pointsto", pointsto_facts)]
+    )
+    def test_stream_matches_naive_editor_step_by_step(self, kind, extractor):
+        """Deletes, restores, renames and literal retypes: the incremental
+        front end emits the Change the whole-program extractor's diff does,
+        at every step."""
+        from repro.changes import EditStream, IncrementalSourceEditor
+        from repro.corpus import load_subject
+
+        naive = EditStream(
+            SourceEditor(copy.deepcopy(load_subject("minijavac")), extractor),
+            seed=7,
+        )
+        incr = EditStream(
+            IncrementalSourceEditor(
+                copy.deepcopy(load_subject("minijavac")), kind=kind
+            ),
+            seed=7,
+        )
+        kinds = set()
+        for index in range(60):
+            a, b = naive.step(), incr.step()
+            assert (a.kind, a.change.label) == (b.kind, b.change.label)
+            assert a.change.insertions == b.change.insertions, index
+            assert a.change.deletions == b.change.deletions, index
+            kinds.add(a.kind)
+        assert kinds == {"literal", "delete", "restore", "rename"}
 
     def test_edit_sequence_tracks_oracle(self):
         from repro.changes import IncrementalSourceEditor

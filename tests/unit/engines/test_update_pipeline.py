@@ -205,6 +205,32 @@ def test_parent_written_checkpoint_restores_and_keeps_updating(
     assert take_snapshot(restored, 2).digest() == take_snapshot(fresh, 2).digest()
 
 
+def test_dredl_checkpoint_restores_in_its_aggregation_mode(program, tmp_path):
+    """A DRedL checkpoint carries the engine's aggregation mode: a
+    Ross–Sagiv solver restores (and rebuilds its fallback) as one and
+    updates on equal to the live solver, while ``parent_dredl.ckpt``,
+    written without the mode, restores in the default inflationary one."""
+    from pathlib import Path
+
+    from repro.engines import DRedLSolver
+    from repro.engines.checkpoint import load_checkpoint, save_checkpoint
+
+    live = DRedLSolver(program, aggregation="rosssagiv")
+    for pred, rows in FACTS.items():
+        live.add_facts(pred, rows)
+    live.solve()
+    save_checkpoint(live, tmp_path / "dredl.ckpt")
+    restored = load_checkpoint(DRedLSolver, program, tmp_path / "dredl.ckpt")
+    assert not restored.inflationary
+    assert not restored.fresh().inflationary
+    insertions, deletions = BATCHES["mixed"]
+    batch = {"insertions": insertions, "deletions": deletions}
+    assert restored.update(**batch).inserted == live.update(**batch).inserted
+    assert restored.relations() == live.relations()
+    parent = Path(__file__).parents[2] / "fixtures" / "parent_dredl.ckpt"
+    assert load_checkpoint(DRedLSolver, program, parent).inflationary
+
+
 def test_parent_written_seminaive_checkpoint_restores_declared_state(program):
     """``tests/fixtures/parent_seminaive.ckpt`` was written by the commit
     whose SemiNaive kept its running group totals (``_totals``) between
