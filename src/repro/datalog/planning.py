@@ -109,8 +109,26 @@ def plan_body(
     DRed).  ``oracle`` sizes the relations positive literals are costed by.
     Raises :class:`ValidationError` if no admissible order exists.
     """
+    return [
+        rule.body[i]
+        for i in plan_order(rule, pinned, initially_bound, oracle)
+    ]
+
+
+def plan_order(
+    rule: Rule,
+    pinned: int | None = None,
+    initially_bound: set[Variable] | None = None,
+    oracle: CardinalityOracle = no_sizes,
+) -> list[int]:
+    """:func:`plan_body`'s order as positions in ``rule.body``.
+
+    The order depends on the rule's variables and item kinds and on the
+    oracle, never on a constant's value, so under ``no_sizes`` it is one
+    function of the rule's shape (``KernelCache`` memoises it).
+    """
     remaining = list(enumerate(rule.body))
-    ordered: list[BodyItem] = []
+    ordered: list[int] = []
     bound: set[Variable] = set(initially_bound or ())
 
     if pinned is not None:
@@ -121,7 +139,7 @@ def plan_body(
             )
         # The pinned occurrence is instantiated from a ground (delta) tuple,
         # so its variables count as bound even when the literal is negated.
-        ordered.append(item)
+        ordered.append(pinned)
         bound |= _term_vars(item.atom.args)
         remaining = [(i, b) for i, b in remaining if i != pinned]
 
@@ -137,8 +155,8 @@ def plan_body(
             None,
         )
         if filter_idx is not None:
-            _, item = remaining.pop(filter_idx)
-            ordered.append(item)
+            i, item = remaining.pop(filter_idx)
+            ordered.append(i)
             bound |= _binds(item)
             continue
         positives = [
@@ -159,8 +177,8 @@ def plan_body(
                 pair[0],
             ),
         )
-        remaining.pop(k)
-        ordered.append(item)
+        i, _ = remaining.pop(k)
+        ordered.append(i)
         bound |= _binds(item)
 
     _check_head_bound(rule, bound)

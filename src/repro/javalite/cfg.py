@@ -125,7 +125,7 @@ def method_call_edges(
     edges: set[tuple[str, str]] = set()
     for stmt in method.statements():
         if isinstance(stmt, VirtualCall):
-            for target in _cha_targets(hierarchy, stmt.sig):
+            for target in hierarchy.cha_targets(stmt.sig):
                 edges.add((stmt.label, target))
         elif isinstance(stmt, StaticCall):
             target = hierarchy.lookup(stmt.cls, stmt.sig)
@@ -133,12 +133,3 @@ def method_call_edges(
                 edges.add((stmt.label, target))
     return edges
 
-
-def _cha_targets(hierarchy: ClassHierarchy, sig: str) -> set[str]:
-    """All methods with name ``sig`` dispatchable on some concrete class."""
-    out: set[str] = set()
-    for cls in hierarchy.concrete_classes():
-        resolved = hierarchy.lookup(cls, sig)
-        if resolved is not None:
-            out.add(resolved)
-    return out

@@ -31,6 +31,7 @@ class ClassHierarchy:
                 self._children.setdefault(parent, []).append(name)
         #: allocation-site object -> dynamic class, filled by the extractor.
         self.obj_types: dict[str, str] = {}
+        self._cha: dict[str, set[str]] = {}
 
     # -- TypeHierarchy protocol (for SingletonLattice) ----------------------
 
@@ -98,6 +99,20 @@ class ClassHierarchy:
             if resolved is not None:
                 out.add(resolved)
         return out
+
+    def cha_targets(self, sig: str) -> set[str]:
+        """Every method named ``sig`` that some concrete class dispatches
+        to.  Resolved once per signature, as statement edits leave the
+        class hierarchy as it was built; callers must not mutate it."""
+        targets = self._cha.get(sig)
+        if targets is None:
+            targets = set()
+            for cls in self.concrete_classes():
+                resolved = self.lookup(cls, sig)
+                if resolved is not None:
+                    targets.add(resolved)
+            self._cha[sig] = targets
+        return targets
 
     def concrete_classes(self) -> list[str]:
         return [
