@@ -322,8 +322,9 @@ class Session:
                 stats = self.solver.update(
                     insertions=batch.insertions, deletions=batch.deletions
                 )
+                parent = self._snapshot
                 snapshot = take_snapshot(
-                    self.solver, self._snapshot.version + 1, self.metrics
+                    self.solver, parent.version + 1, self.metrics, parent, stats
                 )
                 # Under the solver lock so the base writer reads a seq and
                 # a log position consistent with the state it serializes.

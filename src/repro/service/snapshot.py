@@ -13,6 +13,12 @@ and keep being served while the worker thread applies the next batch.
 A failed batch publishes nothing: the previous snapshot stays current
 (tests/unit/service/test_session.py pins this with mid-batch fault
 injection).
+
+The digest is the one thing a version inherits.  It finalises an additive
+state — the sum, modulo 2**256, of one hash per exported row — so a
+version published from its parent and the batch's exported diff
+(``UpdateStats.inserted/deleted``) moves its parent's sum by the diff's
+rows alone, O(impact), instead of hashing every row again.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 from ..datalog.errors import ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..engines.base import Solver
+    from ..engines.base import Solver, UpdateStats
     from ..metrics import SolverMetrics
 
 
@@ -89,18 +95,45 @@ def match_rows(rows: Iterable[tuple], wanted: tuple) -> Iterator[tuple]:
             yield row
 
 
+#: The digest state is a sum of row hashes modulo 2**256.
+_MODULUS = 1 << 256
+
+
+def _rows_sum(pred: str, keys: Iterable[str]) -> int:
+    """The digest state's terms for ``pred``'s rows, given their
+    :func:`stable_repr` keys: blake2b-256 of ``pred \\x00 key`` as an
+    integer, summed (unreduced)."""
+    prefix = pred.encode("utf-8") + b"\x00"
+    return sum(
+        int.from_bytes(
+            hashlib.blake2b(prefix + key.encode("utf-8"), digest_size=32).digest(),
+            "big",
+        )
+        for key in keys
+    )
+
+
 class Snapshot:
     """One published, immutable set of exported views.
 
     Each view is put in order at most once, on the first read that needs it
     (:meth:`ordered`), and that render is kept for the life of the version:
-    ``rows`` slices it and ``digest`` hashes its keys.  Nothing is rendered
-    for a version nobody reads, and nothing is carried to the next version.
-    The read path takes no lock: two readers racing the first render both
-    compute the same value and either store wins.
+    ``rows`` slices it.  Nothing is rendered for a version nobody reads, and
+    no render is carried to the next version.
+
+    The digest state (``_sum``) is carried: given its ``parent`` and the
+    ``stats`` of the batch between them, a version whose parent's sum is
+    known adds the hashes of the inserted rows and subtracts those of the
+    deleted ones.  Otherwise it stays unknown until the first ``digest``,
+    which sums every row unsorted (reusing a render's keys where one was
+    built).  So a session asked for a digest once keeps it current at
+    O(impact) per publish.  No snapshot references its parent.
+
+    The read path takes no lock: two readers racing the first render (or
+    the first sum) both compute the same value and either store wins.
     """
 
-    __slots__ = ("version", "views", "_metrics", "_renders", "_digest",
+    __slots__ = ("version", "views", "_metrics", "_renders", "_sum",
                  "__weakref__")
 
     def __init__(
@@ -108,6 +141,8 @@ class Snapshot:
         version: int,
         views: Mapping[str, frozenset],
         metrics: "SolverMetrics | None" = None,
+        parent: "Snapshot | None" = None,
+        stats: "UpdateStats | None" = None,
     ):
         self.version = version
         self.views: dict[str, frozenset] = {
@@ -116,7 +151,14 @@ class Snapshot:
         #: Counts ordered views built (``renders``); None counts nothing.
         self._metrics = metrics
         self._renders: dict[str, Ordered] = {}
-        self._digest: str | None = None
+        self._sum: int | None = None
+        if parent is not None and parent._sum is not None:
+            total = parent._sum
+            for pred, rows in stats.inserted.items():
+                total += _rows_sum(pred, map(stable_repr, rows))
+            for pred, rows in stats.deleted.items():
+                total -= _rows_sum(pred, map(stable_repr, rows))
+            self._sum = total % _MODULUS
 
     def query(self, pred: str) -> frozenset:
         """The exported view of ``pred``; unknown predicates are errors,
@@ -149,29 +191,40 @@ class Snapshot:
     def digest(self) -> str:
         """Stable fingerprint of the full exported state.
 
-        Two snapshots digest equal iff every exported view is bit-equal;
-        the acceptance test compares a served session against a from-scratch
-        reference solve through this.  Rows hash via :func:`stable_repr`,
-        so set-valued lattice elements digest identically regardless of
-        hash seed or construction order.
+        Two snapshots digest equal iff every exported view holds the same
+        rows (up to a 2**-256 collision of row-hash sums); the acceptance
+        test compares a served session against a from-scratch reference
+        solve through this.  Rows hash via :func:`stable_repr`, so
+        set-valued lattice elements digest identically regardless of hash
+        seed or construction order.  The 64-hex result is SHA-256 of the
+        sorted exported predicate names and the 32-byte row-hash sum.
         """
-        if self._digest is None:
-            hasher = hashlib.sha256()
-            for pred in sorted(self.views):
-                hasher.update(pred.encode("utf-8"))
-                hasher.update(b"\x00")
-                for key in self.ordered(pred)[0]:
-                    hasher.update(key.encode("utf-8"))
-                    hasher.update(b"\x01")
-                hasher.update(b"\x02")
-            self._digest = hasher.hexdigest()
-        return self._digest
+        total = self._sum
+        if total is None:
+            total = sum(
+                _rows_sum(pred, self._renders[pred][0] if pred in self._renders
+                         else map(stable_repr, rows))
+                for pred, rows in self.views.items()
+            ) % _MODULUS
+            self._sum = total
+        hasher = hashlib.sha256()
+        for pred in sorted(self.views):
+            hasher.update(pred.encode("utf-8"))
+            hasher.update(b"\x00")
+        hasher.update(b"\x01")
+        hasher.update(total.to_bytes(32, "big"))
+        return hasher.hexdigest()
 
 
 def take_snapshot(
-    solver: "Solver", version: int, metrics: "SolverMetrics | None" = None
+    solver: "Solver",
+    version: int,
+    metrics: "SolverMetrics | None" = None,
+    parent: Snapshot | None = None,
+    stats: "UpdateStats | None" = None,
 ) -> Snapshot:
-    """Capture every exported predicate of a solved solver."""
+    """Capture every exported predicate of a solved solver; ``parent`` and
+    the ``stats`` of the update since it carry the digest state."""
     return Snapshot(
         version,
         {
@@ -179,4 +232,6 @@ def take_snapshot(
             for pred in solver.program.exported_predicates()
         },
         metrics,
+        parent,
+        stats,
     )

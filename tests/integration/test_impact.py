@@ -15,6 +15,8 @@ Three guarantees:
   the predicates the edit touched.
 """
 
+import copy
+
 import pytest
 
 from repro.analyses import constant_propagation, kupdate_pointsto
@@ -117,7 +119,7 @@ def test_soak_stream_changes_stay_inside_static_footprint(analysis_name):
     """Property: per-epoch exported deltas ⊆ the touched predicates plus the
     static impact closure of each (``ImpactIndex.affected_predicates``)."""
     build, _ = ANALYSES[analysis_name]
-    program = load_subject("minijavac", scale=SCALE)
+    program = copy.deepcopy(load_subject("minijavac", scale=SCALE))
     instance = build(program)
     solver = instance.make_solver(LaddderSolver)
     index = ImpactIndex(solver.program, solver.components)

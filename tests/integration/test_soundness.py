@@ -16,6 +16,8 @@ Run on the Figure 3 program, a hand-made numeric program, and generated
 corpora (the strongest check: random programs, real executions).
 """
 
+import copy
+
 import pytest
 
 from repro.analyses import (
@@ -163,7 +165,7 @@ class TestSoundnessAfterEdits:
     def test_pointsto_sound_after_source_edit(self):
         from repro.changes import IncrementalSourceEditor
 
-        program = load_subject("minijavac")
+        program = copy.deepcopy(load_subject("minijavac"))
         instance = kupdate_pointsto(program)
         solver = instance.make_solver(LaddderSolver)
         editor = IncrementalSourceEditor(program, kind="pointsto")

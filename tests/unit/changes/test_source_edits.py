@@ -104,7 +104,7 @@ class TestPointsToEdits:
     def test_insert_allocation(self):
         from repro.corpus import load_subject
 
-        program = load_subject("minijavac")
+        program = copy.deepcopy(load_subject("minijavac"))
         instance, solver = fresh_solver(kupdate_pointsto, program)
         editor = SourceEditor(program, extractor=pointsto_facts)
         cls = next(
@@ -120,7 +120,7 @@ class TestPointsToEdits:
     def test_edit_sequence_tracks_oracle(self):
         from repro.corpus import load_subject
 
-        program = load_subject("minijavac")
+        program = copy.deepcopy(load_subject("minijavac"))
         instance, solver = fresh_solver(kupdate_pointsto, program)
         editor = SourceEditor(program, extractor=pointsto_facts)
         alloc_labels = [
@@ -239,7 +239,7 @@ class TestIncrementalSourceEditor:
         from repro.changes import IncrementalSourceEditor
         from repro.corpus import load_subject
 
-        program = load_subject("minijavac")
+        program = copy.deepcopy(load_subject("minijavac"))
         instance, solver = fresh_solver(kupdate_pointsto, program)
         editor = IncrementalSourceEditor(program, kind="pointsto")
         alloc_label = next(

@@ -6,6 +6,7 @@ previously published snapshot queryable — readers never see the failed
 batch, half-applied state, or an outage.
 """
 
+import copy
 import gc
 import os
 import sys
@@ -17,12 +18,14 @@ import pytest
 
 from repro.analyses import constant_propagation
 from repro.changes import literal_to_zero_changes
+from repro.changes.stream import EditStream, editor_for
 from repro.corpus import load_subject
 from repro.datalog.errors import ServiceError
 from repro.engines.checkpoint import read_log
 from repro.metrics import TraceSink
 from repro.robustness import inject
-from repro.service import Session, SessionConfig
+from repro.service import Session, SessionConfig, take_snapshot
+from repro.service.session import ENGINES
 from repro.service.snapshot import render_row, stable_repr
 
 
@@ -179,7 +182,7 @@ class TestFailedBatch:
             pre = session.snapshot
             pre_digest = pre.digest()
             pre_rows = session.query("val")["rows"]
-            assert session.metrics.renders == 1  # digest and rows: one render
+            assert session.metrics.renders == 1  # rows; a digest renders nothing
             change = changes[0]
             session.update(
                 insertions=change.insertions, deletions=change.deletions
@@ -210,12 +213,15 @@ class TestFailedBatch:
             out = session.flush()
             assert out["ok"] and out["version"] == 2
             assert session.query("val")["version"] == 2
+            # Carried from the pre-batch digest across the failed batch.
+            assert session.snapshot.digest() == _scratch_digest(session)
         finally:
             close(session)
 
     def test_fallback_session_survives_poisoned_batch(self, changes):
         session = make_session(fallback=True)
         try:
+            session.snapshot.digest()  # carry the digest across the fallback
             change = changes[0]
             session.update(
                 insertions=change.insertions, deletions=change.deletions
@@ -233,6 +239,7 @@ class TestFailedBatch:
                 insertions=change.insertions, deletions=change.deletions
             )
             reference.flush()
+            assert session.snapshot._sum is not None  # carried, not summed
             assert session.snapshot.digest() == reference.snapshot.digest()
             close(reference)
         finally:
@@ -402,10 +409,13 @@ class TestSaveRestore:
             restored = session.restore(path)
             assert restored["version"] == 4  # versions never run backwards
             assert session.snapshot.digest() == digest_after_change
-            # The restored solver still updates incrementally.
+            # The restored solver still updates incrementally, and the
+            # digest read above is carried on from the restored version.
             session.update(insertions=undo.insertions, deletions=undo.deletions)
             out = session.flush()
             assert out["ok"]
+            assert session.snapshot._sum is not None
+            assert session.snapshot.digest() == _scratch_digest(session)
         finally:
             close(session)
 
@@ -844,6 +854,52 @@ def _log_lines(changes, first: int = 1) -> list[bytes]:
         log.close()
         with open(log.path, "rb") as handle:
             return handle.read().splitlines(keepends=True)
+
+
+def _scratch_digest(session) -> str:
+    """The digest of the session solver's state, summed from scratch."""
+    return take_snapshot(session.solver, 0).digest()
+
+
+class TestCarriedDigest:
+    """Once asked for a digest, a session carries it from each batch's
+    exported diff; at every version it must equal a from-scratch digest
+    of the same state (the fallback, failed-batch and restore cases ride
+    in ``TestFailedBatch`` and ``TestSaveRestore``)."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_digest_after_every_publish_equals_a_from_scratch_one(self, engine):
+        session = make_session(engine=engine)
+        try:
+            session.snapshot.digest()
+            program = copy.deepcopy(load_subject("minijavac"))
+            stream = EditStream(editor_for(program, "constprop"), seed=5)
+            for _ in range(8):
+                change = stream.step().change
+                session.update(
+                    insertions=change.insertions, deletions=change.deletions
+                )
+                assert session.flush()["ok"]
+                assert session.snapshot._sum is not None
+                assert session.snapshot.digest() == _scratch_digest(session)
+            assert session.metrics.batches_applied >= 6  # few steps are no-ops
+        finally:
+            close(session)
+
+    def test_a_snapshot_of_an_unqueried_version_renders_nothing(self, changes):
+        session = make_session()
+        try:
+            change = changes[0]
+            session.update(
+                insertions=change.insertions, deletions=change.deletions
+            )
+            session.flush()
+            info = session.snapshot_info()
+            assert info["version"] == 2
+            assert info["digest"] == _scratch_digest(session)
+            assert session.metrics.renders == 0
+        finally:
+            close(session)
 
 
 class TestStats:

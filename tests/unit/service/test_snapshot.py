@@ -1,11 +1,18 @@
 """Unit tests for versioned snapshots and their digests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analyses import constant_propagation
+from repro.changes import literal_to_zero_changes
 from repro.corpus import load_subject
 from repro.datalog.errors import ServiceError
 from repro.engines import SemiNaiveSolver
+from repro.engines.base import UpdateStats
 from repro.service import Snapshot, take_snapshot
 
 
@@ -56,6 +63,67 @@ def test_take_snapshot_covers_every_exported_predicate():
     assert snap.counts()[instance.primary] == len(snap.query(instance.primary))
 
 
+def test_digest_carried_through_a_deleted_and_reinserted_row(engine_cls):
+    """Every engine's exported diff carries the digest exactly, including
+    updates that delete and re-insert one present fact: the EDB diff then
+    names it on both sides, and so may the strata downstream of it."""
+    instance = constant_propagation(load_subject("minijavac"))
+    solver = instance.make_solver(engine_cls)
+    snap = take_snapshot(solver, 1)
+    snap.digest()
+    row = min(instance.facts["assignlit"], key=repr)
+    churn = {"assignlit": {row}}
+    do, undo = literal_to_zero_changes(instance, 2, seed=3)[:2]
+    batches = [
+        (do.insertions, do.deletions),
+        (churn, churn),
+        ({**undo.insertions, **churn}, {**undo.deletions, **churn}),
+    ]
+    for insertions, deletions in batches:
+        stats = solver.update(insertions=insertions, deletions=deletions)
+        snap = take_snapshot(solver, snap.version + 1, None, snap, stats)
+        assert snap.digest() == take_snapshot(solver, 0).digest()
+
+
+#: A carried digest of set-valued (k-update points-to) views, printed by a
+#: fresh interpreter.
+_CARRY = """
+import copy
+from repro.analyses import kupdate_pointsto
+from repro.changes.stream import EditStream, editor_for
+from repro.corpus import load_subject
+from repro.engines import LaddderSolver
+from repro.service import take_snapshot
+
+program = copy.deepcopy(load_subject("minijavac"))
+solver = kupdate_pointsto(program).make_solver(LaddderSolver)
+snap = take_snapshot(solver, 1)
+print(snap.digest())
+for step in EditStream(editor_for(program, "pointsto-kupdate"), seed=5).take(6):
+    change = step.change
+    stats = solver.update(insertions=change.insertions, deletions=change.deletions)
+    snap = take_snapshot(solver, snap.version + 1, None, snap, stats)
+print(snap.digest(), take_snapshot(solver, 0).digest())
+"""
+
+
+def test_carried_digests_agree_across_hash_seeds():
+    src = Path(__file__).resolve().parents[3] / "src"
+    outputs = set()
+    for seed in (0, 1):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", _CARRY],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        first, last = done.stdout.split("\n", 1)
+        carried, scratch = last.split()
+        assert carried == scratch != first
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+
+
 class TestStableRendering:
     """Set-valued lattice elements must render and digest identically
     regardless of hash seed or construction order (the soak's
@@ -96,7 +164,8 @@ class TestStableRendering:
 
 def test_replaced_snapshot_and_its_render_are_collectable():
     """Nothing outlives a version: once no reader holds a replaced
-    snapshot, it and its kept render are garbage — a long session's memory
+    snapshot, it and its kept render are garbage, also when its successor
+    carried the digest from it — a long session's memory
     does not grow with the number of versions it has published."""
     import gc
     import weakref
@@ -113,9 +182,12 @@ def test_replaced_snapshot_and_its_render_are_collectable():
     assert old.rows("p") == [["1", "Marker"], ["2", "'b'"]]
     old.digest()
     refs = [weakref.ref(old), weakref.ref(marker)]
-    current = Snapshot(2, {"p": {(2, "b")}}, metrics)  # the replacing publish
-    del old, marker
+    # The replacing publish carries the digest from ``old`` by the diff.
+    stats = UpdateStats(deleted={"p": {(1, marker)}})
+    current = Snapshot(2, {"p": {(2, "b")}}, metrics, old, stats)
+    del old, marker, stats
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
     assert current.rows("p") == [["2", "'b'"]]
     assert metrics.renders == 2  # one per version read, none carried over
+    assert current.digest() == Snapshot(2, {"p": {(2, "b")}}).digest()
